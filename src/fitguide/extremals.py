@@ -29,6 +29,14 @@ Sigma dips to zero only instantaneously.
 
 The conserved Hamiltonian along any such trajectory is
 ``alpha*cos(Theta - beta) + U**2/2`` and equals ``alpha*cos(beta)``.
+
+The family also has a closed form.  psi = Theta - beta + pi obeys
+psi'' = -alpha sin(psi) with psi(0) = pi - beta and psi'(0) = 0, a
+pendulum released from rest, so every extremal is an inflectional Euler
+elastica of modulus k = cos(beta/2).  This module provides the Jacobi
+elliptic functions and integrals that evaluate it (numpy and ``math``
+only); the boundary-value oracle uses them for its endpoint, while the
+propagators and the dataset sweep stay numerical.
 """
 
 from __future__ import annotations
@@ -45,6 +53,10 @@ __all__ = [
     "propagate_param",
     "terminal_time",
     "hamiltonian",
+    "ellipj",
+    "ellipk",
+    "ellipe",
+    "ellipeinc",
     "EPS_COLLINEAR",
 ]
 
@@ -248,6 +260,109 @@ def hamiltonian(state: ParamState, params: AdjointParams) -> float:
         raise ValueError("non-finite state")
     u = params.alpha * (state.Y * math.cos(params.beta) - state.X * math.sin(params.beta))
     return params.alpha * math.cos(state.Theta - params.beta) + 0.5 * u * u
+
+
+# --- Jacobi elliptic functions and integrals for the closed-form extremal ---
+#
+# Every routine takes the modulus k and its complement kc = sqrt(1 - k**2)
+# as two arguments, and none of them forms 1 - k**2: the extremal family's
+# modulus is cos(beta/2), which rounds to exactly 1.0 for beta below about
+# 2e-8, while kc = sin(beta/2) keeps full relative precision.
+
+
+def _agm(k: float, kc: float):
+    """AGM scale a_N and the Landen ratios c_n / a_n, n = 1..N (A&S 16.4)."""
+    a, b, c = 1.0, kc, k
+    ratios = []
+    # the cap only matters for kc = 0, where K is infinite and the AGM never meets
+    while c > 2.0**-53 * a and len(ratios) < 64:
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        ratios.append(c / a)
+    return a, ratios
+
+
+def ellipk(k: float, kc: float) -> float:
+    """Complete elliptic integral of the first kind K(k) = pi / (2 AGM(1, kc))."""
+    return 0.5 * math.pi / _agm(k, kc)[0]
+
+
+def ellipj(u: float, k: float, kc: float):
+    """Jacobi elliptic functions (sn, cn, dn, am) of u at modulus k.
+
+    The amplitude comes from the descending Landen recursion (A&S 16.4.3).
+    """
+    a, ratios = _agm(k, kc)
+    phi = 2.0 ** len(ratios) * a * u
+    for r in reversed(ratios):
+        phi = 0.5 * (phi + math.asin(r * math.sin(phi)))
+    sn, cn = math.sin(phi), math.cos(phi)
+    # dn**2 = 1 - k**2 sn**2 = cn**2 + kc**2 sn**2, accurate near dn = kc
+    return sn, cn, math.hypot(cn, kc * sn), phi
+
+
+def _carlson_rf(x: float, y: float, z: float) -> float:
+    """Carlson's symmetric integral R_F by duplication (at most one zero argument)."""
+    while True:
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        ave = (x + y + z) / 3.0
+        dx, dy, dz = (ave - x) / ave, (ave - y) / ave, (ave - z) / ave
+        if max(abs(dx), abs(dy), abs(dz)) <= 0.0025:
+            break
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    return (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / math.sqrt(ave)
+
+
+def _carlson_rd(x: float, y: float, z: float) -> float:
+    """Carlson's symmetric integral R_D by duplication (z > 0, x + y > 0)."""
+    total, fac = 0.0, 1.0
+    while True:
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        total += fac / (sz * (z + lam))
+        fac *= 0.25
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        ave = 0.2 * (x + y + 3.0 * z)
+        dx, dy, dz = (ave - x) / ave, (ave - y) / ave, (ave - z) / ave
+        if max(abs(dx), abs(dy), abs(dz)) <= 0.0015:
+            break
+    ea = dx * dy
+    eb = dz * dz
+    ec = ea - eb
+    ed = ea - 6.0 * eb
+    ee = ed + 2.0 * ec
+    c3 = 9.0 / 22.0
+    c4 = 3.0 / 26.0
+    series = 1.0 + ed * (-3.0 / 14.0 + 0.25 * c3 * ed - 1.5 * c4 * dz * ee) + dz * (
+        ee / 6.0 + dz * (-c3 * ec + dz * c4 * ea)
+    )
+    return 3.0 * total + fac * series / (ave * math.sqrt(ave))
+
+
+def _ellipe_reduced(phi: float, k: float, kc: float) -> float:
+    """E(phi, k) for |phi| <= pi/2 from Carlson's R_F and R_D."""
+    s, c = math.sin(phi), math.cos(phi)
+    x, y = c * c, c * c + (kc * s) ** 2  # y = 1 - k**2 sin(phi)**2
+    ks2 = (k * s) ** 2
+    return s * (_carlson_rf(x, y, 1.0) - ks2 / 3.0 * _carlson_rd(x, y, 1.0))
+
+
+def ellipe(k: float, kc: float) -> float:
+    """Complete elliptic integral of the second kind E(k)."""
+    return _ellipe_reduced(0.5 * math.pi, k, kc)
+
+
+def ellipeinc(phi: float, k: float, kc: float) -> float:
+    """Incomplete elliptic integral of the second kind E(phi, k), any real phi.
+
+    Reduces by E(phi + n pi) = E(phi) + 2 n E(k) to |phi| <= pi/2.
+    """
+    n = round(phi / math.pi)
+    e = _ellipe_reduced(phi - n * math.pi, k, kc)
+    return e + 2.0 * n * ellipe(k, kc) if n else e
 
 
 # --- vectorized multi-cell propagation (shared by dataset generation and

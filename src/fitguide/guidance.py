@@ -21,20 +21,34 @@ inside the training domain; the command returned is
 ``(g / t_go) * C(r*g/(speed*t_go), |sigma|, g)`` with the sign restored
 by the mirror rule.
 
-The boundary-value search seeds Newton's method on a grid in
-(q, beta) with q = alpha * t_go**2; this parameterization is invariant
-under the time/length rescaling of the extremal family, so one grid
-serves every time-to-go.
+Newton's method evaluates the extremal's endpoint in closed form: every
+extremal is an inflectional Euler elastica, whose range and look angle
+follow from Jacobi elliptic functions (see ``_endpoint``).  It is seeded
+from a grid in (q, beta) with q = alpha * t_go**2; this parameterization
+is invariant under the time/length rescaling of the extremal family, so
+one sweep at unit time-to-go serves every query.  That sweep is made on
+first use, once per grid, and cached for the life of the process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .extremals import AdjointParams, ParamTrajectory, propagate_param, sweep_cells, terminal_time
+from .extremals import (
+    AdjointParams,
+    ParamTrajectory,
+    ellipe,
+    ellipeinc,
+    ellipj,
+    ellipk,
+    propagate_param,
+    sweep_cells,
+    terminal_time,
+)
 from .kinematics import CartesianState, PolarState, cartesian_to_polar, wrap_angle
 
 __all__ = [
@@ -136,39 +150,34 @@ def _solver_h(t_go: float) -> float:
     return min(0.01, max(0.0025, t_go / 4000.0))
 
 
-def _endpoint(alpha: float, beta: float, t_go: float, h: float):
-    """(R, Sigma) of the parameterized system at t_go (scalar fast path)."""
-    n = max(1, int(round(t_go / h)))
-    hh = t_go / n
-    cb, sb = math.cos(beta), math.sin(beta)
-    cos, sin = math.cos, math.sin
-    x = y = th = 0.0
-    h2 = 0.5 * hh
-    h6 = hh / 6.0
-    for _ in range(n):
-        k1x = -cos(th)
-        k1y = -sin(th)
-        k1t = -alpha * (y * cb - x * sb)
-        t2 = th + h2 * k1t
-        k2x = -cos(t2)
-        k2y = -sin(t2)
-        k2t = -alpha * ((y + h2 * k1y) * cb - (x + h2 * k1x) * sb)
-        t3 = th + h2 * k2t
-        k3x = -cos(t3)
-        k3y = -sin(t3)
-        k3t = -alpha * ((y + h2 * k2y) * cb - (x + h2 * k2x) * sb)
-        t4 = th + hh * k3t
-        k4x = -cos(t4)
-        k4y = -sin(t4)
-        k4t = -alpha * ((y + hh * k3y) * cb - (x + hh * k3x) * sb)
-        x += h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y += h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        th += h6 * (k1t + 2.0 * (k2t + k3t) + k4t)
-    r = math.hypot(x, y)
+def _endpoint(alpha: float, beta: float, t_go: float):
+    """(R, Sigma) of the parameterized system at t_go, in closed form.
+
+    psi = Theta - beta + pi obeys psi'' = -alpha sin(psi) from rest at
+    pi - beta, so the extremal is an inflectional Euler elastica of modulus
+    k = cos(beta/2).  With s = sqrt(alpha) and w = s*t_go + K(k):
+    sin(psi/2) = k sn(w), and the position in the frame turned by beta is
+    (A, -B) with A = (2(E(am w) - E(k)) - s*t_go)/s and B = 2k cn(w)/s.
+    R and Sigma are even in beta (beta -> -beta mirrors the extremal).
+    """
+    half = 0.5 * abs(beta)
+    k, kc = math.cos(half), math.sin(half)
+    if kc == 0.0:
+        return t_go, 0.0  # psi rests on the upright equilibrium: a straight line
+    s = math.sqrt(alpha)
+    sn, cn, dn, am = ellipj(s * t_go + ellipk(k, kc), k, kc)
+    big_a = 2.0 * (ellipeinc(am, k, kc) - ellipe(k, kc)) / s - t_go
+    big_b = 2.0 * k * cn / s
+    cos_psi = 1.0 - 2.0 * (k * sn) ** 2
+    sin_psi = 2.0 * k * sn * dn
+    r = math.hypot(big_a, big_b)
     if r == 0.0:
         return 0.0, 0.0
-    cos_s = max(-1.0, min(1.0, -(x * cos(th) + y * sin(th)) / r))
-    return r, math.acos(cos_s)
+    # atan2 of the cross and dot products of line of sight and heading keeps
+    # Sigma accurate near 0 and pi, where arccos of the dot product does not
+    cross = big_a * sin_psi + big_b * cos_psi
+    dot = big_a * cos_psi - big_b * sin_psi
+    return r, math.atan2(abs(cross), dot)
 
 
 def _degenerate_solution(query: GuidanceQuery) -> OracleSolution:
@@ -194,22 +203,44 @@ def _degenerate_solution(query: GuidanceQuery) -> OracleSolution:
     )
 
 
-def _seed_candidates(r_norm, sigma_abs, t_go, q_max, n_q=48, n_b=48):
-    """Scan a (q, beta) grid and return promising admissible seeds."""
+# Step of the seed table's sweep, in units of the time-to-go.
+_SEED_H = 1e-3
+
+
+@functools.lru_cache(maxsize=None)
+def _seed_table(q_max: float):
+    """Seed scan on a 48x48 (q, beta) grid at unit time-to-go, built once per q_max.
+
+    q = alpha * t_go**2 makes the extremal family scale-invariant: the cell
+    (q, beta) swept to time-to-go t_go ends at range t_go * R1 and look
+    angle Sigma1 of the unit-horizon cell, with the same admissibility.
+    Returns the flat read-only arrays (q, beta, R1, Sigma1, admissible).
+    """
+    n_q = n_b = 48
     q = np.geomspace(q_max / (n_q * 40.0), q_max, n_q)
     b = np.linspace(math.pi / n_b, math.pi * (1.0 - 0.5 / n_b), n_b)
     Q, B = np.meshgrid(q, b, indexing="ij")
-    A = (Q / t_go**2).ravel()
-    B = B.ravel()
-    h_seed = min(0.05, max(0.01, t_go / 400.0))
-    sweep = sweep_cells(A, B, t_go, h_seed, record_series=False)
+    Q, B = Q.ravel(), B.ravel()
+    sweep = sweep_cells(Q, B, 1.0, _SEED_H, record_series=False)
     R = np.hypot(sweep.X, sweep.Y)
     with np.errstate(invalid="ignore", divide="ignore"):
         cos_s = np.where(R > 0, -(sweep.X * np.cos(sweep.Theta) + sweep.Y * np.sin(sweep.Theta)) / np.where(R > 0, R, 1.0), 1.0)
     S = np.arccos(np.clip(cos_s, -1.0, 1.0))
-    res = np.hypot((R - r_norm) / (1.0 + r_norm), S - sigma_abs)
-    admissible = sweep.departed & (sweep.t_collinear >= t_go - 2.0 * h_seed)
-    res = np.where(admissible, res, np.inf)
+    admissible = sweep.departed & (sweep.t_collinear >= 1.0 - 2.0 * _SEED_H)
+    table = (Q, B, R, S, admissible)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _seed_candidates(r_norm, sigma_abs, t_go, q_max):
+    """Rank the cached seed table against a query; return promising admissible seeds."""
+    Q, B, R1, S, admissible = _seed_table(q_max)
+    rho = r_norm / t_go
+    # the relative range error, like the look angle, is invariant under the
+    # rescaling, so every time-to-go ranks the table the same way
+    res = np.where(admissible, np.hypot((R1 - rho) / rho, S - sigma_abs), np.inf)
+    A = Q / t_go**2
     order = np.argsort(res)
     seeds = []
     for k in order:
@@ -225,58 +256,47 @@ def _seed_candidates(r_norm, sigma_abs, t_go, q_max, n_q=48, n_b=48):
     return seeds
 
 
-def _newton(r_norm, sigma_abs, t_go, h, alpha0, beta0, tol_r, tol_sigma, max_iter=40):
-    """Damped Newton on the endpoint residual; returns (alpha, beta) or None.
+def _newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=40):
+    """Damped Newton on the closed-form endpoint residual.
 
-    Runs a coarse-step phase first (4x the solver step) and switches to
-    the fine step once the residual is small; most iterations happen at
-    quarter cost.
+    Returns (alpha, beta, residual) or None when it does not converge.
     """
 
-    def make_residual(step_h):
-        def residual(a, b):
-            r, s = _endpoint(a, b, t_go, step_h)
-            return np.array([r - r_norm, s - sigma_abs])
-        return residual
+    def residual(a, b):
+        r, s = _endpoint(a, b, t_go)
+        return np.array([r - r_norm, s - sigma_abs])
+
+    def size(f):
+        return float(np.hypot(f[0] / (1.0 + r_norm), f[1]))
 
     def converged(f):
         return abs(f[0]) <= tol_r * (1.0 + r_norm) and abs(f[1]) <= tol_sigma
 
     a, b = alpha0, beta0
-    f = make_residual(h)(a, b)
-    if converged(f):
-        return a, b, f
-    for phase_h, phase_tol, budget in ((4.0 * h, 1e-4, max_iter), (h, None, max_iter)):
-        residual = make_residual(phase_h)
-        f = residual(a, b)
-        for _ in range(budget):
-            if phase_tol is not None:
-                if float(np.hypot(f[0] / (1.0 + r_norm), f[1])) <= phase_tol:
-                    break
-            elif converged(f):
-                return a, b, f
-            da = max(1e-9, 1e-6 * a)
-            db = 1e-6
-            jac = np.column_stack([(residual(a + da, b) - f) / da, (residual(a, b + db) - f) / db])
-            try:
-                step = np.linalg.solve(jac, -f)
-            except np.linalg.LinAlgError:
-                return None
-            norm0 = float(np.hypot(f[0] / (1.0 + r_norm), f[1]))
-            lam = 1.0
-            improved = False
-            while lam > 1.0 / 64.0:
-                a_new = max(a + lam * step[0], 1e-12)
-                b_new = min(max(b + lam * step[1], 1e-9), math.pi)
-                f_new = residual(a_new, b_new)
-                if float(np.hypot(f_new[0] / (1.0 + r_norm), f_new[1])) < norm0:
-                    a, b, f = a_new, b_new, f_new
-                    improved = True
-                    break
-                lam *= 0.5
-            if not improved:
+    f = residual(a, b)
+    for _ in range(max_iter):
+        if converged(f):
+            return a, b, f
+        da = max(1e-9, 1e-6 * a)
+        db = 1e-6
+        jac = np.column_stack([(residual(a + da, b) - f) / da, (residual(a, b + db) - f) / db])
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            return None
+        norm0 = size(f)
+        lam = 1.0
+        while lam > 1.0 / 64.0:
+            a_new = max(a + lam * step[0], 1e-12)
+            b_new = min(max(b + lam * step[1], 1e-9), math.pi)
+            f_new = residual(a_new, b_new)
+            if size(f_new) < norm0:
+                a, b, f = a_new, b_new, f_new
                 break
-    return (a, b, f) if f is not None and converged(f) else None
+            lam *= 0.5
+        else:
+            return None
+    return (a, b, f) if converged(f) else None
 
 
 def command_oracle(
@@ -313,7 +333,7 @@ def command_oracle(
         warm_solution.trajectory.t[-1] >= t_go
     ):
         p = warm_solution.params
-        r_end, s_end = _endpoint(p.alpha, p.beta, t_go, h)
+        r_end, s_end = _endpoint(p.alpha, p.beta, t_go)
         f = (r_end - r_norm, s_end - sigma_abs)
         # accept while the measured state still rides the solved extremal to
         # well below any effort/miss tolerance; larger drift forces a re-solve
@@ -334,7 +354,7 @@ def command_oracle(
     roots = []
 
     def try_root(alpha0, beta0, skip_check=False):
-        hit = _newton(r_norm, sigma_abs, t_go, h, alpha0, beta0, tol_r, tol_sigma)
+        hit = _newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma)
         if hit is None:
             return
         a, b, f = hit

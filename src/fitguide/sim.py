@@ -86,6 +86,7 @@ class SimResult:
     miss: float
     impact_time: float
     delta_j: float | None = None
+    resolve_failures: int = 0   # oracle re-solves that raised; the last plan was replayed
 
 
 def control_effort(times, turn_rates, speed: float) -> float:
@@ -144,6 +145,7 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
     oracle_sol = None
     oracle_sign = 1.0
     next_solve = 0.0
+    resolve_failures = 0
 
     while True:
         r = math.hypot(state.x, state.y)
@@ -183,6 +185,7 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
                             raise GuidanceError(f"t={t:.3f} s: {err}") from err
                         # keep replaying the last verified plan; late-flight
                         # re-solves are ill-conditioned near collision course
+                        resolve_failures += 1
                     next_solve = t + update_period
                 traj = oracle_sol.trajectory
                 # midpoint sampling of the held command halves the hold bias
@@ -225,15 +228,17 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
         effort=effort,
         miss=miss,
         impact_time=impact_time,
+        resolve_failures=resolve_failures,
     )
 
 
 def salvo(scenarios, model=None) -> list:
     """Simulate several interceptors against the common target.
 
-    All scenarios must share the same prescribed impact time.  Failures
-    are collected per scenario (the returned slot holds the exception)
-    without aborting the remaining runs.
+    All scenarios must share the same prescribed impact time.  A scenario
+    that fails with GuidanceError or ValueError (infeasible geometry, no
+    admissible extremal, invalid input) leaves the exception in its slot
+    without aborting the remaining runs; any other exception propagates.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -245,7 +250,7 @@ def salvo(scenarios, model=None) -> list:
     for sc in scenarios:
         try:
             results.append(simulate(sc, model=model))
-        except Exception as err:  # noqa: BLE001 - per-scenario isolation
+        except (GuidanceError, ValueError) as err:
             results.append(err)
     return results
 

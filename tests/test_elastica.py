@@ -1,0 +1,186 @@
+"""Closed-form extremal: the elliptic primitives and the oracle's endpoint.
+
+The primitives are checked against scipy.special, and the closed-form
+endpoint against a fixed-step RK4 integration of the parameterized system
+that lives only in this file.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
+
+from fitguide.extremals import ellipe, ellipeinc, ellipj, ellipk
+from fitguide.guidance import _endpoint
+
+# beta over the oracle's whole range, with the near-separatrix end (beta -> 0,
+# modulus -> 1) drawn log-uniformly so that it is actually exercised
+betas = st.one_of(
+    st.floats(1e-9, math.pi - 1e-9),
+    st.floats(math.log(1e-9), 0.0).map(math.exp),
+)
+
+
+def moduli(beta):
+    return math.cos(0.5 * beta), math.sin(0.5 * beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=betas)
+def test_complete_integrals_match_scipy(beta):
+    k, kc = moduli(beta)
+    # ellipkm1 takes the complementary parameter, exact for k -> 1
+    assert ellipk(k, kc) == pytest.approx(special.ellipkm1(kc * kc), rel=1e-13)
+    assert ellipe(k, kc) == pytest.approx(special.ellipe(k * k), rel=1e-13)
+
+
+# scipy takes the parameter m = k**2; the comparison draws m and builds both
+# moduli from it, so that both sides see the same modulus.  Its complement
+# p = 1 - m goes down to 1e-9, below which scipy's ellipj switches to an
+# approximation valid only near u = 0; the endpoint test covers that end.
+parameters = st.one_of(st.floats(1e-9, 1.0), st.floats(-9.0, 0.0).map(lambda e: 10.0**e))
+
+
+def moduli_from_complement(p):
+    m = 1.0 - p
+    return m, math.sqrt(m), math.sqrt(1.0 - m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=parameters, frac=st.floats(-1.0, 1.0))
+def test_jacobi_functions_match_scipy(p, frac):
+    m, k, kc = moduli_from_complement(p)
+    u = 4.0 * ellipk(k, kc) * frac
+    sn, cn, dn, am = ellipj(u, k, kc)
+    sn_r, cn_r, dn_r, am_r = special.ellipj(u, m)
+    tol = 1e-12 * (1.0 + abs(u))
+    assert abs(sn - sn_r) <= tol
+    assert abs(cn - cn_r) <= tol
+    assert abs(dn - dn_r) <= tol
+    assert abs(am - am_r) <= tol
+    assert sn * sn + cn * cn == pytest.approx(1.0, abs=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=parameters, phi=st.floats(-10.0, 10.0))
+def test_incomplete_e_matches_scipy(p, phi):
+    m, k, kc = moduli_from_complement(p)
+    assert abs(ellipeinc(phi, k, kc) - special.ellipeinc(phi, m)) <= 1e-13 * (1.0 + abs(phi))
+
+
+def test_incomplete_e_reduction_and_parity():
+    k, kc = moduli(0.7)
+    e = ellipe(k, kc)
+    assert ellipeinc(0.5 * math.pi, k, kc) == pytest.approx(e, rel=1e-15)
+    assert ellipeinc(2.5 * math.pi, k, kc) == pytest.approx(5.0 * e, rel=1e-14)
+    assert ellipeinc(-1.2, k, kc) == -ellipeinc(1.2, k, kc)
+
+
+def rk4_reference(alpha, beta, t, dtau=0.004):
+    """Cross and dot products of line of sight and heading at t, by RK4.
+
+    Integrates in the time tau = sqrt(alpha) * t, where the system has unit
+    costate magnitude, and scales lengths back by 1/sqrt(alpha).  Returns
+    (R sin Sigma, R cos Sigma) with Sigma the folded look angle.
+    """
+    s = math.sqrt(alpha)
+    tau = s * t
+    n = max(1, math.ceil(tau / dtau))
+    h = tau / n
+    cb, sb = math.cos(beta), math.sin(beta)
+    x = y = th = 0.0
+
+    def f(x, y, th):
+        return -math.cos(th), -math.sin(th), -(y * cb - x * sb)
+
+    for _ in range(n):
+        k1 = f(x, y, th)
+        k2 = f(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], th + 0.5 * h * k1[2])
+        k3 = f(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1], th + 0.5 * h * k2[2])
+        k4 = f(x + h * k3[0], y + h * k3[1], th + h * k3[2])
+        x += h / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+        y += h / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+        th += h / 6.0 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
+    cross = y * math.cos(th) - x * math.sin(th)
+    dot = -(x * math.cos(th) + y * math.sin(th))
+    return abs(cross) / s, dot / s
+
+
+def polar_to_products(r, sigma):
+    return r * math.sin(sigma), r * math.cos(sigma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_alpha=st.floats(math.log(1e-6), math.log(1e2)),
+    beta=betas,
+    frac=st.floats(1e-3, 1.0),
+)
+def test_endpoint_matches_rk4(log_alpha, beta, frac):
+    alpha = math.exp(log_alpha)
+    s = math.sqrt(alpha)
+    k, kc = moduli(beta)
+    quarter = ellipk(k, kc)
+    t = frac * 3.0 * quarter / s
+    r, sigma = _endpoint(alpha, beta, t)
+    # the path has unit speed, so it cannot end farther than t from the origin
+    assert 0.0 <= sigma <= math.pi
+    assert r <= t * (1.0 + 1e-12)
+    got = polar_to_products(r, sigma)
+    want = rk4_reference(alpha, beta, t)
+    # Compared in the unit-costate frame, where the path has length tau.
+    # Near the separatrix a double-precision integration loses the extremal
+    # once it swings back up toward the upright position: its rounding moves
+    # the turning point, to which the endpoint is sensitive as 1/kc**2.  The
+    # tolerance carries that conditioning; the pinned high-precision points
+    # below cover beta -> 0 there.
+    tau = s * t
+    conditioning = 1.0 if tau <= 1.5 * quarter else 1.0 + 1e-3 / kc**2
+    tol = 1e-9 * (1.0 + tau) * conditioning
+    assert abs(got[0] - want[0]) * s <= tol
+    assert abs(got[1] - want[1]) * s <= tol
+
+
+def test_endpoint_near_separatrix_regression():
+    # The oracle salvo's interceptor 2 drives Newton to the beta clamp.  There
+    # cos(beta/2) is exactly 1.0, so any form that builds the complementary
+    # modulus as sqrt(1 - k**2) divides by zero.
+    alpha, beta, t = 0.0011118674459065887, 1e-9, 100.0
+    r, sigma = _endpoint(alpha, beta, t)
+    assert r == pytest.approx(100.0, rel=1e-14)
+    # 50-digit evaluation of the elastica: Sigma = 9.8467957830149e-09
+    assert sigma == pytest.approx(9.8467957830149e-09, rel=1e-6)
+    want = rk4_reference(alpha, beta, t)
+    got = polar_to_products(r, sigma)
+    assert got[0] == pytest.approx(want[0], rel=1e-6)
+    assert got[1] == pytest.approx(want[1], rel=1e-12)
+
+
+# (alpha, beta, t, R, Sigma) near the separatrix, where the RK4 reference
+# above cannot follow the extremal: a 30-digit Taylor integration of the
+# parameterized system (mpmath.odefun), rounded to 17 digits.
+SEPARATRIX_POINTS = [
+    (1.0, 3.789807346431179e-09, 63.4513315884365, 58.954884433458092, 1.4402352496321978),
+    (2.5e-05, 1e-09, 9121.082951450495, 8321.0829514504949, 1.0000000000000005e-09),
+    (37.0, 2e-07, 8.345341575012661, 7.6692879830653603, 0.67346918021843312),
+    (1.0, 1e-06, 39.7373802491127, 35.737379777084967, 0.0013746412992043907),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, t, r_ref, sigma_ref", SEPARATRIX_POINTS)
+def test_endpoint_near_separatrix_matches_high_precision(alpha, beta, t, r_ref, sigma_ref):
+    r, sigma = _endpoint(alpha, beta, t)
+    assert r == pytest.approx(r_ref, rel=1e-13)
+    assert sigma == pytest.approx(sigma_ref, rel=1e-6, abs=1e-12)
+
+
+def test_endpoint_symmetries():
+    r, sigma = _endpoint(0.02, 1.3, 17.0)
+    assert _endpoint(0.02, -1.3, 17.0) == (r, sigma)  # mirrored extremal
+    # scale invariance: alpha -> alpha / lam**2, t -> lam * t scales R by lam
+    r2, sigma2 = _endpoint(0.02 / 4.0, 1.3, 34.0)
+    assert r2 == pytest.approx(2.0 * r, rel=1e-13)
+    assert sigma2 == pytest.approx(sigma, abs=1e-13)
+    assert _endpoint(0.5, 0.0, 3.0) == (3.0, 0.0)  # costate along the path: straight line

@@ -161,3 +161,34 @@ def test_network_tracks_oracle_over_domain(model):
     rel = np.array(rel)
     assert np.median(rel) <= 0.02
     assert np.percentile(rel, 95) <= 0.10
+
+
+def test_seed_candidates_scale_invariant():
+    from fitguide.guidance import _seed_candidates
+
+    r_norm, sigma, t_go = 14.0, 0.9, 25.0
+    base = _seed_candidates(r_norm, sigma, t_go, 40.0)
+    assert base
+    # powers of two keep every rescaling exact in floating point
+    for lam in (0.25, 2.0, 8.0):
+        scaled = _seed_candidates(lam * r_norm, sigma, lam * t_go, 40.0)
+        assert [b for _, b, _ in scaled] == [b for _, b, _ in base]
+        assert [a for a, _, _ in scaled] == [a / lam**2 for a, _, _ in base]
+        assert [res for *_, res in scaled] == [res for *_, res in base]
+
+
+def test_import_builds_no_seed_table():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fitguide
+
+    src = str(Path(fitguide.__file__).resolve().parents[1])
+    code = (
+        "import sys, fitguide, fitguide.guidance as g; "
+        "print(g._seed_table.cache_info().currsize, 'scipy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]

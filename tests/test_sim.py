@@ -141,3 +141,29 @@ def test_case_b_heading_sweep_full_range(model):
         o = simulate(Scenario(start, 500.0, 40.0, guidance="oracle"))
         n = simulate(Scenario(start, 500.0, 40.0, guidance="nn"), model=model)
         assert n.effort == pytest.approx(o.effort, rel=0.01), f"heading {deg}"
+
+
+def test_failed_resolves_are_counted(monkeypatch):
+    import fitguide.sim as sim_module
+
+    real = sim_module.command_oracle
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise GuidanceError("injected re-solve failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim_module, "command_oracle", fail_second)
+    res = simulate(Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle"))
+    assert len(calls) > 2
+    assert res.resolve_failures == 1
+    assert res.t[-1] == pytest.approx(25.0)
+    assert res.miss <= 5.0
+
+
+def test_salvo_propagates_programming_errors():
+    sc = Scenario(CASE_A_START, 500.0, 25.0, guidance="nn")
+    with pytest.raises(AttributeError):
+        salvo([sc], model=object())
