@@ -17,16 +17,16 @@ print("terminal (first-collinearity) times across the parameter plane")
 print(f"{'alpha':>7} {'beta':>7} {'T':>8} {'samples':>8} {'max look angle':>15}")
 for alpha, beta in [(10.0, math.pi / 2), (10.0, math.pi / 4), (10.0, 3 * math.pi / 4),
                     (2.5, 2.0), (1.0, math.pi / 2), (0.2, 1.0)]:
-    t_hat = terminal_time(AdjointParams(alpha, beta), t_bar=10.0, dt=0.005)
+    t_hat = terminal_time(AdjointParams(alpha, beta), t_bar=10.0)
     traj = propagate_param(AdjointParams(alpha, beta), t_end=min(t_hat, 10.0) or 0.01, dt=0.005)
     max_sigma = math.degrees(np.nanmax(traj.Sigma))
     print(f"{alpha:7.2f} {beta:7.3f} {t_hat:8.4f} {len(traj):8d} {max_sigma:13.1f} deg")
 
 print()
 print("scaling law: T(alpha/k^2, beta) = k * T(alpha, beta)")
-base = terminal_time(AdjointParams(10.0, math.pi / 2), t_bar=40.0, dt=0.005)
+base = terminal_time(AdjointParams(10.0, math.pi / 2), t_bar=40.0)
 for k in (2.0, 4.0):
-    scaled = terminal_time(AdjointParams(10.0 / k**2, math.pi / 2), t_bar=40.0, dt=0.005)
+    scaled = terminal_time(AdjointParams(10.0 / k**2, math.pi / 2), t_bar=40.0)
     print(f"  k={k}: T(alpha/k^2)={scaled:.4f} vs k*T={k * base:.4f}")
 
 print()

@@ -1,6 +1,6 @@
 """fitguide: fixed-impact-time optimal interception guidance toolkit.
 
-Capabilities: costate-parameterized extremal propagation, optimal-command
+Capabilities: closed-form costate-parameterized extremals, optimal-command
 dataset generation, a from-scratch feedforward command network, an
 independent boundary-value oracle, a proportional-navigation baseline,
 and closed-loop engagement simulation (single and salvo).
@@ -25,9 +25,7 @@ from .extremals import (
 from .datagen import (
     DatagenConfig,
     REDUCED_CONFIG,
-    Sample,
     generate_dataset,
-    iter_samples,
     read_dataset,
     write_dataset,
 )
@@ -79,9 +77,7 @@ __all__ = [
     "terminal_time",
     "DatagenConfig",
     "REDUCED_CONFIG",
-    "Sample",
     "generate_dataset",
-    "iter_samples",
     "read_dataset",
     "write_dataset",
     "CommandModel",

@@ -71,7 +71,7 @@ def _load_json(path):
 def _cmd_gen_data(args) -> int:
     config = DatagenConfig(
         alpha_bar=args.alpha_bar, n_i=args.ni, n_j=args.nj,
-        t_bar=args.t_bar, h=args.step, seed=args.seed,
+        t_bar=args.t_bar, h=args.step,
     )
     data = generate_dataset(config)
     write_dataset(data, args.out)
@@ -196,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--ni", type=int, default=100)
     g.add_argument("--nj", type=int, default=100)
     g.add_argument("--t-bar", type=float, default=10.0)
-    g.add_argument("--step", type=float, default=0.005, help="sampling/integration step")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--step", type=float, default=0.005, help="sampling step")
     g.set_defaults(func=_cmd_gen_data)
 
     t = sub.add_parser("train", help="train the command network on a dataset CSV")

@@ -1,18 +1,21 @@
 """Optimal-command dataset generation by sweeping the costate grid.
 
-For every cell of a uniform (alpha, beta) grid the parameterized
-extremal system is propagated and the tuples (r, sigma, t_go, u) are
-recorded at t = h, 2h, ... up to the cell's validity horizon.  A cell's
-emission stops at the earliest of
+For every cell of a uniform (alpha, beta) grid the extremal is evaluated
+in closed form and the tuples (r, sigma, t_go, u) are recorded at
+t = h, 2h, ... up to the cell's validity horizon.  A cell's emission stops
+at the earliest of
 
 * the horizon cap ``t_bar``,
 * the first velocity/line-of-sight collinearity (optimality ceases), and
 * the first interior zero of the command history.
 
-The last rule is deliberately conservative: it keeps only samples whose
-remaining command history is sign-constant, which stays strictly inside
-the provably optimal set and matches the expected dataset size for the
-default grid (about 4.1 million rows, upper bound 4.59 million).
+Both stop times are exact (``extremals.sweep_cells``), so a sample is
+emitted exactly when its time lies before them, and only emitted samples
+are evaluated.  The last rule is deliberately conservative: it keeps only
+samples whose remaining command history is sign-constant, which stays
+strictly inside the provably optimal set and matches the expected dataset
+size for the default grid (about 4.1 million rows, upper bound 4.59
+million).
 
 Cells whose trajectory never leaves the collinear set (beta = pi, the
 degenerate straight line) contribute no samples.  Output ordering is
@@ -23,20 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .extremals import sweep_cells
+from .extremals import evaluate, range_look_angle, sweep_cells
 
 __all__ = [
     "DatagenConfig",
     "REDUCED_CONFIG",
-    "Sample",
     "generate_dataset",
     "write_dataset",
     "read_dataset",
-    "iter_samples",
 ]
 
 DATASET_HEADER = "r,sigma,t_go,u"
@@ -51,7 +51,6 @@ class DatagenConfig:
     n_j: int = 100
     t_bar: float = 10.0
     h: float = 0.005
-    seed: int = 0  # reserved; emission order is deterministic by construction
 
     def __post_init__(self):
         if self.alpha_bar <= 0 or self.t_bar <= 0 or self.h <= 0:
@@ -66,54 +65,34 @@ class DatagenConfig:
 REDUCED_CONFIG = DatagenConfig(alpha_bar=10.0, n_i=40, n_j=40, t_bar=4.0, h=0.01)
 
 
-class Sample(NamedTuple):
-    """One dataset record: state, time-to-go and optimal command."""
-
-    r: float
-    sigma: float
-    t_go: float
-    u: float
-
-
 def generate_dataset(config: DatagenConfig) -> np.ndarray:
     """Sweep the costate grid and return samples as an (n, 4) array.
 
     Columns are (r, sigma, t_go, u) in normalized units (unit speed);
     rows are ordered by (alpha index, beta index, t).
     """
-    n = int(round(config.t_bar / config.h))
+    alphas = np.arange(1, config.n_i + 1) * config.alpha_bar / config.n_i
     betas = np.arange(1, config.n_j + 1) * (math.pi / config.n_j)
-    t_grid = np.arange(1, n + 1) * config.h
+    # one sweep for the whole grid: the stop phases depend on beta alone
+    sweep = sweep_cells(np.repeat(alphas, config.n_j), np.tile(betas, config.n_i), config.t_bar, config.h)
+    t_stop = np.minimum(sweep.t_collinear, sweep.t_control_zero).reshape(config.n_i, config.n_j)
+    # each cell emits samples k = 1..count, where count * h is the last grid
+    # time before its stop (none for a degenerate cell, whose stop is inf)
+    counts = np.where(np.isinf(t_stop), 0, np.minimum(sweep.n_steps, np.floor(t_stop / sweep.h))).astype(int)
     blocks = []
-    for i in range(1, config.n_i + 1):
-        alpha = i * config.alpha_bar / config.n_i
-        sweep = sweep_cells(
-            np.full(config.n_j, alpha), betas, config.t_bar, config.h, record_series=True
-        )
-        R = sweep.series["R"]
-        S = sweep.series["Sigma"]
-        U = sweep.series["U"]
-        t_stop = np.minimum(sweep.t_collinear, sweep.t_control_zero)
-        for j in range(config.n_j):
-            if not sweep.departed[j]:
-                continue
-            k_last = n if math.isinf(t_stop[j]) else int(math.floor(t_stop[j] / sweep.h))
-            if k_last < 1:
-                continue
-            rows = np.column_stack(
-                [R[1 : k_last + 1, j], S[1 : k_last + 1, j], t_grid[:k_last], U[1 : k_last + 1, j]]
-            )
-            rows = rows[rows[:, 1] > 0.0]  # guard against exactly-collinear rounding
-            if len(rows):
-                blocks.append(rows)
+    for alpha, count in zip(alphas, counts):
+        cell = np.repeat(np.arange(config.n_j), count)
+        k = np.arange(1, cell.size + 1) - np.repeat(np.cumsum(count) - count, count)
+        t = k * sweep.h
+        X, Y, Theta, U = evaluate(alpha, betas[cell], t)
+        R, S = range_look_angle(X, Y, Theta)
+        rows = np.column_stack([R, S, t, U])
+        rows = rows[rows[:, 1] > 0.0]  # guard against exactly-collinear rounding
+        if len(rows):
+            blocks.append(rows)
     if not blocks:
         return np.empty((0, 4))
     return np.vstack(blocks)
-
-
-def iter_samples(dataset: np.ndarray) -> Iterator[Sample]:
-    for row in dataset:
-        yield Sample(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
 
 
 def write_dataset(dataset: np.ndarray, path) -> None:

@@ -9,8 +9,7 @@ origin, the time reversal of a solution of
     dTheta/dt = -U,      U = alpha * (Y cos(beta) - X sin(beta))
 
 started from (0, 0, 0), where ``alpha >= 0`` is the magnitude and
-``beta`` the direction of the constant position costate.  Propagating
-this system and reading off
+``beta`` the direction of the constant position costate.  Reading off
 
     R     = hypot(X, Y)
     Sigma = arccos( -(X cos Theta + Y sin Theta) / R )
@@ -20,29 +19,34 @@ yields, at parameter time t, the optimal state (range R, look angle
 Sigma) and command U for a remaining flight time of t.
 
 A trajectory stops being optimal the first time the velocity becomes
-collinear with the line of sight (folded look angle touching 0 or pi).
-Both touches are transversal zero crossings of the cross product
-``c = Y cos Theta - X sin Theta``, so collinearity is detected by a sign
-change of c between integration nodes and refined by bisection; a
-threshold test on cos(Sigma) alone cannot see the crossing because
-Sigma dips to zero only instantaneously.
+collinear with the line of sight (folded look angle touching 0 or pi),
+where the cross product ``c = Y cos Theta - X sin Theta`` changes sign.
 
 The conserved Hamiltonian along any such trajectory is
 ``alpha*cos(Theta - beta) + U**2/2`` and equals ``alpha*cos(beta)``.
 
-The family also has a closed form.  psi = Theta - beta + pi obeys
-psi'' = -alpha sin(psi) with psi(0) = pi - beta and psi'(0) = 0, a
-pendulum released from rest, so every extremal is an inflectional Euler
-elastica of modulus k = cos(beta/2).  This module provides the Jacobi
-elliptic functions and integrals that evaluate it (numpy and ``math``
-only); the boundary-value oracle uses them for its endpoint, while the
-propagators and the dataset sweep stay numerical.
+The family has a closed form, and nothing here steps through time.
+psi = Theta - beta + pi obeys psi'' = -alpha sin(psi) with
+psi(0) = pi - beta and psi'(0) = 0, a pendulum released from rest, so
+every extremal is an inflectional Euler elastica of modulus
+k = cos(beta/2) (Love 1927, ch. XIX).  With s = sqrt(alpha),
+w = s*t + K(k) and Z the Jacobi zeta function:
+
+    psi = 2 atan2(k sn w, dn w)          U = -2 s k cn w
+    A = t (2E/K - 1) + 2 Z(w) / s        B = 2 k cn(w) / s
+    X = A cos beta + B sin beta          Y = A sin beta - B cos beta
+
+``evaluate`` computes these for whole arrays from one arithmetic-geometric
+mean and its descending Landen sequence (numpy only).  The stop times are
+exact too: c * s depends only on the phase tau = s*t and on beta, so the
+first collinearity falls at tau*(beta) / s, and the first interior zero
+of the command at 2K / s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,19 +54,17 @@ __all__ = [
     "AdjointParams",
     "ParamState",
     "ParamTrajectory",
+    "CellSweep",
+    "evaluate",
+    "range_look_angle",
     "propagate_param",
     "terminal_time",
+    "sweep_cells",
     "hamiltonian",
     "ellipj",
     "ellipk",
     "ellipe",
-    "ellipeinc",
-    "EPS_COLLINEAR",
 ]
-
-# Band half-width on cos(Sigma) used to decide whether a trajectory ever
-# left the collinear set (degenerate beta in {0, pi} never does).
-EPS_COLLINEAR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,10 @@ class ParamTrajectory:
     """Sampled parameterized trajectory with derived outputs.
 
     Arrays share a common length; ``Sigma[0]`` is NaN since the look
-    angle is undefined at the origin.  ``terminal_time`` is the refined
+    angle is undefined at the origin.  ``terminal_time`` is the exact
     first collinearity time, the propagation horizon if no collinearity
-    occurred, or 0.0 for degenerate parameters whose trajectory never
-    leaves the collinear set.
+    occurs before it, or 0.0 for degenerate parameters whose trajectory
+    never leaves the collinear set.
     """
 
     params: AdjointParams
@@ -119,113 +121,152 @@ class ParamTrajectory:
         return ParamState(float(self.X[k]), float(self.Y[k]), float(self.Theta[k]), float(self.t[k]))
 
 
-def _rk4(x: float, y: float, th: float, h: float, alpha: float, cb: float, sb: float):
-    """One RK4 step of the parameterized system (scalar fast path)."""
-    k1x = -math.cos(th)
-    k1y = -math.sin(th)
-    k1t = -alpha * (y * cb - x * sb)
-    x2 = x + 0.5 * h * k1x
-    y2 = y + 0.5 * h * k1y
-    t2 = th + 0.5 * h * k1t
-    k2x = -math.cos(t2)
-    k2y = -math.sin(t2)
-    k2t = -alpha * (y2 * cb - x2 * sb)
-    x3 = x + 0.5 * h * k2x
-    y3 = y + 0.5 * h * k2y
-    t3 = th + 0.5 * h * k2t
-    k3x = -math.cos(t3)
-    k3y = -math.sin(t3)
-    k3t = -alpha * (y3 * cb - x3 * sb)
-    x4 = x + h * k3x
-    y4 = y + h * k3y
-    t4 = th + h * k3t
-    k4x = -math.cos(t4)
-    k4y = -math.sin(t4)
-    k4t = -alpha * (y4 * cb - x4 * sb)
-    return (
-        x + h / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x),
-        y + h / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y),
-        th + h / 6.0 * (k1t + 2.0 * (k2t + k3t) + k4t),
-    )
+# --- Jacobi elliptic functions by the arithmetic-geometric mean ---
+#
+# Every routine takes the modulus k and its complement kc = sqrt(1 - k**2)
+# as two arguments, and none of them forms 1 - k**2: the extremal family's
+# modulus is cos(beta/2), which rounds to exactly 1.0 for beta below about
+# 2e-8, while kc = sin(beta/2) keeps full relative precision.  All of them
+# broadcast over numpy arrays.
 
 
-def _cross(x: float, y: float, th: float) -> float:
-    """Cross product of position and velocity direction; zero iff collinear."""
-    return y * math.cos(th) - x * math.sin(th)
+def _agm(k, kc):
+    """AGM of (1, kc): its rows a_n and c_n, n = 0..N, c_0 = k, and E(k)/K(k).
 
-
-def _cos_sigma(x: float, y: float, th: float) -> float:
-    r = math.hypot(x, y)
-    return -(x * math.cos(th) + y * math.sin(th)) / r if r > 0.0 else 1.0
-
-
-def _refine_crossing(xk, yk, thk, tk, h, alpha, cb, sb, tol):
-    """Bisection on the collinearity cross product inside (tk, tk+h]."""
-    lo, hi = 0.0, h
-    c_lo = _cross(xk, yk, thk)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        xm, ym, thm = _rk4(xk, yk, thk, mid, alpha, cb, sb)
-        if _cross(xm, ym, thm) * c_lo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return tk + 0.5 * (lo + hi)
-
-
-def propagate_param(params: AdjointParams, t_end: float, dt: float) -> ParamTrajectory:
-    """Propagate the parameterized system from the origin.
-
-    Returns samples at t = 0, dt, 2*dt, ... truncated at the first
-    collinearity if one occurs before t_end.
+    E/K = 1 - (1/2) sum 2**n c_n**2 (A&S 17.6.4).  The rows run until every
+    element has met (c_N <= 2**-53 a_N); an element that meets early goes on
+    with c_n at rounding level, which changes nothing the sum and the descent
+    below can see.
     """
-    if params.alpha <= 0.0:
-        raise ValueError("degenerate costate")
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ValueError("t_end and dt must be positive")
-    alpha = params.alpha
-    cb, sb = math.cos(params.beta), math.sin(params.beta)
-    n = max(1, int(round(t_end / dt)))
-    h = t_end / n
-    ts = [0.0]
-    xs = [0.0]
-    ys = [0.0]
-    ths = [0.0]
-    x = y = th = 0.0
-    departed = False
-    prev_c = 0.0
-    t_term = t_end
-    for k in range(1, n + 1):
-        x, y, th = _rk4(x, y, th, h, alpha, cb, sb)
-        c = _cross(x, y, th)
-        if not departed and _cos_sigma(x, y, th) < 1.0 - EPS_COLLINEAR:
-            departed = True
-        elif departed and c * prev_c < 0.0:
-            t_term = _refine_crossing(
-                xs[-1], ys[-1], ths[-1], ts[-1], h, alpha, cb, sb, h / 100.0
-            )
-            break
-        ts.append(k * h)
-        xs.append(x)
-        ys.append(y)
-        ths.append(th)
-        prev_c = c
-    if not departed:
-        t_term = 0.0
-    t_arr = np.array(ts)
-    X = np.array(xs)
-    Y = np.array(ys)
-    Th = np.array(ths)
-    R = np.hypot(X, Y)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_s = -(X * np.cos(Th) + Y * np.sin(Th)) / R
-    Sigma = np.arccos(np.clip(cos_s, -1.0, 1.0))
-    Sigma[0] = np.nan
-    U = alpha * (Y * cb - X * sb)
-    return ParamTrajectory(params, t_arr, X, Y, Th, R, Sigma, U, t_term)
+    a, b, c = np.ones_like(k), kc, k
+    rows_a, rows_c, total = [a], [c], k * k
+    # the cap only matters for kc = 0, where K is infinite and the AGM never meets
+    while (c > 2.0**-53 * a).any() and len(rows_a) <= 64:
+        a, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
+        total = total + 2.0 ** len(rows_c) * c * c
+        rows_a.append(a)
+        rows_c.append(c)
+    return rows_a, rows_c, 1.0 - 0.5 * total
 
 
-def terminal_time(params: AdjointParams, t_bar: float, dt: float) -> float:
+def _descend(u, a, c):
+    """Amplitude am(u) and Jacobi zeta Z(u) from the AGM rows.
+
+    The descending Landen recursion phi_N = 2**N a_N u,
+    phi_{n-1} = (phi_n + asin(c_n / a_n sin phi_n)) / 2 ends at
+    phi_0 = am(u) (A&S 16.4.3), and Z(u) = sum c_n sin phi_n (A&S 17.6).
+    """
+    n = len(a) - 1
+    phi = 2.0**n * a[-1] * u
+    zeta = 0.0
+    for i in range(n, 0, -1):
+        s = np.sin(phi)
+        zeta = zeta + c[i] * s
+        phi = 0.5 * (phi + np.arcsin(c[i] / a[i] * s))
+    return phi, zeta
+
+
+def ellipk(k, kc):
+    """Complete elliptic integral of the first kind K(k) = pi / (2 AGM(1, kc))."""
+    a, _, _ = _agm(np.asarray(k, dtype=float), np.asarray(kc, dtype=float))
+    return 0.5 * np.pi / a[-1]
+
+
+def ellipe(k, kc):
+    """Complete elliptic integral of the second kind E(k)."""
+    a, _, e_over_k = _agm(np.asarray(k, dtype=float), np.asarray(kc, dtype=float))
+    return 0.5 * np.pi / a[-1] * e_over_k
+
+
+def ellipj(u, k, kc):
+    """Jacobi elliptic functions (sn, cn, dn, am) of u at modulus k."""
+    kc = np.asarray(kc, dtype=float)
+    a, c, _ = _agm(np.asarray(k, dtype=float), kc)
+    am, _ = _descend(np.asarray(u, dtype=float), a, c)
+    sn, cn = np.sin(am), np.cos(am)
+    # dn**2 = 1 - k**2 sn**2 = cn**2 + kc**2 sn**2, accurate near dn = kc
+    return sn, cn, np.hypot(cn, kc * sn), am
+
+
+# --- the closed-form extremal ---
+
+
+def evaluate(alpha, beta, t):
+    """State (X, Y, Theta, U) of the extremal (alpha, beta) at time t.
+
+    The arguments broadcast against each other, and the AGM runs once per
+    element of ``beta``: a column of betas against a row of times shares
+    it.  beta = 0 puts the costate along the path (psi rests on the upright
+    equilibrium), a straight line; negative beta mirrors the extremal.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    t = np.asarray(t, dtype=float)
+    b = np.abs(beta)
+    k, kc = np.cos(0.5 * b), np.sin(0.5 * b)
+    line = kc == 0.0
+    a, c, e_over_k = _agm(k, np.where(line, 1.0, kc))
+    s = np.sqrt(alpha)
+    am, zeta = _descend(s * t + 0.5 * np.pi / a[-1], a, c)
+    sn, cn = np.sin(am), np.cos(am)
+    dn = np.hypot(cn, kc * sn)
+    big_a = t * (2.0 * e_over_k - 1.0) + 2.0 * zeta / s
+    big_b = 2.0 * k * cn / s
+    cos_b, sin_b = np.cos(b), np.sin(b)
+    sign = np.copysign(1.0, beta)
+    X = np.where(line, -t, big_a * cos_b + big_b * sin_b)
+    Y = np.where(line, 0.0, sign * (big_a * sin_b - big_b * cos_b))
+    Theta = np.where(line, 0.0, sign * (2.0 * np.arctan2(k * sn, dn) + b - np.pi))
+    U = np.where(line, 0.0, -2.0 * sign * s * k * cn)
+    return X, Y, Theta, U
+
+
+def range_look_angle(X, Y, Theta):
+    """Range R and folded look angle Sigma in [0, pi] of states (X, Y, Theta).
+
+    Sigma is atan2 of the cross and dot products of line of sight and
+    heading, which keeps it accurate near 0 and pi where arccos of the dot
+    product does not.  Sigma is 0 at the origin.
+    """
+    cos_t, sin_t = np.cos(Theta), np.sin(Theta)
+    cross = Y * cos_t - X * sin_t
+    dot = -(X * cos_t + Y * sin_t)
+    return np.hypot(X, Y), np.arctan2(np.abs(cross), dot)
+
+
+# Scan of the first collinearity: 64 phases per bracket, _LEVELS rescans.
+# The first bracket spans [K/2, 3K]: for every beta in (0, pi), c < 0 from
+# departure until the first collinearity, which lies between 1.0 K (beta -> 0)
+# and 2.87 K (beta -> pi).  Each rescan narrows the bracket 63-fold, so nine
+# reach the spacing of doubles.
+_FRACTIONS = np.linspace(0.0, 1.0, 64)
+_LEVELS = 9
+
+
+def _collinear_phase(beta):
+    """Phase tau* = sqrt(alpha) * t of the first collinearity, per beta.
+
+    inf for degenerate beta in {0, pi}, whose straight-line extremal never
+    leaves the collinear set.  Returns the first scanned phase at which the
+    cross product is no longer negative, within a few ulps of the crossing.
+    """
+    beta = np.abs(np.asarray(beta, dtype=float))
+    degenerate = (beta == 0.0) | (beta >= math.pi)
+    b = np.where(degenerate, 0.5 * math.pi, beta)[..., None]
+    quarter = ellipk(np.cos(0.5 * b), np.sin(0.5 * b))
+    lo, hi = 0.5 * quarter, 3.0 * quarter
+    for _ in range(_LEVELS):
+        tau = lo + (hi - lo) * _FRACTIONS
+        X, Y, Theta, _ = evaluate(1.0, b, tau)
+        flipped = Y * np.cos(Theta) - X * np.sin(Theta) >= 0.0
+        flipped[..., -1] = True  # the bracket's upper end, by construction
+        first = np.argmax(flipped[..., 1:], axis=-1)[..., None] + 1
+        lo = np.take_along_axis(tau, first - 1, axis=-1)
+        hi = np.take_along_axis(tau, first, axis=-1)
+    return np.where(degenerate, np.inf, hi[..., 0])
+
+
+def terminal_time(params: AdjointParams, t_bar: float) -> float:
     """First collinearity time, capped at t_bar.
 
     Returns 0.0 for degenerate parameters (straight-line extremal that
@@ -235,23 +276,33 @@ def terminal_time(params: AdjointParams, t_bar: float, dt: float) -> float:
         raise ValueError("degenerate costate")
     if t_bar <= 0.0:
         raise ValueError("t_bar must be positive")
-    alpha = params.alpha
-    cb, sb = math.cos(params.beta), math.sin(params.beta)
-    n = max(1, int(round(t_bar / dt)))
-    h = t_bar / n
-    x = y = th = 0.0
-    departed = False
-    prev_c = 0.0
-    for k in range(1, n + 1):
-        x_new, y_new, th_new = _rk4(x, y, th, h, alpha, cb, sb)
-        c = _cross(x_new, y_new, th_new)
-        if not departed and _cos_sigma(x_new, y_new, th_new) < 1.0 - EPS_COLLINEAR:
-            departed = True
-        elif departed and c * prev_c < 0.0:
-            return _refine_crossing(x, y, th, (k - 1) * h, h, alpha, cb, sb, h / 100.0)
-        x, y, th = x_new, y_new, th_new
-        prev_c = c
-    return t_bar if departed else 0.0
+    tau = float(_collinear_phase(params.beta))
+    if math.isinf(tau):
+        return 0.0
+    return min(t_bar, tau / math.sqrt(params.alpha))
+
+
+def propagate_param(params: AdjointParams, t_end: float, dt: float) -> ParamTrajectory:
+    """Sample the extremal at t = 0, h, 2h, ... up to t_end, h = t_end / round(t_end / dt).
+
+    The samples stop before the first collinearity if it comes before t_end.
+    """
+    if params.alpha <= 0.0:
+        raise ValueError("degenerate costate")
+    if t_end <= 0.0 or dt <= 0.0:
+        raise ValueError("t_end and dt must be positive")
+    n = max(1, int(round(t_end / dt)))
+    t = np.arange(n + 1) * (t_end / n)
+    t_term = terminal_time(params, t_end)
+    if 0.0 < t_term < t_end:
+        t = t[t < t_term]
+    X, Y, Th, _ = evaluate(params.alpha, params.beta, t)
+    X[0] = Y[0] = Th[0] = 0.0  # the origin, exactly
+    R, Sigma = range_look_angle(X, Y, Th)
+    Sigma[0] = np.nan
+    # the command from the costate, as ``hamiltonian`` reads it
+    U = params.alpha * (Y * math.cos(params.beta) - X * math.sin(params.beta))
+    return ParamTrajectory(params, t, X, Y, Th, R, Sigma, U, t_term)
 
 
 def hamiltonian(state: ParamState, params: AdjointParams) -> float:
@@ -262,116 +313,16 @@ def hamiltonian(state: ParamState, params: AdjointParams) -> float:
     return params.alpha * math.cos(state.Theta - params.beta) + 0.5 * u * u
 
 
-# --- Jacobi elliptic functions and integrals for the closed-form extremal ---
-#
-# Every routine takes the modulus k and its complement kc = sqrt(1 - k**2)
-# as two arguments, and none of them forms 1 - k**2: the extremal family's
-# modulus is cos(beta/2), which rounds to exactly 1.0 for beta below about
-# 2e-8, while kc = sin(beta/2) keeps full relative precision.
-
-
-def _agm(k: float, kc: float):
-    """AGM scale a_N and the Landen ratios c_n / a_n, n = 1..N (A&S 16.4)."""
-    a, b, c = 1.0, kc, k
-    ratios = []
-    # the cap only matters for kc = 0, where K is infinite and the AGM never meets
-    while c > 2.0**-53 * a and len(ratios) < 64:
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        ratios.append(c / a)
-    return a, ratios
-
-
-def ellipk(k: float, kc: float) -> float:
-    """Complete elliptic integral of the first kind K(k) = pi / (2 AGM(1, kc))."""
-    return 0.5 * math.pi / _agm(k, kc)[0]
-
-
-def ellipj(u: float, k: float, kc: float):
-    """Jacobi elliptic functions (sn, cn, dn, am) of u at modulus k.
-
-    The amplitude comes from the descending Landen recursion (A&S 16.4.3).
-    """
-    a, ratios = _agm(k, kc)
-    phi = 2.0 ** len(ratios) * a * u
-    for r in reversed(ratios):
-        phi = 0.5 * (phi + math.asin(r * math.sin(phi)))
-    sn, cn = math.sin(phi), math.cos(phi)
-    # dn**2 = 1 - k**2 sn**2 = cn**2 + kc**2 sn**2, accurate near dn = kc
-    return sn, cn, math.hypot(cn, kc * sn), phi
-
-
-def _carlson_rf(x: float, y: float, z: float) -> float:
-    """Carlson's symmetric integral R_F by duplication (at most one zero argument)."""
-    while True:
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-        ave = (x + y + z) / 3.0
-        dx, dy, dz = (ave - x) / ave, (ave - y) / ave, (ave - z) / ave
-        if max(abs(dx), abs(dy), abs(dz)) <= 0.0025:
-            break
-    e2 = dx * dy - dz * dz
-    e3 = dx * dy * dz
-    return (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / math.sqrt(ave)
-
-
-def _carlson_rd(x: float, y: float, z: float) -> float:
-    """Carlson's symmetric integral R_D by duplication (z > 0, x + y > 0)."""
-    total, fac = 0.0, 1.0
-    while True:
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        total += fac / (sz * (z + lam))
-        fac *= 0.25
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-        ave = 0.2 * (x + y + 3.0 * z)
-        dx, dy, dz = (ave - x) / ave, (ave - y) / ave, (ave - z) / ave
-        if max(abs(dx), abs(dy), abs(dz)) <= 0.0015:
-            break
-    ea = dx * dy
-    eb = dz * dz
-    ec = ea - eb
-    ed = ea - 6.0 * eb
-    ee = ed + 2.0 * ec
-    c3 = 9.0 / 22.0
-    c4 = 3.0 / 26.0
-    series = 1.0 + ed * (-3.0 / 14.0 + 0.25 * c3 * ed - 1.5 * c4 * dz * ee) + dz * (
-        ee / 6.0 + dz * (-c3 * ec + dz * c4 * ea)
-    )
-    return 3.0 * total + fac * series / (ave * math.sqrt(ave))
-
-
-def _ellipe_reduced(phi: float, k: float, kc: float) -> float:
-    """E(phi, k) for |phi| <= pi/2 from Carlson's R_F and R_D."""
-    s, c = math.sin(phi), math.cos(phi)
-    x, y = c * c, c * c + (kc * s) ** 2  # y = 1 - k**2 sin(phi)**2
-    ks2 = (k * s) ** 2
-    return s * (_carlson_rf(x, y, 1.0) - ks2 / 3.0 * _carlson_rd(x, y, 1.0))
-
-
-def ellipe(k: float, kc: float) -> float:
-    """Complete elliptic integral of the second kind E(k)."""
-    return _ellipe_reduced(0.5 * math.pi, k, kc)
-
-
-def ellipeinc(phi: float, k: float, kc: float) -> float:
-    """Incomplete elliptic integral of the second kind E(phi, k), any real phi.
-
-    Reduces by E(phi + n pi) = E(phi) + 2 n E(k) to |phi| <= pi/2.
-    """
-    n = round(phi / math.pi)
-    e = _ellipe_reduced(phi - n * math.pi, k, kc)
-    return e + 2.0 * n * ellipe(k, kc) if n else e
-
-
-# --- vectorized multi-cell propagation (shared by dataset generation and
-#     the boundary-value solver's seeding stage) ---
-
-
 @dataclass
 class CellSweep:
-    """Result of propagating many (alpha, beta) cells on a common grid."""
+    """Endpoints at a common horizon and exact stop times of many (alpha, beta) cells.
+
+    ``t_collinear`` is the first collinearity time and ``t_control_zero``
+    the first interior zero of the command, 2K(k)/sqrt(alpha); neither is
+    capped at the horizon, and both are inf for a degenerate cell
+    (beta in {0, pi}).  The horizon is ``n_steps`` steps of ``h``, the grid
+    that dataset generation samples.
+    """
 
     alphas: np.ndarray
     betas: np.ndarray
@@ -380,101 +331,22 @@ class CellSweep:
     X: np.ndarray
     Y: np.ndarray
     Theta: np.ndarray
-    t_collinear: np.ndarray    # grid-resolution first collinearity (inf if none)
-    t_control_zero: np.ndarray  # grid-resolution first interior control zero (inf if none)
-    departed: np.ndarray       # whether the cell ever left the collinear band
-    effort: np.ndarray         # trapezoidal integral of U^2/2 up to the horizon
-    series: dict = field(default_factory=dict)  # optional per-step R/Sigma/U arrays
+    t_collinear: np.ndarray
+    t_control_zero: np.ndarray
 
 
-def sweep_cells(
-    alphas,
-    betas,
-    t_end: float,
-    h: float,
-    record_series: bool = False,
-) -> CellSweep:
-    """Propagate a batch of cells simultaneously with vectorized RK4.
-
-    Crossing times are reported at grid resolution: the stored value is
-    the midpoint of the bracketing interval.  ``record_series`` adds the
-    full (n_steps+1, n_cells) R/Sigma/U history to the result.
-    """
+def sweep_cells(alphas, betas, t_end: float, h: float) -> CellSweep:
+    """Evaluate a batch of cells at t_end, with their exact stop times."""
     a = np.ascontiguousarray(alphas, dtype=float)
     b = np.ascontiguousarray(betas, dtype=float)
     if a.shape != b.shape:
         raise ValueError("alphas and betas must have matching shapes")
-    m = a.size
-    cb, sb = np.cos(b), np.sin(b)
     n = max(1, int(round(t_end / h)))
-    hh = t_end / n
-    X = np.zeros(m)
-    Y = np.zeros(m)
-    Th = np.zeros(m)
-    prev_c = np.zeros(m)
-    prev_u = np.zeros(m)
-    prev_u2 = np.zeros(m)
-    t_col = np.full(m, np.inf)
-    t_uz = np.full(m, np.inf)
-    departed = np.zeros(m, dtype=bool)
-    effort = np.zeros(m)
-    series_R = series_S = series_U = None
-    if record_series:
-        series_R = np.zeros((n + 1, m))
-        series_S = np.full((n + 1, m), np.nan)
-        series_U = np.zeros((n + 1, m))
-    for k in range(1, n + 1):
-        cth, sth = np.cos(Th), np.sin(Th)
-        k1x = -cth
-        k1y = -sth
-        k1t = -a * (Y * cb - X * sb)
-        X2 = X + 0.5 * hh * k1x
-        Y2 = Y + 0.5 * hh * k1y
-        T2 = Th + 0.5 * hh * k1t
-        c2, s2 = np.cos(T2), np.sin(T2)
-        k2x = -c2
-        k2y = -s2
-        k2t = -a * (Y2 * cb - X2 * sb)
-        X3 = X + 0.5 * hh * k2x
-        Y3 = Y + 0.5 * hh * k2y
-        T3 = Th + 0.5 * hh * k2t
-        c3, s3 = np.cos(T3), np.sin(T3)
-        k3x = -c3
-        k3y = -s3
-        k3t = -a * (Y3 * cb - X3 * sb)
-        X4 = X + hh * k3x
-        Y4 = Y + hh * k3y
-        T4 = Th + hh * k3t
-        c4, s4 = np.cos(T4), np.sin(T4)
-        k4x = -c4
-        k4y = -s4
-        k4t = -a * (Y4 * cb - X4 * sb)
-        X = X + hh / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        Y = Y + hh / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        Th = Th + hh / 6.0 * (k1t + 2.0 * (k2t + k3t) + k4t)
-        cth, sth = np.cos(Th), np.sin(Th)
-        c = Y * cth - X * sth
-        u = a * (Y * cb - X * sb)
-        R = np.hypot(X, Y)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cos_s = np.where(R > 0.0, -(X * cth + Y * sth) / np.where(R > 0.0, R, 1.0), 1.0)
-        departed |= cos_s < 1.0 - EPS_COLLINEAR
-        if k >= 2:
-            t_mid = (k - 0.5) * hh
-            col = departed & (c * prev_c < 0.0) & np.isinf(t_col)
-            t_col[col] = t_mid
-            uz = departed & (u * prev_u < 0.0) & np.isinf(t_uz)
-            t_uz[uz] = t_mid
-        u2 = u * u
-        effort += 0.25 * (prev_u2 + u2) * hh
-        if record_series:
-            series_R[k] = R
-            series_S[k] = np.arccos(np.clip(cos_s, -1.0, 1.0))
-            series_U[k] = u
-        prev_c = c
-        prev_u = u
-        prev_u2 = u2
-    sweep = CellSweep(a, b, hh, n, X, Y, Th, t_col, t_uz, departed, effort)
-    if record_series:
-        sweep.series = {"R": series_R, "Sigma": series_S, "U": series_U}
-    return sweep
+    X, Y, Theta, _ = evaluate(a, b, t_end)
+    # both stop phases depend on beta alone: solve once per distinct beta
+    distinct, inverse = np.unique(np.abs(b), return_inverse=True)
+    phase = _collinear_phase(distinct)
+    zero_phase = np.where(np.isinf(phase), np.inf, 2.0 * ellipk(np.cos(0.5 * distinct), np.sin(0.5 * distinct)))
+    s = np.sqrt(a)
+    inverse = inverse.reshape(b.shape)
+    return CellSweep(a, b, t_end / n, n, X, Y, Theta, phase[inverse] / s, zero_phase[inverse] / s)

@@ -21,13 +21,14 @@ inside the training domain; the command returned is
 ``(g / t_go) * C(r*g/(speed*t_go), |sigma|, g)`` with the sign restored
 by the mirror rule.
 
-Newton's method evaluates the extremal's endpoint in closed form: every
-extremal is an inflectional Euler elastica, whose range and look angle
-follow from Jacobi elliptic functions (see ``_endpoint``).  It is seeded
-from a grid in (q, beta) with q = alpha * t_go**2; this parameterization
-is invariant under the time/length rescaling of the extremal family, so
-one sweep at unit time-to-go serves every query.  That sweep is made on
-first use, once per grid, and cached for the life of the process.
+Every extremal is an inflectional Euler elastica, and the oracle uses
+its closed form (``extremals.evaluate``) throughout: Newton's endpoint,
+the exact collinearity check of each root and the trajectory it returns.
+Newton is seeded from a grid in (q, beta) with q = alpha * t_go**2; this
+parameterization is invariant under the time/length rescaling of the
+extremal family, so one evaluation of the grid at unit time-to-go serves
+every query.  It is made on first use, once per grid, and cached for the
+life of the process.
 """
 
 from __future__ import annotations
@@ -41,11 +42,9 @@ import numpy as np
 from .extremals import (
     AdjointParams,
     ParamTrajectory,
-    ellipe,
-    ellipeinc,
-    ellipj,
-    ellipk,
+    evaluate,
     propagate_param,
+    range_look_angle,
     sweep_cells,
     terminal_time,
 )
@@ -146,38 +145,18 @@ def pn_command(state, speed: float, gain: float = 3.0) -> float:
 
 
 def _solver_h(t_go: float) -> float:
-    """Integration step for oracle propagations (fixed per query)."""
+    """Sampling step of the oracle's trajectory (fixed per query)."""
     return min(0.01, max(0.0025, t_go / 4000.0))
 
 
-def _endpoint(alpha: float, beta: float, t_go: float):
+def _endpoint(alpha, beta, t_go):
     """(R, Sigma) of the parameterized system at t_go, in closed form.
 
-    psi = Theta - beta + pi obeys psi'' = -alpha sin(psi) from rest at
-    pi - beta, so the extremal is an inflectional Euler elastica of modulus
-    k = cos(beta/2).  With s = sqrt(alpha) and w = s*t_go + K(k):
-    sin(psi/2) = k sn(w), and the position in the frame turned by beta is
-    (A, -B) with A = (2(E(am w) - E(k)) - s*t_go)/s and B = 2k cn(w)/s.
-    R and Sigma are even in beta (beta -> -beta mirrors the extremal).
+    Broadcasts like ``extremals.evaluate``.  R and Sigma are even in beta
+    (beta -> -beta mirrors the extremal).
     """
-    half = 0.5 * abs(beta)
-    k, kc = math.cos(half), math.sin(half)
-    if kc == 0.0:
-        return t_go, 0.0  # psi rests on the upright equilibrium: a straight line
-    s = math.sqrt(alpha)
-    sn, cn, dn, am = ellipj(s * t_go + ellipk(k, kc), k, kc)
-    big_a = 2.0 * (ellipeinc(am, k, kc) - ellipe(k, kc)) / s - t_go
-    big_b = 2.0 * k * cn / s
-    cos_psi = 1.0 - 2.0 * (k * sn) ** 2
-    sin_psi = 2.0 * k * sn * dn
-    r = math.hypot(big_a, big_b)
-    if r == 0.0:
-        return 0.0, 0.0
-    # atan2 of the cross and dot products of line of sight and heading keeps
-    # Sigma accurate near 0 and pi, where arccos of the dot product does not
-    cross = big_a * sin_psi + big_b * cos_psi
-    dot = big_a * cos_psi - big_b * sin_psi
-    return r, math.atan2(abs(cross), dot)
+    X, Y, Theta, _ = evaluate(alpha, beta, t_go)
+    return range_look_angle(X, Y, Theta)
 
 
 def _degenerate_solution(query: GuidanceQuery) -> OracleSolution:
@@ -203,7 +182,9 @@ def _degenerate_solution(query: GuidanceQuery) -> OracleSolution:
     )
 
 
-# Step of the seed table's sweep, in units of the time-to-go.
+# Step of the seed table's sampling grid, in units of the time-to-go; a cell
+# stays admissible while its collinearity comes no earlier than two steps
+# before the horizon.
 _SEED_H = 1e-3
 
 
@@ -221,12 +202,9 @@ def _seed_table(q_max: float):
     b = np.linspace(math.pi / n_b, math.pi * (1.0 - 0.5 / n_b), n_b)
     Q, B = np.meshgrid(q, b, indexing="ij")
     Q, B = Q.ravel(), B.ravel()
-    sweep = sweep_cells(Q, B, 1.0, _SEED_H, record_series=False)
-    R = np.hypot(sweep.X, sweep.Y)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_s = np.where(R > 0, -(sweep.X * np.cos(sweep.Theta) + sweep.Y * np.sin(sweep.Theta)) / np.where(R > 0, R, 1.0), 1.0)
-    S = np.arccos(np.clip(cos_s, -1.0, 1.0))
-    admissible = sweep.departed & (sweep.t_collinear >= 1.0 - 2.0 * _SEED_H)
+    sweep = sweep_cells(Q, B, 1.0, _SEED_H)
+    R, S = range_look_angle(sweep.X, sweep.Y, sweep.Theta)
+    admissible = sweep.t_collinear >= 1.0 - 2.0 * _SEED_H
     table = (Q, B, R, S, admissible)
     for arr in table:
         arr.flags.writeable = False
@@ -259,7 +237,9 @@ def _seed_candidates(r_norm, sigma_abs, t_go, q_max):
 def _newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=40):
     """Damped Newton on the closed-form endpoint residual.
 
-    Returns (alpha, beta, residual) or None when it does not converge.
+    Each iteration evaluates the residual and both forward-difference
+    columns of the Jacobian in one three-point call.  Returns
+    (alpha, beta, residual) or None when it does not converge.
     """
 
     def residual(a, b):
@@ -279,7 +259,9 @@ def _newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=4
             return a, b, f
         da = max(1e-9, 1e-6 * a)
         db = 1e-6
-        jac = np.column_stack([(residual(a + da, b) - f) / da, (residual(a, b + db) - f) / db])
+        f3 = residual(np.array([a, a + da, a]), np.array([b, b, b + db]))
+        f = f3[:, 0]
+        jac = (f3[:, 1:] - f[:, None]) / np.array([da, db])
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -367,7 +349,7 @@ def command_oracle(
                 return
         params = AdjointParams(a, b)
         if not skip_check:
-            t_first = terminal_time(params, t_bar=t_go * (1.0 + 10.0 * h / t_go), dt=h)
+            t_first = terminal_time(params, t_bar=t_go + 10.0 * h)
             if t_first < t_go - 2.0 * h:
                 return
         traj = propagate_param(params, t_go, h)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import DatagenConfig, REDUCED_CONFIG, generate_dataset, read_dataset, write_dataset
-from .extremals import AdjointParams, EPS_COLLINEAR, hamiltonian, propagate_param
+from .extremals import AdjointParams, hamiltonian, propagate_param
 from .guidance import GuidanceQuery, command_nn, command_oracle
 from .kinematics import CartesianState
 from .mlp import TrainConfig, load_model, loss_and_gradients, save_model, train

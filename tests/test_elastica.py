@@ -1,18 +1,29 @@
-"""Closed-form extremal: the elliptic primitives and the oracle's endpoint.
+"""Closed-form extremal: the elliptic primitives, the samples and the stop times.
 
 The primitives are checked against scipy.special, and the closed-form
-endpoint against a fixed-step RK4 integration of the parameterized system
+extremal against a fixed-step RK4 integration of the parameterized system
 that lives only in this file.
 """
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from fitguide.extremals import ellipe, ellipeinc, ellipj, ellipk
+from fitguide.extremals import (
+    AdjointParams,
+    _agm,
+    _descend,
+    ellipe,
+    ellipj,
+    ellipk,
+    evaluate,
+    propagate_param,
+    terminal_time,
+)
 from fitguide.guidance import _endpoint
 
 # beta over the oracle's whole range, with the near-separatrix end (beta -> 0,
@@ -63,19 +74,29 @@ def test_jacobi_functions_match_scipy(p, frac):
     assert sn * sn + cn * cn == pytest.approx(1.0, abs=1e-15)
 
 
+def incomplete_e_of_am(u, k, kc):
+    """(am u, E(am u)) with E(am u) = (E/K) u + Z(u), the form the extremal uses (A&S 17.6)."""
+    a, c, e_over_k = _agm(np.asarray(k), np.asarray(kc))
+    am, zeta = _descend(np.asarray(u), a, c)
+    return am, e_over_k * u + zeta
+
+
 @settings(max_examples=300, deadline=None)
-@given(p=parameters, phi=st.floats(-10.0, 10.0))
-def test_incomplete_e_matches_scipy(p, phi):
+@given(p=parameters, frac=st.floats(-2.5, 2.5))
+def test_incomplete_e_matches_scipy(p, frac):
     m, k, kc = moduli_from_complement(p)
-    assert abs(ellipeinc(phi, k, kc) - special.ellipeinc(phi, m)) <= 1e-13 * (1.0 + abs(phi))
+    u = 4.0 * ellipk(k, kc) * frac
+    am, e = incomplete_e_of_am(u, k, kc)
+    assert abs(e - special.ellipeinc(am, m)) <= 1e-13 * (1.0 + abs(u))
 
 
 def test_incomplete_e_reduction_and_parity():
+    # Z is odd and 2K-periodic with Z(K) = 0, so E(am(u + 2K)) = E(am u) + 2E(k)
     k, kc = moduli(0.7)
-    e = ellipe(k, kc)
-    assert ellipeinc(0.5 * math.pi, k, kc) == pytest.approx(e, rel=1e-15)
-    assert ellipeinc(2.5 * math.pi, k, kc) == pytest.approx(5.0 * e, rel=1e-14)
-    assert ellipeinc(-1.2, k, kc) == -ellipeinc(1.2, k, kc)
+    quarter, e = ellipk(k, kc), ellipe(k, kc)
+    assert incomplete_e_of_am(quarter, k, kc)[1] == pytest.approx(e, rel=1e-15)
+    assert incomplete_e_of_am(5.0 * quarter, k, kc)[1] == pytest.approx(5.0 * e, rel=1e-14)
+    assert incomplete_e_of_am(-1.2, k, kc)[1] == -incomplete_e_of_am(1.2, k, kc)[1]
 
 
 def rk4_reference(alpha, beta, t, dtau=0.004):
@@ -184,3 +205,61 @@ def test_endpoint_symmetries():
     assert r2 == pytest.approx(2.0 * r, rel=1e-13)
     assert sigma2 == pytest.approx(sigma, abs=1e-13)
     assert _endpoint(0.5, 0.0, 3.0) == (3.0, 0.0)  # costate along the path: straight line
+
+
+alphas = st.floats(math.log(1e-6), math.log(1e2)).map(math.exp)
+
+
+def cross_at_phase(beta, tau):
+    """Cross product of line of sight and heading at phase tau = sqrt(alpha) t, times sqrt(alpha)."""
+    X, Y, Theta, _ = evaluate(1.0, beta, tau)
+    return Y * np.cos(Theta) - X * np.sin(Theta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=alphas, alpha2=alphas, beta=betas)
+def test_terminal_time_is_first_sign_change_of_cross_product(alpha, alpha2, beta):
+    tau = terminal_time(AdjointParams(alpha, beta), t_bar=math.inf) * math.sqrt(alpha)
+    # the collinearity phase depends on beta alone
+    assert terminal_time(AdjointParams(alpha2, beta), t_bar=math.inf) * math.sqrt(alpha2) == pytest.approx(tau, rel=1e-13)
+    # the cross product changes sign there: from negative after departure to
+    # positive, transversally except at the figure-eight elastica, where it is
+    # flat but still of opposite signs a millionth to either side
+    assert cross_at_phase(beta, tau * (1.0 - 1e-6)) < 0.0 < cross_at_phase(beta, tau * (1.0 + 1e-6))
+    # and does not change sign earlier: a dense scan stays negative up to
+    # rounding (c is O(tau**3) at departure)
+    scan = np.linspace(0.0, tau * (1.0 - 1e-6), 4001)[1:]
+    assert np.max(cross_at_phase(beta, scan)) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=alphas, beta=betas)
+def test_first_command_sign_change_brackets_two_quarter_periods(alpha, beta):
+    s = math.sqrt(alpha)
+    t_zero = 2.0 * ellipk(*moduli(beta)) / s
+    params = AdjointParams(alpha, beta)
+    # only extremals that are still collinearity-free at the command zero
+    assume(terminal_time(params, t_bar=math.inf) > 1.02 * t_zero)
+    traj = propagate_param(params, t_end=1.02 * t_zero, dt=t_zero / 500.0)
+    # the command leaves zero positive; i is the first sample where it is not
+    i = 1 + int(np.argmax(traj.U[1:] <= 0.0))
+    assert traj.U[i] <= 0.0 < traj.U[i - 1]
+    assert traj.t[i - 1] <= t_zero * (1.0 + 1e-12) and t_zero <= traj.t[i] * (1.0 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=alphas, beta=betas, frac=st.floats(1e-3, 1.0))
+def test_propagated_samples_match_rk4(alpha, beta, frac):
+    s = math.sqrt(alpha)
+    t_end = frac * 1.5 * ellipk(*moduli(beta)) / s
+    traj = propagate_param(AdjointParams(alpha, beta), t_end=t_end, dt=t_end / 20.0)
+    for i in (len(traj) // 2, len(traj) - 1):
+        if i == 0:
+            continue
+        t = float(traj.t[i])
+        got = polar_to_products(traj.R[i], traj.Sigma[i])
+        want = rk4_reference(alpha, beta, t)
+        # compared in the unit-costate frame, as in test_endpoint_matches_rk4
+        tol = 1e-9 * (1.0 + s * t)
+        assert abs(got[0] - want[0]) * s <= tol
+        assert abs(got[1] - want[1]) * s <= tol

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fitguide import AdjointParams, ParamState, hamiltonian, propagate_param, terminal_time
-from fitguide.extremals import sweep_cells
+from fitguide.extremals import ellipk, sweep_cells
 
 
 def test_initial_sample_is_origin():
@@ -38,23 +38,23 @@ def test_degenerate_costate_rejected():
     with pytest.raises(ValueError, match="degenerate costate"):
         propagate_param(AdjointParams(0.0, 1.0), t_end=1.0, dt=0.01)
     with pytest.raises(ValueError, match="degenerate costate"):
-        terminal_time(AdjointParams(0.0, 1.0), t_bar=1.0, dt=0.01)
+        terminal_time(AdjointParams(0.0, 1.0), t_bar=1.0)
 
 
 def test_terminal_time_matches_dense_scan():
     # frozen from a dense scan at dt/100 with bisection refinement
-    t_hat = terminal_time(AdjointParams(10.0, math.pi / 2), t_bar=10.0, dt=0.005)
+    t_hat = terminal_time(AdjointParams(10.0, math.pi / 2), t_bar=10.0)
     assert t_hat == pytest.approx(1.6343109487069098, abs=1e-4)
 
 
 def test_terminal_time_cap_branch():
     # slow arc: first collinearity beyond the cap
-    assert terminal_time(AdjointParams(0.05, 0.5), t_bar=5.0, dt=0.005) == 5.0
+    assert terminal_time(AdjointParams(0.05, 0.5), t_bar=5.0) == 5.0
 
 
 def test_terminal_time_degenerate_straight_line():
     # beta = pi never leaves the collinear set
-    assert terminal_time(AdjointParams(2.0, math.pi), t_bar=5.0, dt=0.005) == 0.0
+    assert terminal_time(AdjointParams(2.0, math.pi), t_bar=5.0) == 0.0
 
 
 def test_trajectory_truncates_at_collinearity():
@@ -99,10 +99,15 @@ def test_control_sign_structure_on_truncated_extremals():
 def test_vectorized_sweep_matches_scalar_propagation():
     alphas = np.array([2.0, 7.0, 9.5])
     betas = np.array([0.8, 1.9, 2.9])
-    sweep = sweep_cells(alphas, betas, t_end=1.0, h=0.005, record_series=True)
+    sweep = sweep_cells(alphas, betas, t_end=1.0, h=0.005)
+    assert sweep.n_steps == 200 and sweep.h == 0.005
     for j, (a, b) in enumerate(zip(alphas, betas)):
-        traj = propagate_param(AdjointParams(float(a), float(b)), t_end=1.0, dt=0.005)
-        n = len(traj)
-        assert np.allclose(sweep.series["R"][1:n, j], traj.R[1:], atol=1e-12)
-        assert np.allclose(sweep.series["U"][1:n, j], traj.U[1:], atol=1e-12)
-        assert np.allclose(sweep.series["Sigma"][1:n, j], traj.Sigma[1:], atol=1e-12)
+        params = AdjointParams(float(a), float(b))
+        traj = propagate_param(params, t_end=1.0, dt=0.005)
+        assert traj.t[-1] == 1.0  # every cell stays collinearity-free to the horizon
+        assert sweep.X[j] == pytest.approx(traj.X[-1], abs=1e-12)
+        assert sweep.Y[j] == pytest.approx(traj.Y[-1], abs=1e-12)
+        assert sweep.Theta[j] == pytest.approx(traj.Theta[-1], abs=1e-12)
+        assert sweep.t_collinear[j] == pytest.approx(terminal_time(params, t_bar=math.inf), rel=1e-12)
+        quarter = ellipk(math.cos(0.5 * b), math.sin(0.5 * b))
+        assert sweep.t_control_zero[j] == pytest.approx(2.0 * quarter / math.sqrt(a), rel=1e-14)
