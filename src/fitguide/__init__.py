@@ -11,7 +11,6 @@ from .kinematics import (
     PolarState,
     cartesian_to_polar,
     step_cartesian,
-    step_polar,
     wrap_angle,
 )
 from .extremals import (
@@ -67,7 +66,6 @@ __all__ = [
     "PolarState",
     "cartesian_to_polar",
     "step_cartesian",
-    "step_polar",
     "wrap_angle",
     "AdjointParams",
     "ParamState",

@@ -21,8 +21,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .datagen import DatagenConfig, generate_dataset, read_dataset, write_dataset
 from .guidance import DEFAULT_KAPPA, GuidanceError, GuidanceQuery, command_nn, command_oracle, solve_ocp
@@ -108,14 +106,7 @@ def _cmd_train(args) -> int:
 def _cmd_solve(args) -> int:
     sol = solve_ocp(CartesianState(args.x0, args.y0, args.theta0), args.speed, args.tf, dt=args.dt)
     if args.out:
-        rows = np.column_stack([
-            sol.t, sol.x, sol.y, sol.theta, sol.r, sol.sigma,
-            np.append(sol.u, sol.u[-1]), np.append(sol.accel, sol.accel[-1]),
-        ])
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write("t,x,y,theta,r,sigma,u,a\n")
-            for row in rows:
-                f.write(",".join("%.17g" % v for v in row) + "\n")
+        export_trajectory(sol, args.out)
     print(f"solve: J={sol.effort:.6g} m^2/s^3  miss={sol.miss:.4g} m  impact={sol.impact_time:.4f} s  "
           f"(alpha={sol.oracle.params.alpha:.8g}, beta={sol.oracle.params.beta:.8g})")
     return 0

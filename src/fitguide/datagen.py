@@ -25,6 +25,7 @@ degenerate straight line) contribute no samples.  Output ordering is
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "generate_dataset",
     "write_dataset",
     "read_dataset",
+    "write_csv",
 ]
 
 DATASET_HEADER = "r,sigma,t_go,u"
@@ -95,18 +97,37 @@ def generate_dataset(config: DatagenConfig) -> np.ndarray:
     return np.vstack(blocks)
 
 
+def write_csv(path, header: str, rows) -> None:
+    """Write a 2-D array as UTF-8 CSV under ``header``, 17 significant digits per value."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(header + "\n")
+        for start in range(0, len(rows), 65536):
+            chunk = rows[start : start + 65536]
+            f.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
 def write_dataset(dataset: np.ndarray, path) -> None:
     """Write samples as UTF-8 CSV with 17-significant-digit decimals."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(DATASET_HEADER + "\n")
-        for start in range(0, len(dataset), 65536):
-            chunk = dataset[start : start + 65536]
-            f.write(
-                "".join(
-                    "%.17g,%.17g,%.17g,%.17g\n" % (row[0], row[1], row[2], row[3])
-                    for row in chunk
-                )
-            )
+    write_csv(path, DATASET_HEADER, dataset)
+
+
+def _bad_row(lines) -> str | None:
+    """Message naming the first malformed row of a dataset body, or None."""
+    for lineno, line in enumerate(lines, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            return f"malformed dataset row at line {lineno}: expected 4 fields"
+        try:
+            for part in parts:
+                float(part)
+        except ValueError:
+            return f"malformed dataset row at line {lineno}: non-numeric field"
+    return None
 
 
 def read_dataset(path) -> np.ndarray:
@@ -114,22 +135,25 @@ def read_dataset(path) -> np.ndarray:
 
     Raises ValueError naming the offending line on malformed input.
     """
-    rows = []
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
         if header != DATASET_HEADER:
             raise ValueError(f"malformed dataset header at line 1: {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"malformed dataset row at line {lineno}: expected 4 fields")
-            try:
-                rows.append((float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
-            except ValueError:
-                raise ValueError(f"malformed dataset row at line {lineno}: non-numeric field") from None
-    if not rows:
-        return np.empty((0, 4))
-    return np.array(rows)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+        except ValueError as err:
+            failure = err
+        else:
+            if data.size == 0:
+                return np.empty((0, 4))
+            if data.shape[1] == 4:
+                return data
+            failure = None
+        # loadtxt counts rows from 0 or 1 depending on the message and skips
+        # blank lines, so name the offending line from a rescan
+        f.seek(0)
+        f.readline()
+        message = _bad_row(f)
+    raise ValueError(message or f"malformed dataset: {failure}") from failure

@@ -48,7 +48,7 @@ from .extremals import (
     sweep_cells,
     terminal_time,
 )
-from .kinematics import CartesianState, PolarState, cartesian_to_polar, wrap_angle
+from .kinematics import CartesianState, PolarState, cartesian_to_polar, look_angles
 
 __all__ = [
     "GuidanceError",
@@ -443,10 +443,7 @@ def solve_ocp(initial: CartesianState, speed: float, t_f: float, dt: float = 0.0
     y_arr = np.array(ys)
     th_arr = np.array(ths)
     r_arr = np.hypot(x_arr, y_arr)
-    sigma_arr = np.array(
-        [wrap_angle(math.pi + math.atan2(yv, xv) - tv) if rv > 0 else 0.0
-         for xv, yv, tv, rv in zip(x_arr, y_arr, th_arr, r_arr)]
-    )
+    sigma_arr = look_angles(x_arr, y_arr, th_arr)
     u_arr = np.array(uh)
     a_arr = speed * u_arr
     effort = float(np.trapezoid(0.5 * a_arr**2, t_arr[:-1]))

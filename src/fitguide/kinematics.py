@@ -18,9 +18,10 @@ where ``u`` is the commanded turn rate (rad per unit time) and ``V`` the
 (constant) speed.  The mirror image trajectory is obtained by negating
 both sigma and u.
 
-Integration is classical fixed-step RK4.  Steps larger than
-``MAX_SUBSTEP`` are internally subdivided so that a single call remains
-accurate to well below 1e-10 regardless of the requested dt.
+Under a constant turn rate the path is a circular arc, and
+``step_cartesian`` advances it in closed form: one step of any length is
+exact to rounding.  ``look_angles`` evaluates the look angle of a whole
+sampled trajectory at once.
 """
 
 from __future__ import annotations
@@ -28,17 +29,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "CartesianState",
     "PolarState",
     "wrap_angle",
     "step_cartesian",
     "cartesian_to_polar",
-    "step_polar",
+    "look_angles",
 ]
-
-# Largest RK4 substep taken by step_cartesian / step_polar.
-MAX_SUBSTEP = 0.005
 
 
 def wrap_angle(angle: float) -> float:
@@ -76,21 +76,12 @@ class PolarState:
             raise ValueError("invalid state: negative range")
 
 
-def _substeps(dt: float, max_substep: float) -> tuple[int, float]:
-    n = max(1, int(math.ceil(dt / max_substep - 1e-12)))
-    return n, dt / n
-
-
-def step_cartesian(
-    state: CartesianState,
-    u: float,
-    dt: float,
-    speed: float,
-    max_substep: float = MAX_SUBSTEP,
-) -> CartesianState:
+def step_cartesian(state: CartesianState, u: float, dt: float, speed: float) -> CartesianState:
     """Advance the Cartesian kinematics by dt under a constant turn rate.
 
-    dx/dt = speed*cos(theta), dy/dt = speed*sin(theta), dtheta/dt = u.
+    dx/dt = speed*cos(theta), dy/dt = speed*sin(theta), dtheta/dt = u.  The
+    arc is stepped exactly: the chord of length speed*dt*sin(h)/h, with
+    h = u*dt/2, points along the mean heading theta + h.
     """
     if dt <= 0.0:
         raise ValueError("invalid state: dt must be positive")
@@ -98,22 +89,14 @@ def step_cartesian(
         raise ValueError("invalid state: speed must be positive")
     if not (math.isfinite(u) and math.isfinite(dt) and math.isfinite(speed)):
         raise ValueError("invalid state: non-finite step input")
-    x, y, th = state.x, state.y, state.theta
-    n, h = _substeps(dt, max_substep)
-    for _ in range(n):
-        # RK4 on (x, y, theta); u is held constant over the step.
-        k1x = speed * math.cos(th)
-        k1y = speed * math.sin(th)
-        th2 = th + 0.5 * h * u
-        k2x = speed * math.cos(th2)
-        k2y = speed * math.sin(th2)
-        th4 = th + h * u
-        k4x = speed * math.cos(th4)
-        k4y = speed * math.sin(th4)
-        x += h / 6.0 * (k1x + 4.0 * k2x + k4x)
-        y += h / 6.0 * (k1y + 4.0 * k2y + k4y)
-        th = th4
-    return CartesianState(x, y, wrap_angle(th))
+    half = 0.5 * u * dt
+    chord = speed * dt if half == 0.0 else speed * dt * (math.sin(half) / half)
+    mid = state.theta + half
+    return CartesianState(
+        state.x + chord * math.cos(mid),
+        state.y + chord * math.sin(mid),
+        wrap_angle(state.theta + u * dt),
+    )
 
 
 def cartesian_to_polar(state: CartesianState) -> PolarState:
@@ -128,37 +111,13 @@ def cartesian_to_polar(state: CartesianState) -> PolarState:
     return PolarState(r, sigma)
 
 
-def step_polar(
-    state: PolarState,
-    u: float,
-    dt: float,
-    speed: float,
-    max_substep: float = MAX_SUBSTEP,
-) -> PolarState:
-    """Advance the polar kinematics by dt under a constant turn rate."""
-    if dt <= 0.0:
-        raise ValueError("invalid state: dt must be positive")
-    if speed <= 0.0:
-        raise ValueError("invalid state: speed must be positive")
-    if state.r <= speed * dt:
-        raise ValueError("step crosses target")
-    r, s = state.r, state.sigma
-    n, h = _substeps(dt, max_substep)
-    for _ in range(n):
-        k1r = -speed * math.cos(s)
-        k1s = speed * math.sin(s) / r - u
-        r2 = r + 0.5 * h * k1r
-        s2 = s + 0.5 * h * k1s
-        k2r = -speed * math.cos(s2)
-        k2s = speed * math.sin(s2) / r2 - u
-        r3 = r + 0.5 * h * k2r
-        s3 = s + 0.5 * h * k2s
-        k3r = -speed * math.cos(s3)
-        k3s = speed * math.sin(s3) / r3 - u
-        r4 = r + h * k3r
-        s4 = s + h * k3s
-        k4r = -speed * math.cos(s4)
-        k4s = speed * math.sin(s4) / r4 - u
-        r += h / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        s += h / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-    return PolarState(r, wrap_angle(s))
+def look_angles(x, y, theta) -> np.ndarray:
+    """Look angle of every sample of a trajectory, 0 where the range is 0.
+
+    Vectorized ``cartesian_to_polar(...).sigma`` with ``wrap_angle``'s
+    (-pi, pi] convention.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    w = np.fmod(math.pi + np.arctan2(y, x) - theta + math.pi, 2.0 * math.pi)
+    sigma = np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi
+    return np.where((x == 0.0) & (y == 0.0), 0.0, sigma)

@@ -1,12 +1,12 @@
 """Closed-loop engagement simulation and effort/miss metrics.
 
-The simulator integrates the Cartesian kinematics at a fixed step with
-the command recomputed from the measured state every step.  For the
-boundary-value oracle the costate solve is refreshed at a configurable
-period (default 1 s) and the command between refreshes is read off the
-latest solved extremal at the current time-to-go; the network and the
-proportional-navigation baseline are cheap enough to evaluate directly
-every step.
+The simulator steps the Cartesian kinematics exactly (constant turn rate
+over each step of fixed length).  The network and the
+proportional-navigation laws measure range and look angle and evaluate
+their command every step.  The boundary-value oracle measures only when
+its costate solve is refreshed, at a configurable period (default 1 s):
+between refreshes its command depends on time alone and is read off the
+latest solved extremal at the current time-to-go.
 
 Termination: network/oracle runs stop at the prescribed impact time
 (or on an early target crossing); proportional navigation ignores the
@@ -17,11 +17,13 @@ over the final integration nodes.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import write_csv
 from .guidance import (
     DEFAULT_KAPPA,
     GuidanceError,
@@ -30,7 +32,7 @@ from .guidance import (
     command_oracle,
     pn_command,
 )
-from .kinematics import CartesianState, cartesian_to_polar, step_cartesian, wrap_angle
+from .kinematics import CartesianState, cartesian_to_polar, look_angles, step_cartesian
 
 __all__ = [
     "Scenario",
@@ -121,6 +123,17 @@ def _refine_miss(t_nodes, r_nodes, dt):
     return float(t_v), float(math.sqrt(max(q_min, 0.0)))
 
 
+def _interp(x: float, xp: list, fp: list) -> float:
+    """``np.interp(x, xp, fp)`` for one finite x on an increasing list, to the bit."""
+    j = bisect.bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j >= len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    return slope * (x - xp[j]) + fp[j]
+
+
 def simulate(scenario: Scenario, model=None) -> SimResult:
     """Run one closed-loop engagement."""
     law = scenario.guidance
@@ -134,6 +147,11 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
     update_period = scenario.update_period if scenario.update_period is not None else 1.0
     max_time = scenario.max_time if scenario.max_time is not None else max(4.0 * t_f, 60.0)
 
+    # no re-solve in the terminal phase: the query degenerates toward a
+    # collision course where the solve is ill conditioned, while the
+    # replayed extremal is already exact
+    t_lock = max(update_period, 0.1 * t_f)
+
     state = scenario.initial
     t = 0.0
     ts = [0.0]
@@ -146,6 +164,7 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
     oracle_sign = 1.0
     next_solve = 0.0
     resolve_failures = 0
+    replayed = None  # trajectory whose (t, U) lists are cached below
 
     while True:
         r = math.hypot(state.x, state.y)
@@ -158,39 +177,39 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
         t_go = t_f - t
         if r < 2.0 * speed * dt:
             u = last_u  # range too short to measure the look angle reliably
+        elif law == "oracle":
+            if oracle_sol is None or (t >= next_solve and t_go > t_lock):
+                polar = cartesian_to_polar(state)
+                t_query = max(t_go, r / speed)
+                try:
+                    oracle_sol = command_oracle(
+                        GuidanceQuery(r, polar.sigma, t_query, speed),
+                        assume_admissible=oracle_sol is not None,
+                        warm_solution=oracle_sol,
+                    )
+                    oracle_sign = -1.0 if oracle_sol.mirrored else 1.0
+                except GuidanceError as err:
+                    if oracle_sol is None:
+                        raise GuidanceError(f"t={t:.3f} s: {err}") from err
+                    # keep replaying the last verified plan; late-flight
+                    # re-solves are ill-conditioned near collision course
+                    resolve_failures += 1
+                next_solve = t + update_period
+            if oracle_sol.trajectory is not replayed:
+                # a warm hit keeps the trajectory object, and with it these lists
+                replayed = oracle_sol.trajectory
+                replay_t, replay_u = replayed.t.tolist(), replayed.U.tolist()
+            # midpoint sampling of the held command halves the hold bias
+            t_eval = max(t_go - 0.5 * min(dt, t_go), 0.0)
+            u = oracle_sign * _interp(t_eval, replay_t, replay_u)
         else:
             polar = cartesian_to_polar(state)
             if law == "pn":
                 u = pn_command(polar, speed, scenario.pn_gain)
-            elif law == "nn":
+            else:
                 # clamp marginal terminal-phase infeasibility from command noise
                 t_query = max(t_go, r / speed)
                 u = command_nn(model, GuidanceQuery(r, polar.sigma, t_query, speed), scenario.kappa)
-            else:
-                # no re-solve in the terminal phase: the query degenerates
-                # toward a collision course where the solve is ill
-                # conditioned, while the replayed extremal is already exact
-                t_lock = max(update_period, 0.1 * t_f)
-                if oracle_sol is None or (t >= next_solve and t_go > t_lock):
-                    t_query = max(t_go, r / speed)
-                    try:
-                        oracle_sol = command_oracle(
-                            GuidanceQuery(r, polar.sigma, t_query, speed),
-                            assume_admissible=oracle_sol is not None,
-                            warm_solution=oracle_sol,
-                        )
-                        oracle_sign = -1.0 if oracle_sol.mirrored else 1.0
-                    except GuidanceError as err:
-                        if oracle_sol is None:
-                            raise GuidanceError(f"t={t:.3f} s: {err}") from err
-                        # keep replaying the last verified plan; late-flight
-                        # re-solves are ill-conditioned near collision course
-                        resolve_failures += 1
-                    next_solve = t + update_period
-                traj = oracle_sol.trajectory
-                # midpoint sampling of the held command halves the hold bias
-                t_eval = max(t_go - 0.5 * min(dt, t_go), 0.0)
-                u = oracle_sign * float(np.interp(t_eval, traj.t, traj.U))
         last_u = u
         u_hist.append(u)
         hstep = dt if law == "pn" else min(dt, t_f - t)
@@ -206,10 +225,7 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
     y_arr = np.array(ys)
     th_arr = np.array(ths)
     r_arr = np.hypot(x_arr, y_arr)
-    sigma_arr = np.array(
-        [wrap_angle(math.pi + math.atan2(yv, xv) - th) if rv > 0.0 else 0.0
-         for xv, yv, th, rv in zip(x_arr, y_arr, th_arr, r_arr)]
-    )
+    sigma_arr = look_angles(x_arr, y_arr, th_arr)
     u_arr = np.array(u_hist)
     a_arr = speed * u_arr
     effort = control_effort(t_arr[:-1], u_arr, speed) if len(u_arr) else 0.0
@@ -268,29 +284,18 @@ def salvo_summary(results) -> dict:
     }
 
 
-def export_trajectory(result: SimResult, path) -> None:
+def export_trajectory(result, path) -> None:
     """Write the sampled trajectory as CSV (SI units, 17 digits).
+
+    ``result`` is a SimResult or a guidance.OpenLoopSolution.
 
     The command columns hold the value in effect on the step starting at
     each node; the final node repeats the last held command.
     """
-    n = len(result.t)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(TRAJECTORY_HEADER + "\n")
-        for k in range(n):
-            j = min(k, n - 2)
-            u = result.u[j] if len(result.u) else 0.0
-            a = result.accel[j] if len(result.accel) else 0.0
-            f.write(
-                "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                % (
-                    result.t[k],
-                    result.x[k],
-                    result.y[k],
-                    result.theta[k],
-                    result.r[k],
-                    result.sigma[k],
-                    u,
-                    a,
-                )
-            )
+
+    def held(v):
+        return np.append(v, v[-1]) if len(v) else np.zeros(len(result.t))
+
+    write_csv(path, TRAJECTORY_HEADER, np.column_stack([
+        result.t, result.x, result.y, result.theta, result.r, result.sigma, held(result.u), held(result.accel),
+    ]))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,30 @@ def test_reader_reports_line_numbers(tmp_path):
     path.write_text("wrong,header\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         read_dataset(path)
+
+
+def test_reader_counts_blank_lines_and_rejects_comments(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("r,sigma,t_go,u\n1,2,3,4\n\n1,2,x,4\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 4: non-numeric"):
+        read_dataset(path)
+    path.write_text("r,sigma,t_go,u\n1,2,3,4\n\n\n1,2,3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 5: expected 4 fields"):
+        read_dataset(path)
+    path.write_text("r,sigma,t_go,u\n1,2,3\n1,2,3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: expected 4 fields"):
+        read_dataset(path)
+    path.write_text("r,sigma,t_go,u\n1,2,3,4\n# note,2,3,4\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3: non-numeric"):
+        read_dataset(path)
+
+
+def test_reader_blank_body_is_empty(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("r,sigma,t_go,u\n\n\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_dataset(path).shape == (0, 4)
 
 
 def test_grid_coverage_matches_cell_survival():

@@ -2,15 +2,69 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fitguide import (
     CartesianState,
     PolarState,
     cartesian_to_polar,
     step_cartesian,
-    step_polar,
     wrap_angle,
 )
+from fitguide.kinematics import look_angles
+
+
+def _substeps(dt, max_substep):
+    n = max(1, int(math.ceil(dt / max_substep - 1e-12)))
+    return n, dt / n
+
+
+def cartesian_reference(state, u, dt, speed, max_substep=1e-3):
+    """Classical RK4 on (x, y, theta) in substeps of at most max_substep."""
+    x, y, th = state.x, state.y, state.theta
+    n, h = _substeps(dt, max_substep)
+    for _ in range(n):
+        th2 = th + 0.5 * h * u
+        th4 = th + h * u
+        x += h / 6.0 * speed * (math.cos(th) + 4.0 * math.cos(th2) + math.cos(th4))
+        y += h / 6.0 * speed * (math.sin(th) + 4.0 * math.sin(th2) + math.sin(th4))
+        th = th4
+    return CartesianState(x, y, wrap_angle(th))
+
+
+def polar_reference(state, u, dt, speed, max_substep=0.005):
+    """Classical RK4 on the polar rates (r, sigma) in substeps of at most max_substep."""
+    if dt <= 0.0:
+        raise ValueError("invalid state: dt must be positive")
+    if speed <= 0.0:
+        raise ValueError("invalid state: speed must be positive")
+    if state.r <= speed * dt:
+        raise ValueError("step crosses target")
+    r, s = state.r, state.sigma
+    n, h = _substeps(dt, max_substep)
+    for _ in range(n):
+        k1r = -speed * math.cos(s)
+        k1s = speed * math.sin(s) / r - u
+        r2 = r + 0.5 * h * k1r
+        s2 = s + 0.5 * h * k1s
+        k2r = -speed * math.cos(s2)
+        k2s = speed * math.sin(s2) / r2 - u
+        r3 = r + 0.5 * h * k2r
+        s3 = s + 0.5 * h * k2s
+        k3r = -speed * math.cos(s3)
+        k3s = speed * math.sin(s3) / r3 - u
+        r4 = r + h * k3r
+        s4 = s + h * k3s
+        k4r = -speed * math.cos(s4)
+        k4s = speed * math.sin(s4) / r4 - u
+        r += h / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        s += h / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+    return PolarState(r, wrap_angle(s))
+
+
+def _angle_gap(a, b):
+    return abs(wrap_angle(a - b))
 
 
 def test_wrap_angle_range():
@@ -92,17 +146,17 @@ def test_polar_conversion_at_target_rejected():
 
 
 def test_step_polar_head_on_and_opening():
-    closing = step_polar(PolarState(10.0, 0.0), u=0.0, dt=1.0, speed=1.0)
+    closing = polar_reference(PolarState(10.0, 0.0), u=0.0, dt=1.0, speed=1.0)
     assert closing.r == pytest.approx(9.0, abs=1e-12)
     assert closing.sigma == pytest.approx(0.0, abs=1e-12)
-    opening = step_polar(PolarState(10.0, math.pi), u=0.0, dt=1.0, speed=1.0)
+    opening = polar_reference(PolarState(10.0, math.pi), u=0.0, dt=1.0, speed=1.0)
     assert opening.r == pytest.approx(11.0, abs=1e-12)
     assert abs(opening.sigma) == pytest.approx(math.pi)
 
 
 def test_step_polar_rejects_target_crossing():
     with pytest.raises(ValueError, match="crosses target"):
-        step_polar(PolarState(0.5, 0.2), u=0.0, dt=1.0, speed=1.0)
+        polar_reference(PolarState(0.5, 0.2), u=0.0, dt=1.0, speed=1.0)
 
 
 def test_step_polar_matches_cartesian_path():
@@ -111,7 +165,7 @@ def test_step_polar_matches_cartesian_path():
     p = cartesian_to_polar(c)
     assert p.sigma == pytest.approx(math.pi / 4)
     c1 = cartesian_to_polar(step_cartesian(c, 0.1, 0.01, 1.0))
-    p1 = step_polar(p, 0.1, 0.01, 1.0)
+    p1 = polar_reference(p, 0.1, 0.01, 1.0)
     assert p1.r == pytest.approx(c1.r, abs=1e-8)
     assert p1.sigma == pytest.approx(c1.sigma, abs=1e-8)
 
@@ -124,7 +178,7 @@ def test_long_horizon_consistency():
     for _ in range(100):
         u = float(rng.uniform(-0.5, 0.5))
         c = step_cartesian(c, u, 0.01, 1.0)
-        p = step_polar(p, u, 0.01, 1.0)
+        p = polar_reference(p, u, 0.01, 1.0)
     ref = cartesian_to_polar(c)
     assert p.r == pytest.approx(ref.r, rel=1e-6)
     assert p.sigma == pytest.approx(ref.sigma, rel=1e-6, abs=1e-9)
@@ -150,5 +204,78 @@ def test_headings_stay_wrapped():
         state = step_cartesian(state, 1.7, 0.05, 1.0)
         assert -math.pi < state.theta <= math.pi
     for _ in range(200):
-        p = step_polar(p, -0.9, 0.001, 1.0)
+        p = polar_reference(p, -0.9, 0.001, 1.0)
         assert -math.pi < p.sigma <= math.pi
+
+
+coords = st.floats(-1e4, 1e4)
+headings = st.floats(-math.pi, math.pi)
+speeds = st.floats(1.0, 1000.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=coords, y=coords, th=headings, u=st.floats(-5.0, 5.0), dt=st.floats(1e-4, 1.0), speed=speeds)
+def test_arc_step_matches_fine_rk4(x, y, th, u, dt, speed):
+    start = CartesianState(x, y, th)
+    out = step_cartesian(start, u, dt, speed)
+    ref = cartesian_reference(start, u, dt, speed)
+    tol = 1e-11 * (1.0 + abs(x) + abs(y) + speed * dt)
+    assert out.x == pytest.approx(ref.x, abs=tol)
+    assert out.y == pytest.approx(ref.y, abs=tol)
+    assert _angle_gap(out.theta, ref.theta) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=coords, y=coords, th=headings, u=st.floats(-20.0, 20.0), dt=st.floats(1e-6, 10.0), speed=speeds)
+def test_two_half_steps_equal_one_step(x, y, th, u, dt, speed):
+    start = CartesianState(x, y, th)
+    whole = step_cartesian(start, u, dt, speed)
+    halves = step_cartesian(step_cartesian(start, u, dt / 2.0, speed), u, dt / 2.0, speed)
+    tol = 1e-13 * (1.0 + abs(x) + abs(y) + speed * dt)
+    assert halves.x == pytest.approx(whole.x, abs=tol)
+    assert halves.y == pytest.approx(whole.y, abs=tol)
+    assert _angle_gap(halves.theta, whole.theta) <= 1e-13 * (1.0 + abs(u * dt))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=coords, y=coords, th=headings, dt=st.floats(1e-3, 1.0), speed=speeds,
+    log_turn=st.floats(-300.0, -20.0), sign=st.sampled_from((-1.0, 1.0)),
+)
+def test_straight_line_is_exact(x, y, th, dt, speed, log_turn, sign):
+    start = CartesianState(x, y, th)
+    line = step_cartesian(start, 0.0, dt, speed)
+    assert line.x == x + speed * dt * math.cos(th)
+    assert line.y == y + speed * dt * math.sin(th)
+    assert line.theta == wrap_angle(th)
+    if abs(th) >= 1e-3:
+        # |u dt| <= 1e-20 is below half an ulp of the heading: the same bits
+        assert step_cartesian(start, sign * 10.0**log_turn, dt, speed) == line
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(st.tuples(coords, coords, st.floats(-10.0, 10.0)), min_size=1, max_size=40),
+)
+def test_look_angles_match_wrap_angle(points):
+    x, y, th = (np.array(v) for v in zip(*points))
+    sigma = look_angles(x, y, th)
+    for k, (xv, yv, tv) in enumerate(points):
+        if xv == 0.0 and yv == 0.0:
+            assert sigma[k] == 0.0
+            continue
+        # the wrap is wrap_angle's to the bit; np.arctan2 may differ from
+        # math.atan2 in the last bit
+        assert sigma[k] == wrap_angle(math.pi + float(np.arctan2(yv, xv)) - tv)
+        assert _angle_gap(sigma[k], cartesian_to_polar(CartesianState(xv, yv, tv)).sigma) <= 2e-15
+        assert -math.pi < sigma[k] <= math.pi
+
+
+def test_look_angles_at_plus_minus_pi():
+    # flying straight away from the target: sigma = pi, never -pi
+    for x, y, th in ((-1.0, 0.0, math.pi), (-1.0, 0.0, -math.pi), (1.0, 0.0, 0.0), (0.0, -2.0, -math.pi / 2),
+                     (-1.0, -0.0, math.pi), (3.0, 0.0, 2.0 * math.pi)):
+        expected = cartesian_to_polar(CartesianState(x, y, th)).sigma
+        assert look_angles([x], [y], [th])[0] == expected
+        assert abs(expected) == pytest.approx(math.pi)
+    assert look_angles([0.0], [0.0], [1.0])[0] == 0.0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fitguide import (
     CartesianState,
@@ -167,3 +169,43 @@ def test_salvo_propagates_programming_errors():
     sc = Scenario(CASE_A_START, 500.0, 25.0, guidance="nn")
     with pytest.raises(AttributeError):
         salvo([sc], model=object())
+
+
+def test_oracle_measures_only_when_it_resolves(monkeypatch):
+    import fitguide.sim as sim_module
+
+    counts = {"polar": 0, "oracle": 0}
+    real_polar, real_oracle = sim_module.cartesian_to_polar, sim_module.command_oracle
+
+    def polar(state):
+        counts["polar"] += 1
+        return real_polar(state)
+
+    def oracle(*args, **kwargs):
+        counts["oracle"] += 1
+        return real_oracle(*args, **kwargs)
+
+    monkeypatch.setattr(sim_module, "cartesian_to_polar", polar)
+    monkeypatch.setattr(sim_module, "command_oracle", oracle)
+    res = simulate(Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle"))
+    assert 1 < counts["oracle"] == counts["polar"] < len(res.u) // 50
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grid=st.lists(st.tuples(finite, finite), min_size=1, max_size=30, unique_by=lambda p: p[0]),
+    extra=st.lists(finite, max_size=10),
+)
+def test_interp_matches_numpy_bit_for_bit(grid, extra):
+    from fitguide.sim import _interp
+
+    grid.sort()
+    xp, fp = [p[0] for p in grid], [p[1] for p in grid]
+    span = xp[-1] - xp[0]
+    queries = xp + [(a + b) / 2.0 for a, b in zip(xp, xp[1:])] + extra
+    queries += [xp[0] - 1.0 - span, xp[-1] + 1.0 + span, math.nextafter(xp[-1], -math.inf)]
+    for q in queries:
+        assert _interp(q, xp, fp) == float(np.interp(q, np.array(xp), np.array(fp)))
