@@ -177,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fixed-impact-time optimal interception guidance toolkit.",
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; computations are single-threaded for determinism")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate the optimal-command dataset CSV")

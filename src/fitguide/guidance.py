@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mlp
 from .extremals import (
     AdjointParams,
     ParamTrajectory,
@@ -112,33 +113,21 @@ class OracleSolution:
 
 def command_nn(model, query: GuidanceQuery, kappa: float = DEFAULT_KAPPA) -> float:
     """Network-backed turn-rate command for an arbitrary-speed query."""
-    from .mlp import forward  # local import keeps module load light
-
     if query.sigma == 0.0:
         return 0.0
     sign = 1.0 if query.sigma > 0.0 else -1.0
     g = min(query.t_go, kappa * model.t_bar)
     r_net = query.r * g / (query.speed * query.t_go)
-    c = forward(model, (r_net, abs(query.sigma), g))
+    # looked up per call, so a wrapper patched onto mlp.forward sees every command
+    c = mlp.forward(model, (r_net, abs(query.sigma), g))
     return sign * (g / query.t_go) * c
 
 
-def pn_command(state, speed: float, gain: float = 3.0) -> float:
+def pn_command(state: PolarState, speed: float, gain: float = 3.0) -> float:
     """Proportional navigation: turn rate = gain * LOS rate."""
-    if isinstance(state, PolarState):
-        r, sigma = state.r, state.sigma
-        if r <= 0.0:
-            raise ValueError("range must be positive")
-        los_rate = speed * math.sin(sigma) / r
-    elif isinstance(state, CartesianState):
-        r = math.hypot(state.x, state.y)
-        if r <= 0.0:
-            raise ValueError("range must be positive")
-        lam = math.atan2(state.y, state.x)
-        los_rate = speed * math.sin(state.theta - lam) / r
-    else:
-        raise TypeError("state must be PolarState or CartesianState")
-    return gain * los_rate
+    if state.r <= 0.0:
+        raise ValueError("range must be positive")
+    return gain * (speed * math.sin(state.sigma) / state.r)
 
 
 # --- boundary-value oracle ---

@@ -8,6 +8,11 @@ mini-batch gradient descent with adaptive moment estimates on the mean
 squared error of the standardized output, fully deterministic for a
 given seed.
 
+``forward`` evaluates one (r, sigma, t_go) triple (a tuple, list or 1-D
+array), the per-step guidance command, on 1-D vectors; it equals
+``forward_batch`` on that one row to the bit.  Over many rows a matrix
+product may round apart from row-by-row products in the last bit.
+
 Models serialize to a versioned UTF-8 text format (one key per line,
 arrays row-major with 17-significant-digit decimals), so a save/load
 round trip reproduces forward outputs bit for bit.
@@ -141,9 +146,14 @@ def forward_batch(model: CommandModel, inputs: np.ndarray) -> np.ndarray:
 
 
 def forward(model: CommandModel, inputs) -> float:
-    """Evaluate the network on a single (r, sigma, t_go) triple."""
-    x = np.asarray(inputs, dtype=float).reshape(1, 3)
-    return float(forward_batch(model, x)[0])
+    """Evaluate the network on a single (r, sigma, t_go) triple, as 1-D vectors."""
+    r, sigma, t_go = inputs
+    if not (math.isfinite(r) and math.isfinite(sigma) and math.isfinite(t_go)):
+        raise ValueError("non-finite network input")
+    a = (np.array((r, sigma, t_go), dtype=float) - model.input_mean) / model.input_scale
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = np.tanh(a @ W + b)
+    return float((a @ model.weights[-1] + model.biases[-1])[0]) * model.output_scale + model.output_mean
 
 
 def _forward_standardized(weights, biases, X):

@@ -87,7 +87,6 @@ class SimResult:
     effort: float           # J, m^2/s^3
     miss: float
     impact_time: float
-    delta_j: float | None = None
     resolve_failures: int = 0   # oracle re-solves that raised; the last plan was replayed
 
 
@@ -101,26 +100,28 @@ def control_effort(times, turn_rates, speed: float) -> float:
 
 
 def _refine_miss(t_nodes, r_nodes, dt):
-    """Parabola fit on r^2 over the last nodes; returns (impact_time, miss)."""
+    """Parabola fit on r^2 over the last three nodes; returns (impact_time, miss).
+
+    The fit runs in s = t - t_end, so no term of about (speed * t)^2 cancels.
+    """
     if len(t_nodes) < 3:
         return float(t_nodes[-1]), float(r_nodes[-1])
-    t3 = np.asarray(t_nodes[-3:])
-    q3 = np.asarray(r_nodes[-3:]) ** 2
+    t_end = float(t_nodes[-1])
+    s0, s1 = float(t_nodes[-3]) - t_end, float(t_nodes[-2]) - t_end
+    q0, q1, q2 = (float(r) ** 2 for r in r_nodes[-3:])
     # quadratic through three points; fall back to the end node if degenerate
-    denom = (t3[0] - t3[1]) * (t3[0] - t3[2]) * (t3[1] - t3[2])
+    denom = s0 * s1 * (s0 - s1)
     if denom == 0.0:
-        return float(t3[-1]), float(math.sqrt(max(q3[-1], 0.0)))
-    a = (t3[2] * (q3[1] - q3[0]) + t3[1] * (q3[0] - q3[2]) + t3[0] * (q3[2] - q3[1])) / denom
-    b = (t3[2] ** 2 * (q3[0] - q3[1]) + t3[1] ** 2 * (q3[2] - q3[0]) + t3[0] ** 2 * (q3[1] - q3[2])) / denom
+        return t_end, math.sqrt(q2)
+    d0, d1 = q0 - q2, q1 - q2
+    a = (s1 * d0 - s0 * d1) / denom
     if a <= 0.0:
-        k = int(np.argmin(q3))
-        return float(t3[k]), float(math.sqrt(max(q3[k], 0.0)))
-    t_v = -b / (2.0 * a)
-    lo, hi = float(t3[-1]) - 2.0 * dt, float(t3[-1]) + dt
-    t_v = min(max(t_v, lo), hi)
-    c = q3[0] - a * t3[0] ** 2 - b * t3[0]
-    q_min = a * t_v**2 + b * t_v + c
-    return float(t_v), float(math.sqrt(max(q_min, 0.0)))
+        q, s = min((q0, s0), (q1, s1), (q2, 0.0))
+        return t_end + s, math.sqrt(q)
+    b = (s0 * s0 * d1 - s1 * s1 * d0) / denom
+    s_v = min(max(-b / (2.0 * a), -2.0 * dt), dt)
+    q_min = (a * s_v + b) * s_v + q2
+    return t_end + s_v, math.sqrt(max(q_min, 0.0))
 
 
 def _interp(x: float, xp: list, fp: list) -> float:

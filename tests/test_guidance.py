@@ -4,14 +4,18 @@ import os
 import numpy as np
 import pytest
 
+import fitguide.mlp
+import fitguide.sim
 from fitguide import (
     CartesianState,
     GuidanceError,
     GuidanceQuery,
     PolarState,
+    Scenario,
     command_nn,
     command_oracle,
     pn_command,
+    simulate,
     solve_ocp,
 )
 
@@ -43,6 +47,27 @@ def test_command_nn_mirror_exact(model):
         u_pos = command_nn(model, GuidanceQuery(r, sigma, t_go, speed))
         u_neg = command_nn(model, GuidanceQuery(r, -sigma, t_go, speed))
         assert u_pos == -u_neg  # bitwise odd symmetry by construction
+
+
+def test_command_nn_reaches_forward_at_call_time(model, monkeypatch):
+    # the tracer's contract: a wrapper patched onto fitguide.mlp.forward sees
+    # every network command, and fitguide.sim.command_nn every call of the loop
+    counts = {"command_nn": 0, "forward": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(fitguide.sim, "command_nn")
+    counting(fitguide.mlp, "forward")
+    simulate(Scenario(CartesianState(-10000.0, 0.0, math.pi / 3), 500.0, 25.0, guidance="nn"), model)
+    assert counts["command_nn"] > 2000
+    assert counts["forward"] == counts["command_nn"]
 
 
 def test_command_nn_close_to_oracle_case_a(model):
@@ -91,17 +116,10 @@ def test_oracle_warm_start_reuses_trajectory():
 
 def test_pn_command_conventions():
     assert pn_command(PolarState(1000.0, 0.0), speed=300.0) == 0.0
-    p = PolarState(2000.0, 0.5)
-    c = CartesianState(-2000.0, 0.0, -0.5 + math.pi - math.pi)  # same geometry
-    u_polar = pn_command(p, speed=300.0)
+    u_polar = pn_command(PolarState(2000.0, 0.5), speed=300.0)
     assert u_polar == pytest.approx(3.0 * 300.0 * math.sin(0.5) / 2000.0)
-    # equivalent Cartesian state: r=2000 along -x, sigma=0.5 -> theta = -0.5
-    u_cart = pn_command(CartesianState(-2000.0, 0.0, -0.5), speed=300.0)
-    assert u_cart == pytest.approx(u_polar)
     with pytest.raises(ValueError):
         pn_command(PolarState(0.0, 0.0), speed=300.0)
-    with pytest.raises(TypeError):
-        pn_command((1.0, 2.0), speed=300.0)
 
 
 def test_solve_ocp_straight_line():

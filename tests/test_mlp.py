@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fitguide.mlp import (
     CommandModel,
@@ -42,6 +44,41 @@ def test_forward_deterministic_and_finite_checked():
     assert forward(model, x) == forward(model, x)
     with pytest.raises(ValueError):
         forward(model, (math.nan, 1.0, 2.0))
+
+
+_INIT_MODEL = init_model(seed=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r_frac=st.floats(0.0, 2.0),
+    sigma=st.floats(0.0, math.pi),
+    t_frac=st.floats(0.0, 1.0, exclude_min=True),
+    scale=st.sampled_from((1.0, -1.0, 1e-6, 7.5, 1e4)),
+)
+def test_forward_equals_one_row_batch(model, r_frac, sigma, t_frac, scale):
+    # r in [0, 2 t_bar], sigma in [0, pi], t_go in (0, t_bar], and the same
+    # box scaled outside the training domain
+    for m in (_INIT_MODEL, model):
+        x = (scale * r_frac * m.t_bar, scale * sigma, scale * t_frac * m.t_bar)
+        assert forward(m, x) == float(forward_batch(m, np.array([x]))[0])
+
+
+def test_forward_accepts_any_three_value_sequence(model):
+    x = (1.25, 0.8, 3.0)
+    want = forward(model, x)
+    assert isinstance(want, float)
+    assert forward(model, list(x)) == want
+    assert forward(model, np.array(x)) == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_forward_rejects_non_finite_inputs(model, slot, bad):
+    x = [1.25, 0.8, 3.0]
+    x[slot] = bad
+    with pytest.raises(ValueError, match="non-finite network input"):
+        forward(model, x)
 
 
 def test_affine_map_trains_to_target_stop():

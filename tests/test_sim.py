@@ -209,3 +209,18 @@ def test_interp_matches_numpy_bit_for_bit(grid, extra):
     queries += [xp[0] - 1.0 - span, xp[-1] + 1.0 + span, math.nextafter(xp[-1], -math.inf)]
     for q in queries:
         assert _interp(q, xp, fp) == float(np.interp(q, np.array(xp), np.array(fp)))
+
+
+@pytest.mark.parametrize("miss", [0.0, 1e-3, 0.05])
+@pytest.mark.parametrize("t_f", [25.0, 50.0, 100.0])
+def test_refine_miss_exact_on_straight_line_nodes(t_f, miss):
+    from fitguide.sim import _refine_miss
+
+    # a straight pass at 500 m/s whose closest approach, at distance miss,
+    # falls on the last node; r^2 is then exactly quadratic in time
+    speed, dt = 500.0, 0.01
+    t = t_f - dt * np.arange(5.0)[::-1]
+    r = np.hypot(speed * (t - t_f), miss)
+    impact_time, got = _refine_miss(t, r, dt)
+    assert abs(got - miss) <= 1e-9
+    assert abs(impact_time - t_f) <= 1e-9
