@@ -34,9 +34,9 @@ print("Hamiltonian conservation along one trajectory (should equal alpha*cos(bet
 params = AdjointParams(5.0, 1.0)
 traj = propagate_param(params, t_end=1.5, dt=0.005)
 h_ref = params.alpha * math.cos(params.beta)
+h = hamiltonian(traj.X, traj.Y, traj.Theta, params)
 for k in (0, len(traj) // 2, len(traj) - 1):
-    h = hamiltonian(traj.state_at(k), params)
-    print(f"  t={traj.t[k]:5.2f}: H={h:.12f} (drift {h - h_ref:+.2e})")
+    print(f"  t={traj.t[k]:5.2f}: H={h[k]:.12f} (drift {h[k] - h_ref:+.2e})")
 
 print()
 print("the command history U(t) starts at zero (free final heading) and is")

@@ -15,7 +15,6 @@ from .kinematics import (
 )
 from .extremals import (
     AdjointParams,
-    ParamState,
     ParamTrajectory,
     hamiltonian,
     propagate_param,
@@ -68,7 +67,6 @@ __all__ = [
     "step_cartesian",
     "wrap_angle",
     "AdjointParams",
-    "ParamState",
     "ParamTrajectory",
     "hamiltonian",
     "propagate_param",

@@ -52,7 +52,6 @@ import numpy as np
 
 __all__ = [
     "AdjointParams",
-    "ParamState",
     "ParamTrajectory",
     "CellSweep",
     "evaluate",
@@ -61,9 +60,7 @@ __all__ = [
     "terminal_time",
     "sweep_cells",
     "hamiltonian",
-    "ellipj",
     "ellipk",
-    "ellipe",
 ]
 
 
@@ -81,16 +78,6 @@ class AdjointParams:
             raise ValueError("alpha must be non-negative")
         if not -math.pi <= self.beta <= math.pi:
             raise ValueError("beta must lie in [-pi, pi]")
-
-
-@dataclass(frozen=True)
-class ParamState:
-    """Instantaneous state of the parameterized system."""
-
-    X: float
-    Y: float
-    Theta: float
-    t: float
 
 
 @dataclass
@@ -116,9 +103,6 @@ class ParamTrajectory:
 
     def __len__(self):
         return len(self.t)
-
-    def state_at(self, k: int) -> ParamState:
-        return ParamState(float(self.X[k]), float(self.Y[k]), float(self.Theta[k]), float(self.t[k]))
 
 
 # --- Jacobi elliptic functions by the arithmetic-geometric mean ---
@@ -170,22 +154,6 @@ def ellipk(k, kc):
     """Complete elliptic integral of the first kind K(k) = pi / (2 AGM(1, kc))."""
     a, _, _ = _agm(np.asarray(k, dtype=float), np.asarray(kc, dtype=float))
     return 0.5 * np.pi / a[-1]
-
-
-def ellipe(k, kc):
-    """Complete elliptic integral of the second kind E(k)."""
-    a, _, e_over_k = _agm(np.asarray(k, dtype=float), np.asarray(kc, dtype=float))
-    return 0.5 * np.pi / a[-1] * e_over_k
-
-
-def ellipj(u, k, kc):
-    """Jacobi elliptic functions (sn, cn, dn, am) of u at modulus k."""
-    kc = np.asarray(kc, dtype=float)
-    a, c, _ = _agm(np.asarray(k, dtype=float), kc)
-    am, _ = _descend(np.asarray(u, dtype=float), a, c)
-    sn, cn = np.sin(am), np.cos(am)
-    # dn**2 = 1 - k**2 sn**2 = cn**2 + kc**2 sn**2, accurate near dn = kc
-    return sn, cn, np.hypot(cn, kc * sn), am
 
 
 # --- the closed-form extremal ---
@@ -305,12 +273,17 @@ def propagate_param(params: AdjointParams, t_end: float, dt: float) -> ParamTraj
     return ParamTrajectory(params, t, X, Y, Th, R, Sigma, U, t_term)
 
 
-def hamiltonian(state: ParamState, params: AdjointParams) -> float:
-    """Conserved Hamiltonian; equals alpha*cos(beta) along any trajectory."""
-    if not all(map(math.isfinite, (state.X, state.Y, state.Theta))):
+def hamiltonian(X, Y, Theta, params: AdjointParams):
+    """Conserved Hamiltonian at states (X, Y, Theta); equals alpha*cos(beta) along any trajectory.
+
+    The states broadcast like numpy arrays, so one call checks a whole
+    trajectory.
+    """
+    X, Y, Theta = (np.asarray(v, dtype=float) for v in (X, Y, Theta))
+    if not (np.isfinite(X).all() and np.isfinite(Y).all() and np.isfinite(Theta).all()):
         raise ValueError("non-finite state")
-    u = params.alpha * (state.Y * math.cos(params.beta) - state.X * math.sin(params.beta))
-    return params.alpha * math.cos(state.Theta - params.beta) + 0.5 * u * u
+    u = params.alpha * (Y * math.cos(params.beta) - X * math.sin(params.beta))
+    return params.alpha * np.cos(Theta - params.beta) + 0.5 * u * u
 
 
 @dataclass

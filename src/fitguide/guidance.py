@@ -24,6 +24,8 @@ by the mirror rule.
 Every extremal is an inflectional Euler elastica, and the oracle uses
 its closed form (``extremals.evaluate``) throughout: Newton's endpoint,
 the exact collinearity check of each root and the trajectory it returns.
+``solve_ocp`` reads the open-loop optimal path off the same closed form
+instead of integrating it.
 Newton is seeded from a grid in (q, beta) with q = alpha * t_go**2; this
 parameterization is invariant under the time/length rescaling of the
 extremal family, so one evaluation of the grid at unit time-to-go serves
@@ -274,22 +276,18 @@ def command_oracle(
     query: GuidanceQuery,
     tol_r: float = 1e-9,
     tol_sigma: float = 1e-9,
-    initial_guess: AdjointParams | None = None,
-    assume_admissible: bool = False,
     warm_solution: OracleSolution | None = None,
 ) -> OracleSolution:
     """Solve the boundary problem for the optimal command at the query.
 
-    ``initial_guess`` warm-starts Newton (used by the closed-loop
-    simulator); the grid search runs only when the warm start is absent
-    or fails.  ``assume_admissible`` skips the collinearity re-check for
-    a warm-started root; safe when the same extremal was verified at a
-    larger time-to-go, since admissibility only relaxes as t_go shrinks.
-    ``warm_solution`` short-circuits the solve entirely when its costate
-    parameters still match the query (the common closed-loop case): the
-    stored trajectory is reused and only the command is re-read at the
-    new time-to-go.  Raises GuidanceError when no admissible extremal
-    matches the query within tolerance.
+    ``warm_solution`` is the previous solution of a closed loop.  While its
+    extremal still passes through the queried state, the solve is skipped:
+    the stored trajectory is reused and only the command is re-read at the
+    new time-to-go.  Otherwise Newton first continues from its costate
+    parameters, and the seed scan runs only when that fails.  Every root
+    must be collinearity-free up to the time-to-go, checked exactly.
+    Raises GuidanceError when no admissible extremal matches the query
+    within tolerance.
     """
     sigma_abs = abs(query.sigma)
     mirrored = query.sigma < 0.0
@@ -300,6 +298,7 @@ def command_oracle(
     if sigma_abs <= 1e-12 and abs(r_norm - t_go) <= max(tol_r, 1e-12) * (1.0 + r_norm):
         return _degenerate_solution(query)
 
+    guess = None
     if warm_solution is not None and warm_solution.params.alpha > ALPHA_DEGENERATE and (
         warm_solution.trajectory.t[-1] >= t_go
     ):
@@ -320,11 +319,11 @@ def command_oracle(
                 trajectory=traj,
                 mirrored=mirrored,
             )
-        initial_guess = p
+        guess = p
 
     roots = []
 
-    def try_root(alpha0, beta0, skip_check=False):
+    def try_root(alpha0, beta0):
         hit = _newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma)
         if hit is None:
             return
@@ -337,18 +336,14 @@ def command_oracle(
             if abs(a - a_seen) <= 1e-6 + 1e-3 * a_seen and abs(b - b_seen) <= 1e-3:
                 return
         params = AdjointParams(a, b)
-        if not skip_check:
-            t_first = terminal_time(params, t_bar=t_go + 10.0 * h)
-            if t_first < t_go - 2.0 * h:
-                return
+        if terminal_time(params, t_bar=t_go) < t_go:
+            return  # reaches collinearity before the time-to-go
         traj = propagate_param(params, t_go, h)
-        if traj.t[-1] < t_go - 1.5 * h:
-            return
         effort = float(np.trapezoid(traj.U**2 / 2.0, traj.t))
         roots.append((a, b, f, effort, traj))
 
-    if initial_guess is not None and initial_guess.alpha > 0.0:
-        try_root(initial_guess.alpha, initial_guess.beta, skip_check=assume_admissible)
+    if guess is not None:
+        try_root(guess.alpha, guess.beta)
     if not roots:
         for q_max in (40.0, 160.0, 640.0):
             for a0, b0, _ in _seed_candidates(r_norm, sigma_abs, t_go, q_max):
@@ -378,7 +373,7 @@ def command_oracle(
 
 @dataclass
 class OpenLoopSolution:
-    """Open-loop optimal trajectory replayed in physical units."""
+    """Open-loop optimal trajectory in physical units."""
 
     t: np.ndarray
     x: np.ndarray
@@ -387,7 +382,7 @@ class OpenLoopSolution:
     r: np.ndarray
     sigma: np.ndarray
     t_control: np.ndarray
-    u: np.ndarray            # turn rate history, rad/s
+    u: np.ndarray            # turn rate held over each step, rad/s
     accel: np.ndarray        # lateral acceleration history
     effort: float            # J = integral of accel^2/2, m^2/s^3
     miss: float
@@ -396,58 +391,46 @@ class OpenLoopSolution:
 
 
 def solve_ocp(initial: CartesianState, speed: float, t_f: float, dt: float = 0.01) -> OpenLoopSolution:
-    """Solve one fixed-impact-time problem and replay the extremal control."""
-    from .kinematics import step_cartesian
+    """Solve one fixed-impact-time problem and read the optimal path off its extremal.
 
+    The optimal path is the solved extremal flown in reverse time: the state
+    at time t is the extremal's at time-to-go t_f - t, rotated onto the
+    initial line of sight and scaled by the speed, so nothing is integrated.
+    Nodes fall on t_k = min(k dt, t_f), and the last one is the target.  The
+    command held over each step is the extremal's at the step's midpoint,
+    where ``simulate`` samples a replayed plan; the effort is the oracle's.
+    """
     polar = cartesian_to_polar(initial)
     query = GuidanceQuery(r=polar.r, sigma=polar.sigma, t_go=t_f, speed=speed)
     sol = command_oracle(query)
-    sign = -1.0 if sol.mirrored else 1.0
-    traj = sol.trajectory
-
-    def u_of(t_go: float) -> float:
-        return sign * float(np.interp(t_go, traj.t, traj.U))
+    p = sol.params
+    if p.alpha > 0.0:
+        alpha, beta = p.alpha, -p.beta if sol.mirrored else p.beta
+    else:
+        alpha, beta = 1.0, 0.0  # the straight line is the beta = 0 extremal of any alpha
 
     n = int(math.ceil(t_f / dt - 1e-9))
-    ts = [0.0]
-    xs = [initial.x]
-    ys = [initial.y]
-    ths = [initial.theta]
-    uh = []
-    state = initial
-    t = 0.0
-    for _ in range(n):
-        hstep = min(dt, t_f - t)
-        # midpoint sampling of the held command halves the hold bias
-        u = u_of(max(t_f - t - 0.5 * hstep, 0.0))
-        uh.append(u)
-        state = step_cartesian(state, u, hstep, speed)
-        t += hstep
-        ts.append(t)
-        xs.append(state.x)
-        ys.append(state.y)
-        ths.append(state.theta)
-    t_arr = np.array(ts)
-    x_arr = np.array(xs)
-    y_arr = np.array(ys)
-    th_arr = np.array(ths)
-    r_arr = np.hypot(x_arr, y_arr)
-    sigma_arr = look_angles(x_arr, y_arr, th_arr)
-    u_arr = np.array(uh)
-    a_arr = speed * u_arr
-    effort = float(np.trapezoid(0.5 * a_arr**2, t_arr[:-1]))
+    t = np.minimum(np.arange(n + 1) * dt, t_f)
+    mid = 0.5 * (t[:-1] + t[1:])
+    X, Y, Theta, U = evaluate(alpha, beta, t_f - np.concatenate([t, mid]))
+    X, Y, Theta, u = X[: n + 1], Y[: n + 1], Theta[: n + 1], U[n + 1 :]
+    phi = math.atan2(initial.y, initial.x) - math.atan2(Y[0], X[0])
+    c, s = speed * math.cos(phi), speed * math.sin(phi)
+    x, y = c * X - s * Y, s * X + c * Y
+    x[-1] = y[-1] = 0.0  # the target, exactly
+    theta = math.pi - np.mod(math.pi - (Theta + phi), 2.0 * math.pi)  # wrapped into (-pi, pi]
     return OpenLoopSolution(
-        t=t_arr,
-        x=x_arr,
-        y=y_arr,
-        theta=th_arr,
-        r=r_arr,
-        sigma=sigma_arr,
-        t_control=t_arr[:-1],
-        u=u_arr,
-        accel=a_arr,
-        effort=effort,
-        miss=float(r_arr[-1]),
+        t=t,
+        x=x,
+        y=y,
+        theta=theta,
+        r=np.hypot(x, y),
+        sigma=look_angles(x, y, theta),
+        t_control=t[:-1],
+        u=u,
+        accel=speed * u,
+        effort=sol.effort * speed**2,
+        miss=0.0,
         impact_time=t_f,
         oracle=sol,
     )

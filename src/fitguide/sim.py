@@ -185,7 +185,6 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
                 try:
                     oracle_sol = command_oracle(
                         GuidanceQuery(r, polar.sigma, t_query, speed),
-                        assume_admissible=oracle_sol is not None,
                         warm_solution=oracle_sol,
                     )
                     oracle_sign = -1.0 if oracle_sol.mirrored else 1.0

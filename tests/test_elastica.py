@@ -17,8 +17,6 @@ from fitguide.extremals import (
     AdjointParams,
     _agm,
     _descend,
-    ellipe,
-    ellipj,
     ellipk,
     evaluate,
     propagate_param,
@@ -36,6 +34,21 @@ betas = st.one_of(
 
 def moduli(beta):
     return math.cos(0.5 * beta), math.sin(0.5 * beta)
+
+
+def ellipe(k, kc):
+    """Complete elliptic integral of the second kind, E = K * (E/K) from one AGM."""
+    a, _, e_over_k = _agm(np.asarray(k, dtype=float), np.asarray(kc, dtype=float))
+    return 0.5 * np.pi / a[-1] * e_over_k
+
+
+def ellipj(u, k, kc):
+    """Jacobi elliptic functions (sn, cn, dn, am) of u at modulus k, as the extremal forms them."""
+    a, c, _ = _agm(np.asarray(k, dtype=float), np.asarray(kc, dtype=float))
+    am, _ = _descend(np.asarray(u, dtype=float), a, c)
+    sn, cn = np.sin(am), np.cos(am)
+    # dn**2 = 1 - k**2 sn**2 = cn**2 + kc**2 sn**2, accurate near dn = kc
+    return sn, cn, np.hypot(cn, kc * sn), am
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fitguide import AdjointParams, ParamState, hamiltonian, propagate_param, terminal_time
+from fitguide import AdjointParams, hamiltonian, propagate_param, terminal_time
 from fitguide.extremals import ellipk, sweep_cells
 
 
@@ -66,17 +66,21 @@ def test_trajectory_truncates_at_collinearity():
 
 def test_hamiltonian_values():
     params = AdjointParams(5.0, 1.0)
-    assert hamiltonian(ParamState(0, 0, 0, 0), params) == pytest.approx(5.0 * math.cos(1.0))
+    assert hamiltonian(0.0, 0.0, 0.0, params) == pytest.approx(5.0 * math.cos(1.0))
     p90 = AdjointParams(2.0, math.pi / 2)
-    assert hamiltonian(ParamState(0, 0, 0, 0), p90) == pytest.approx(0.0, abs=1e-15)
+    assert hamiltonian(0.0, 0.0, 0.0, p90) == pytest.approx(0.0, abs=1e-15)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            hamiltonian(np.array([0.0, bad]), np.zeros(2), np.zeros(2), params)
 
 
 def test_hamiltonian_conserved_along_trajectory():
     params = AdjointParams(5.0, 1.0)
     traj = propagate_param(params, t_end=2.0, dt=0.005)
     h_ref = 5.0 * math.cos(1.0)
-    h_end = hamiltonian(traj.state_at(len(traj) - 1), params)
-    assert abs(h_end - h_ref) <= 1e-6 * (1.0 + abs(h_ref))
+    h = hamiltonian(traj.X, traj.Y, traj.Theta, params)
+    assert h.shape == traj.t.shape
+    assert np.max(np.abs(h - h_ref)) <= 1e-6 * (1.0 + abs(h_ref))
 
 
 def test_heading_rate_equals_minus_command():

@@ -1,9 +1,13 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import fitguide.guidance
 import fitguide.mlp
 import fitguide.sim
 from fitguide import (
@@ -17,6 +21,8 @@ from fitguide import (
     pn_command,
     simulate,
     solve_ocp,
+    step_cartesian,
+    terminal_time,
 )
 
 CASE_A = dict(r=10000.0, t_go=25.0, speed=500.0)
@@ -114,6 +120,66 @@ def test_oracle_warm_start_reuses_trajectory():
     assert warm.command == pytest.approx(first.command, rel=1e-9)
 
 
+def test_oracle_continues_from_a_stale_warm_solution(monkeypatch):
+    # the warm extremal no longer passes through the query, so Newton
+    # continues from its parameters; the seed scan must not be needed
+    first = command_oracle(GuidanceQuery(r=9000.0, sigma=0.9, t_go=22.0, speed=450.0))
+    q = GuidanceQuery(r=8200.0, sigma=0.95, t_go=20.0, speed=450.0)
+    cold = command_oracle(q)
+    scans = []
+    scan = fitguide.guidance._seed_candidates
+    monkeypatch.setattr(fitguide.guidance, "_seed_candidates", lambda *args: scans.append(args) or scan(*args))
+    warm = command_oracle(q, warm_solution=first)
+    assert scans == []
+    assert warm.trajectory is not first.trajectory
+    assert warm.params.alpha == pytest.approx(cold.params.alpha, rel=1e-8)
+    assert warm.params.beta == pytest.approx(cold.params.beta, abs=1e-8)
+    assert warm.effort == pytest.approx(cold.effort, rel=1e-8)
+    assert warm.command == pytest.approx(cold.command, rel=1e-8)
+
+
+def _assert_collinearity_free(query, sol):
+    if sol.params.alpha > 0.0:  # the straight line has no collinearity time
+        assert terminal_time(sol.params, t_bar=query.t_go) == query.t_go
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t_go=st.floats(15.0, 50.0),
+    speed=st.floats(300.0, 600.0),
+    ratio=st.floats(0.45, 0.8),
+    look=st.floats(0.3, 1.1),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_oracle_roots_collinearity_free_over_engage_domain(t_go, speed, ratio, look, sign):
+    # the benchmark's engagement draw domain, solved cold
+    query = GuidanceQuery(ratio * speed * t_go, sign * look, t_go, speed)
+    try:
+        sol = command_oracle(query)
+    except GuidanceError:
+        assume(False)
+    _assert_collinearity_free(query, sol)
+
+
+def test_oracle_roots_collinearity_free_in_closed_loop(monkeypatch):
+    # cold solves, warm hits and continuations of receding-horizon engagements
+    solves = []
+    solve = fitguide.sim.command_oracle
+
+    def checked(query, **kwargs):
+        sol = solve(query, **kwargs)
+        solves.append((query, sol, kwargs.get("warm_solution")))
+        return sol
+
+    monkeypatch.setattr(fitguide.sim, "command_oracle", checked)
+    # a coarse step drifts off the replayed plan, so some warm calls re-solve
+    simulate(Scenario(CartesianState(-10000.0, 0.0, math.pi / 3), 500.0, 25.0, guidance="oracle", dt=0.2))
+    simulate(Scenario(CartesianState(-20000.0, -10000.0, math.pi / 4), 600.0, 50.0, guidance="oracle", dt=0.2))
+    assert any(warm is not None and sol.trajectory is not warm.trajectory for _, sol, warm in solves)
+    for query, sol, _ in solves:
+        _assert_collinearity_free(query, sol)
+
+
 def test_pn_command_conventions():
     assert pn_command(PolarState(1000.0, 0.0), speed=300.0) == 0.0
     u_polar = pn_command(PolarState(2000.0, 0.5), speed=300.0)
@@ -127,6 +193,62 @@ def test_solve_ocp_straight_line():
     assert sol.effort == pytest.approx(0.0, abs=1e-9)
     assert sol.miss <= 1e-6 * 5000.0
     assert np.all(sol.u == 0.0)
+
+
+def test_solve_ocp_straight_line_off_axis_is_warning_free():
+    start = CartesianState(3000.0, -4000.0, math.atan2(4000.0, -3000.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_ocp(start, speed=250.0, t_f=20.0)
+    assert sol.oracle.params.alpha == 0.0
+    assert np.all(sol.u == 0.0) and sol.effort == 0.0 and sol.miss == 0.0
+    # flown straight down the line of sight at constant heading
+    assert np.allclose(sol.r, 250.0 * (20.0 - sol.t), rtol=0.0, atol=1e-6)
+    assert np.allclose(sol.theta, start.theta, rtol=0.0, atol=1e-12)
+
+
+def _held_command_flight(initial, speed, t_f, sol, dt=0.01):
+    """Fly the oracle's sampled command step by step as an independent reference.
+
+    The command is interpolated on the solver's trajectory at each step's
+    midpoint time-to-go and held over the step, so the flight carries the
+    interpolation and hold errors that the closed form does not.
+    """
+    sign = -1.0 if sol.mirrored else 1.0
+    traj = sol.trajectory
+    xs, ys, us = [initial.x], [initial.y], []
+    state, t = initial, 0.0
+    for _ in range(int(math.ceil(t_f / dt - 1e-9))):
+        h = min(dt, t_f - t)
+        u = sign * float(np.interp(max(t_f - t - 0.5 * h, 0.0), traj.t, traj.U))
+        us.append(u)
+        state = step_cartesian(state, u, h, speed)
+        t += h
+        xs.append(state.x)
+        ys.append(state.y)
+    return np.array(xs), np.array(ys), np.array(us)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    t_f=st.floats(20.0, 60.0),
+    speed=st.floats(100.0, 900.0),
+    ratio=st.floats(0.45, 0.9),
+    los=st.floats(-math.pi, math.pi),
+    look=st.floats(0.05, 2.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_solve_ocp_matches_held_command_flight(t_f, speed, ratio, los, look, sign):
+    r0 = ratio * speed * t_f
+    start = CartesianState(r0 * math.cos(los), r0 * math.sin(los), math.pi + los - sign * look)
+    try:
+        sol = solve_ocp(start, speed, t_f)
+    except GuidanceError:
+        assume(False)
+    x, y, u = _held_command_flight(start, speed, t_f, sol.oracle)
+    assert sol.x.shape == x.shape and sol.u.shape == u.shape
+    assert np.max(np.hypot(sol.x - x, sol.y - y)) <= 1e-6 * r0
+    assert np.max(np.abs(sol.u - u)) <= 1e-6
 
 
 def test_solve_ocp_case_a_published_efforts():
