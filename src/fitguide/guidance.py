@@ -112,6 +112,17 @@ class OracleSolution:
     trajectory: ParamTrajectory  # solver-grid extremal (unmirrored)
     mirrored: bool               # query had sigma < 0
 
+    def extremal(self) -> tuple:
+        """(alpha, beta) of the signed extremal, as ``evaluate`` takes them.
+
+        beta is negated for a mirrored query; the degenerate straight-line
+        solution is the beta = 0 extremal of any alpha.
+        """
+        p = self.params
+        if p.alpha > 0.0:
+            return p.alpha, -p.beta if self.mirrored else p.beta
+        return 1.0, 0.0
+
 
 def command_nn(model, query: GuidanceQuery, kappa: float = DEFAULT_KAPPA) -> float:
     """Network-backed turn-rate command for an arbitrary-speed query."""
@@ -303,7 +314,8 @@ def command_oracle(
         warm_solution.trajectory.t[-1] >= t_go
     ):
         p = warm_solution.params
-        r_end, s_end = _endpoint(p.alpha, p.beta, t_go)
+        X, Y, Theta, U = evaluate(p.alpha, p.beta, t_go)
+        r_end, s_end = range_look_angle(X, Y, Theta)
         f = (r_end - r_norm, s_end - sigma_abs)
         # accept while the measured state still rides the solved extremal to
         # well below any effort/miss tolerance; larger drift forces a re-solve
@@ -314,7 +326,7 @@ def command_oracle(
                 params=p,
                 residual=f,
                 normalized_t_go=t_go,
-                command=sign * float(np.interp(t_go, traj.t, traj.U)),
+                command=sign * float(U),
                 effort=warm_solution.effort,
                 trajectory=traj,
                 mirrored=mirrored,
@@ -403,12 +415,7 @@ def solve_ocp(initial: CartesianState, speed: float, t_f: float, dt: float = 0.0
     polar = cartesian_to_polar(initial)
     query = GuidanceQuery(r=polar.r, sigma=polar.sigma, t_go=t_f, speed=speed)
     sol = command_oracle(query)
-    p = sol.params
-    if p.alpha > 0.0:
-        alpha, beta = p.alpha, -p.beta if sol.mirrored else p.beta
-    else:
-        alpha, beta = 1.0, 0.0  # the straight line is the beta = 0 extremal of any alpha
-
+    alpha, beta = sol.extremal()
     n = int(math.ceil(t_f / dt - 1e-9))
     t = np.minimum(np.arange(n + 1) * dt, t_f)
     mid = 0.5 * (t[:-1] + t[1:])

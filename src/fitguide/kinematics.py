@@ -20,8 +20,9 @@ both sigma and u.
 
 Under a constant turn rate the path is a circular arc, and
 ``step_cartesian`` advances it in closed form: one step of any length is
-exact to rounding.  ``look_angles`` evaluates the look angle of a whole
-sampled trajectory at once.
+exact to rounding.  ``fly_arcs`` flies a whole sequence of such arcs at
+once, and ``look_angles`` evaluates the look angle of a whole sampled
+trajectory at once.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "PolarState",
     "wrap_angle",
     "step_cartesian",
+    "fly_arcs",
     "cartesian_to_polar",
     "look_angles",
 ]
@@ -47,6 +49,12 @@ def wrap_angle(angle: float) -> float:
     if w <= 0.0:
         w += 2.0 * math.pi
     return w - math.pi
+
+
+def _wrap_angles(angle) -> np.ndarray:
+    """``wrap_angle`` of every element of an array."""
+    w = np.fmod(angle + math.pi, 2.0 * math.pi)
+    return np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi
 
 
 @dataclass(frozen=True)
@@ -99,6 +107,42 @@ def step_cartesian(state: CartesianState, u: float, dt: float, speed: float) -> 
     )
 
 
+def fly_arcs(x0: float, y0: float, theta0: float, u, h, speed: float):
+    """Node arrays ``(x, y, theta)`` of consecutive constant-turn-rate arcs.
+
+    Step k holds the turn rate ``u[k]`` for ``h[k]`` (``h`` may be a
+    scalar).  Each arc is ``step_cartesian``'s exact chord; node 0 is the
+    start and every heading is wrapped into (-pi, pi].  Raises the same
+    ValueErrors as ``step_cartesian`` and ``CartesianState``.
+    """
+    if not (math.isfinite(x0) and math.isfinite(y0) and math.isfinite(theta0)):
+        raise ValueError("invalid state: non-finite Cartesian component")
+    u, h = np.asarray(u, dtype=float), np.asarray(h, dtype=float)
+    if (h <= 0.0).any():
+        raise ValueError("invalid state: dt must be positive")
+    if speed <= 0.0:
+        raise ValueError("invalid state: speed must be positive")
+    if not (np.isfinite(u).all() and np.isfinite(h).all() and math.isfinite(speed)):
+        raise ValueError("invalid state: non-finite step input")
+    n = len(u)
+    half = 0.5 * u * h
+    line = half == 0.0
+    chord = speed * h * np.where(line, 1.0, np.sin(half) / np.where(line, 1.0, half))
+    theta = np.empty(n + 1)
+    theta[0] = theta0
+    np.multiply(u, h, out=theta[1:])
+    theta = _wrap_angles(np.cumsum(theta))
+    mid = theta[:-1] + half
+    xy = np.empty((2, n + 1))
+    xy[:, 0] = x0, y0
+    np.multiply(chord, np.cos(mid), out=xy[0, 1:])
+    np.multiply(chord, np.sin(mid), out=xy[1, 1:])
+    x, y = np.cumsum(xy, axis=1)
+    if not (math.isfinite(x[-1]) and math.isfinite(y[-1])):
+        raise ValueError("invalid state: non-finite Cartesian component")
+    return x, y, theta
+
+
 def cartesian_to_polar(state: CartesianState) -> PolarState:
     """Convert a Cartesian state to range / look angle.
 
@@ -118,6 +162,5 @@ def look_angles(x, y, theta) -> np.ndarray:
     (-pi, pi] convention.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    w = np.fmod(math.pi + np.arctan2(y, x) - theta + math.pi, 2.0 * math.pi)
-    sigma = np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi
+    sigma = _wrap_angles(math.pi + np.arctan2(y, x) - theta)
     return np.where((x == 0.0) & (y == 0.0), 0.0, sigma)

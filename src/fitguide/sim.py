@@ -1,12 +1,15 @@
 """Closed-loop engagement simulation and effort/miss metrics.
 
-The simulator steps the Cartesian kinematics exactly (constant turn rate
+The simulator flies the Cartesian kinematics exactly (constant turn rate
 over each step of fixed length).  The network and the
 proportional-navigation laws measure range and look angle and evaluate
 their command every step.  The boundary-value oracle measures only when
-its costate solve is refreshed, at a configurable period (default 1 s):
-between refreshes its command depends on time alone and is read off the
-latest solved extremal at the current time-to-go.
+its costate solve is refreshed, at a configurable period (default 1 s).
+Between refreshes its command depends on time alone: it is the latest
+solved extremal's, in closed form, at each step's midpoint time-to-go.
+So the oracle flies each segment between refreshes in one vectorized
+pass (``kinematics.fly_arcs``), and steps one at a time only once the
+range is too short to measure.
 
 Termination: network/oracle runs stop at the prescribed impact time
 (or on an early target crossing); proportional navigation ignores the
@@ -17,13 +20,13 @@ over the final integration nodes.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import write_csv
+from .extremals import evaluate
 from .guidance import (
     DEFAULT_KAPPA,
     GuidanceError,
@@ -32,7 +35,7 @@ from .guidance import (
     command_oracle,
     pn_command,
 )
-from .kinematics import CartesianState, cartesian_to_polar, look_angles, step_cartesian
+from .kinematics import CartesianState, cartesian_to_polar, fly_arcs, look_angles, step_cartesian
 
 __all__ = [
     "Scenario",
@@ -87,6 +90,7 @@ class SimResult:
     effort: float           # J, m^2/s^3
     miss: float
     impact_time: float
+    resolves: int = 0           # oracle solves attempted, the first included
     resolve_failures: int = 0   # oracle re-solves that raised; the last plan was replayed
 
 
@@ -124,15 +128,18 @@ def _refine_miss(t_nodes, r_nodes, dt):
     return t_end + s_v, math.sqrt(max(q_min, 0.0))
 
 
-def _interp(x: float, xp: list, fp: list) -> float:
-    """``np.interp(x, xp, fp)`` for one finite x on an increasing list, to the bit."""
-    j = bisect.bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j >= len(xp) - 1 or xp[j] == x:
-        return fp[j]
-    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-    return slope * (x - xp[j]) + fp[j]
+def _node_times(t_f: float, dt: float) -> np.ndarray:
+    """Every node of ``t += min(dt, t_f - t)`` from 0 until t >= t_f - 1e-12, to the bit.
+
+    ``np.cumsum`` adds in sequence, so its nodes are the loop's until the
+    one step that is shortened to end on t_f.
+    """
+    t = np.cumsum(np.concatenate(([0.0], np.full(int(t_f / dt) + 2, dt))))
+    last = int(np.argmax((t >= t_f - 1e-12) | (t_f - t < dt)))
+    t = t[: last + 1]
+    if t[-1] < t_f - 1e-12:
+        t = np.append(t, t[-1] + (t_f - t[-1]))
+    return t
 
 
 def simulate(scenario: Scenario, model=None) -> SimResult:
@@ -162,10 +169,17 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
     u_hist: list[float] = []
     last_u = 0.0
     oracle_sol = None
-    oracle_sign = 1.0
     next_solve = 0.0
+    resolves = 0
     resolve_failures = 0
-    replayed = None  # trajectory whose (t, U) lists are cached below
+    if law == "oracle":
+        nodes = _node_times(t_f, dt)
+        t_go_nodes = t_f - nodes[:-1]
+        hsteps = np.minimum(dt, t_go_nodes)
+        # midpoint sampling of the held command halves the hold bias
+        t_eval = np.maximum(t_go_nodes - 0.5 * hsteps, 0.0)
+        u_plan = np.empty(len(hsteps))
+        plan = None  # the signed extremal whose commands fill u_plan from its first step on
 
     while True:
         r = math.hypot(state.x, state.y)
@@ -182,12 +196,12 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
             if oracle_sol is None or (t >= next_solve and t_go > t_lock):
                 polar = cartesian_to_polar(state)
                 t_query = max(t_go, r / speed)
+                resolves += 1
                 try:
                     oracle_sol = command_oracle(
                         GuidanceQuery(r, polar.sigma, t_query, speed),
                         warm_solution=oracle_sol,
                     )
-                    oracle_sign = -1.0 if oracle_sol.mirrored else 1.0
                 except GuidanceError as err:
                     if oracle_sol is None:
                         raise GuidanceError(f"t={t:.3f} s: {err}") from err
@@ -195,13 +209,29 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
                     # re-solves are ill-conditioned near collision course
                     resolve_failures += 1
                 next_solve = t + update_period
-            if oracle_sol.trajectory is not replayed:
-                # a warm hit keeps the trajectory object, and with it these lists
-                replayed = oracle_sol.trajectory
-                replay_t, replay_u = replayed.t.tolist(), replayed.U.tolist()
-            # midpoint sampling of the held command halves the hold bias
-            t_eval = max(t_go - 0.5 * min(dt, t_go), 0.0)
-            u = oracle_sign * _interp(t_eval, replay_t, replay_u)
+            k = len(ts) - 1
+            if oracle_sol.extremal() != plan:
+                # a warm hit keeps the extremal, and with it these commands
+                plan = oracle_sol.extremal()
+                u_plan[k:] = evaluate(*plan, t_eval[k:])[3]
+            # fly up to the next re-solve node, or to the end
+            end = k + 1 + int(np.searchsorted(nodes[k + 1 :], next_solve))
+            if end >= len(nodes) or t_f - nodes[end] <= t_lock:
+                end = len(nodes) - 1
+            u_seg = u_plan[k:end]
+            x, y, th = fly_arcs(state.x, state.y, state.theta, u_seg, hsteps[k:end], speed)
+            # from the first node too close to measure, the step loop holds the command
+            near = np.flatnonzero(np.hypot(x[1:], y[1:]) < 2.0 * speed * dt)
+            n = int(near[0]) + 1 if len(near) else len(u_seg)
+            u_hist.extend(u_seg[:n].tolist())
+            ts.extend(nodes[k + 1 : k + 1 + n].tolist())
+            xs.extend(x[1 : n + 1].tolist())
+            ys.extend(y[1 : n + 1].tolist())
+            ths.extend(th[1 : n + 1].tolist())
+            state = CartesianState(xs[-1], ys[-1], ths[-1])
+            t = ts[-1]
+            last_u = u_hist[-1]
+            continue
         else:
             polar = cartesian_to_polar(state)
             if law == "pn":
@@ -244,6 +274,7 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
         effort=effort,
         miss=miss,
         impact_time=impact_time,
+        resolves=resolves,
         resolve_failures=resolve_failures,
     )
 

@@ -24,6 +24,7 @@ from fitguide import (
     step_cartesian,
     terminal_time,
 )
+from fitguide.extremals import evaluate, range_look_angle
 
 CASE_A = dict(r=10000.0, t_go=25.0, speed=500.0)
 
@@ -118,6 +119,20 @@ def test_oracle_warm_start_reuses_trajectory():
     )
     assert warm.trajectory is first.trajectory
     assert warm.command == pytest.approx(first.command, rel=1e-9)
+
+
+def test_oracle_warm_hit_reads_the_extremal_command():
+    # a later point of the solved (mirrored) extremal is a warm hit; its
+    # command is the closed form's at the new time-to-go, not the solver grid's
+    speed = 450.0
+    first = command_oracle(GuidanceQuery(r=9000.0, sigma=-0.9, t_go=22.0, speed=speed))
+    p = first.params
+    for t_go in (21.0, 13.37, 4.2):
+        X, Y, Theta, U = evaluate(p.alpha, p.beta, t_go)
+        r_end, s_end = range_look_angle(X, Y, Theta)
+        warm = command_oracle(GuidanceQuery(speed * float(r_end), -float(s_end), t_go, speed), warm_solution=first)
+        assert warm.trajectory is first.trajectory
+        assert warm.command == pytest.approx(-float(U), rel=1e-13, abs=1e-16)
 
 
 def test_oracle_continues_from_a_stale_warm_solution(monkeypatch):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fitguide import (
@@ -12,7 +12,7 @@ from fitguide import (
     step_cartesian,
     wrap_angle,
 )
-from fitguide.kinematics import look_angles
+from fitguide.kinematics import fly_arcs, look_angles
 
 
 def _substeps(dt, max_substep):
@@ -279,3 +279,48 @@ def test_look_angles_at_plus_minus_pi():
         assert look_angles([x], [y], [th])[0] == expected
         assert abs(expected) == pytest.approx(math.pi)
     assert look_angles([0.0], [0.0], [1.0])[0] == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=coords, y=coords, th=headings, speed=speeds,
+    arcs=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(1e-4, 0.5)), min_size=1, max_size=40),
+)
+@example(x=0.0, y=0.0, th=math.pi - 0.01, speed=1.0, arcs=[(0.5, 0.1)] * 40)
+@example(x=0.0, y=0.0, th=-math.pi + 0.01, speed=1.0, arcs=[(-0.5, 0.1)] * 40)
+def test_fly_arcs_matches_stepping(x, y, th, speed, arcs):
+    u, h = (np.array(v) for v in zip(*arcs))
+    fx, fy, fth = fly_arcs(x, y, th, u, h, speed)
+    assert fx.shape == fy.shape == fth.shape == (len(arcs) + 1,)
+    state = CartesianState(x, y, th)
+    # the coordinates' own size sets the rounding of every addition to them
+    tol = 1e-9 * (speed * h.sum() + abs(x) + abs(y))
+    for k, (uk, hk) in enumerate(arcs):
+        state = step_cartesian(state, uk, hk, speed)
+        assert abs(fx[k + 1] - state.x) <= tol
+        assert abs(fy[k + 1] - state.y) <= tol
+        assert _angle_gap(fth[k + 1], state.theta) <= 1e-12
+        assert -math.pi < fth[k + 1] <= math.pi
+
+
+def test_fly_arcs_scalar_step_and_start_node():
+    x, y, th = fly_arcs(-3.0, 1.0, 3.0, [1.7] * 500, 0.05, 1.0)
+    assert (x[0], y[0], th[0]) == (-3.0, 1.0, 3.0)
+    assert np.all((-math.pi < th) & (th <= math.pi))
+    x, y, th = fly_arcs(2.0, -1.0, 0.5, [], 0.05, 1.0)
+    assert x.tolist() == [2.0] and y.tolist() == [-1.0] and th.tolist() == [0.5]
+
+
+@pytest.mark.parametrize("u, h, speed", [
+    (0.0, -1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, -2.0),
+    (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (0.0, math.inf, 1.0), (0.0, math.nan, 1.0),
+    (0.0, 1.0, math.inf), (0.0, 1.0, math.nan),
+])
+def test_fly_arcs_rejects_what_step_cartesian_rejects(u, h, speed):
+    with pytest.raises(ValueError) as stepped:
+        step_cartesian(CartesianState(0.0, 0.0, 0.0), u, h, speed)
+    with pytest.raises(ValueError) as flown:
+        fly_arcs(0.0, 0.0, 0.0, [0.1, u], [0.1, h], speed)
+    assert str(flown.value) == str(stepped.value)
+    with pytest.raises(ValueError, match="non-finite Cartesian component"):
+        fly_arcs(math.inf, 0.0, 0.0, [0.1], 0.1, 1.0)

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fitguide import (
     CartesianState,
@@ -15,6 +13,7 @@ from fitguide import (
     salvo,
     salvo_summary,
     simulate,
+    solve_ocp,
 )
 
 CASE_A_START = CartesianState(-10000.0, 0.0, math.pi / 3)
@@ -38,6 +37,7 @@ def test_straight_line_all_laws(model):
         res = simulate(Scenario(start, 250.0, 20.0, guidance=law), model=model)
         assert res.effort <= 1e-6 * 250.0**2
         assert res.miss <= 1e-3
+        assert (res.resolves > 0) == (law == "oracle")
 
 
 def test_scenario_validation():
@@ -189,26 +189,41 @@ def test_oracle_measures_only_when_it_resolves(monkeypatch):
     monkeypatch.setattr(sim_module, "command_oracle", oracle)
     res = simulate(Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle"))
     assert 1 < counts["oracle"] == counts["polar"] < len(res.u) // 50
+    assert res.resolves == counts["oracle"]
 
 
-finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+def test_oracle_steps_one_at_a_time_only_in_the_hold_phase(monkeypatch):
+    import fitguide.sim as sim_module
+
+    calls = []
+    real = sim_module.step_cartesian
+    monkeypatch.setattr(sim_module, "step_cartesian", lambda *args: calls.append(1) or real(*args))
+    sc = Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle")
+    res = simulate(sc)
+    # from the first node closer than two steps the command is held
+    hold = int(np.argmax(res.r[:-1] < 2.0 * sc.speed * sc.dt))
+    assert 0 < len(calls) == len(res.u) - hold < 5
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    grid=st.lists(st.tuples(finite, finite), min_size=1, max_size=30, unique_by=lambda p: p[0]),
-    extra=st.lists(finite, max_size=10),
-)
-def test_interp_matches_numpy_bit_for_bit(grid, extra):
-    from fitguide.sim import _interp
+def test_oracle_first_second_matches_open_loop_extremal():
+    sc = Scenario(CASE_A_START, 500.0, 25.3, guidance="oracle")
+    res = simulate(sc)
+    ref = solve_ocp(sc.initial, sc.speed, sc.t_f, sc.dt)
+    first = res.t[:-1] < 1.0
+    assert first.sum() == 100
+    assert np.max(np.abs(res.u[first] - ref.u[first])) <= 1e-12
 
-    grid.sort()
-    xp, fp = [p[0] for p in grid], [p[1] for p in grid]
-    span = xp[-1] - xp[0]
-    queries = xp + [(a + b) / 2.0 for a, b in zip(xp, xp[1:])] + extra
-    queries += [xp[0] - 1.0 - span, xp[-1] + 1.0 + span, math.nextafter(xp[-1], -math.inf)]
-    for q in queries:
-        assert _interp(q, xp, fp) == float(np.interp(q, np.array(xp), np.array(fp)))
+
+@pytest.mark.parametrize("t_f, dt", [(25.347, 0.01), (25.0, 0.03), (31.1, 0.2)])
+def test_oracle_node_times_are_the_sequential_sum(t_f, dt):
+    res = simulate(Scenario(CASE_A_START, 500.0, t_f, guidance="oracle", dt=dt))
+    t, expected = 0.0, [0.0]
+    while t < t_f - 1e-12:
+        t += min(dt, t_f - t)
+        expected.append(t)
+    # a run may stop a node or two early, within half a step of the target
+    assert len(expected) - 2 <= len(res.t) <= len(expected)
+    assert res.t.tolist() == expected[: len(res.t)]
 
 
 @pytest.mark.parametrize("miss", [0.0, 1e-3, 0.05])
