@@ -151,15 +151,17 @@ def cartesian_to_polar(state: CartesianState) -> PolarState:
     r = math.hypot(state.x, state.y)
     if r == 0.0:
         raise ValueError("look angle undefined at target")
-    sigma = wrap_angle(math.pi + math.atan2(state.y, state.x) - state.theta)
+    # numpy's arctan2, as in look_angles: math.atan2 may differ from it in
+    # the last bit, and an unwrapped heading magnifies that bit in the sum
+    sigma = wrap_angle(math.pi + float(np.arctan2(state.y, state.x)) - state.theta)
     return PolarState(r, sigma)
 
 
 def look_angles(x, y, theta) -> np.ndarray:
     """Look angle of every sample of a trajectory, 0 where the range is 0.
 
-    Vectorized ``cartesian_to_polar(...).sigma`` with ``wrap_angle``'s
-    (-pi, pi] convention.
+    Vectorized ``cartesian_to_polar(...).sigma``, to the bit, with
+    ``wrap_angle``'s (-pi, pi] convention.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     sigma = _wrap_angles(math.pi + np.arctan2(y, x) - theta)

@@ -257,6 +257,9 @@ def test_straight_line_is_exact(x, y, th, dt, speed, log_turn, sign):
 @given(
     points=st.lists(st.tuples(coords, coords, st.floats(-10.0, 10.0)), min_size=1, max_size=40),
 )
+# np.arctan2 and math.atan2 differ here in the last bit, which the sum
+# with the heading magnifies to two ulps of 13
+@example(points=[(-6006.347397116664, 9680.0, -8.0)])
 def test_look_angles_match_wrap_angle(points):
     x, y, th = (np.array(v) for v in zip(*points))
     sigma = look_angles(x, y, th)
