@@ -37,7 +37,8 @@ w = s*t + K(k) and Z the Jacobi zeta function:
     X = A cos beta + B sin beta          Y = A sin beta - B cos beta
 
 ``evaluate`` computes these for whole arrays from one arithmetic-geometric
-mean and its descending Landen sequence (numpy only).  The stop times are
+mean and its descending Landen sequence (numpy only), and ``effort`` the
+effort integral of U**2/2 from the same two.  The stop times are
 exact too: c * s depends only on the phase tau = s*t and on beta, so the
 first collinearity falls at tau*(beta) / s, and the first interior zero
 of the command at 2K / s.
@@ -55,6 +56,7 @@ __all__ = [
     "ParamTrajectory",
     "CellSweep",
     "evaluate",
+    "effort",
     "range_look_angle",
     "propagate_param",
     "terminal_time",
@@ -189,6 +191,40 @@ def evaluate(alpha, beta, t):
     return X, Y, Theta, U
 
 
+def effort(alpha, beta, t):
+    """Normalized effort, the integral of U**2/2 over [0, t], of the extremal (alpha, beta).
+
+    With s = sqrt(alpha), tau = s*t and kc = sin(beta/2),
+    U**2/2 = 2 alpha (dn(w)**2 - kc**2), and dn**2 integrates to
+    (E/K) w + Z(w) with Z(K) = 0, so
+
+        J = 2 s [tau (E/K - kc**2) + Z(tau + K)].
+
+    The AGM's c_n are re-formed as c_{n-1}**2 / (4 a_n), and E/K - kc**2 is
+    summed as (k**2 - sum_{n>=1} 2**n c_n**2) / 2, so nothing cancels as
+    k -> 0 (beta -> pi), where E/K and kc**2 both tend to 1.  The two terms
+    in the bracket do cancel where J is far below s*tau, early on an
+    extremal close to the separatrix; there J is exact only to the rounding
+    of those terms.  Broadcasts like ``evaluate``; 0 on the straight line.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    t = np.asarray(t, dtype=float)
+    b = np.abs(beta)
+    k, kc = np.cos(0.5 * b), np.sin(0.5 * b)
+    line = kc == 0.0
+    a, _, _ = _agm(k, np.where(line, 1.0, kc))
+    # the AGM's own c_1 = (1 - kc)/2 cancels as k -> 0
+    c = [k]
+    for a_n in a[1:]:
+        c.append(c[-1] * c[-1] / (4.0 * a_n))
+    s = np.sqrt(alpha)
+    tau = s * t
+    _, zeta = _descend(tau + 0.5 * np.pi / a[-1], a, c)
+    tail = sum(2.0**n * c[n] * c[n] for n in range(1, len(c)))
+    return np.where(line, 0.0, 2.0 * s * (0.5 * tau * (k * k - tail) + zeta))
+
+
 def range_look_angle(X, Y, Theta):
     """Range R and folded look angle Sigma in [0, pi] of states (X, Y, Theta).
 
@@ -250,10 +286,12 @@ def terminal_time(params: AdjointParams, t_bar: float) -> float:
     return min(t_bar, tau / math.sqrt(params.alpha))
 
 
-def propagate_param(params: AdjointParams, t_end: float, dt: float) -> ParamTrajectory:
+def propagate_param(params: AdjointParams, t_end: float, dt: float, *, _t_term=None) -> ParamTrajectory:
     """Sample the extremal at t = 0, h, 2h, ... up to t_end, h = t_end / round(t_end / dt).
 
     The samples stop before the first collinearity if it comes before t_end.
+    ``_t_term`` is ``terminal_time(params, t_end)`` when the caller has
+    already solved it, so it is not solved twice.
     """
     if params.alpha <= 0.0:
         raise ValueError("degenerate costate")
@@ -261,7 +299,7 @@ def propagate_param(params: AdjointParams, t_end: float, dt: float) -> ParamTraj
         raise ValueError("t_end and dt must be positive")
     n = max(1, int(round(t_end / dt)))
     t = np.arange(n + 1) * (t_end / n)
-    t_term = terminal_time(params, t_end)
+    t_term = terminal_time(params, t_end) if _t_term is None else _t_term
     if 0.0 < t_term < t_end:
         t = t[t < t_term]
     X, Y, Th, _ = evaluate(params.alpha, params.beta, t)

@@ -22,22 +22,25 @@ inside the training domain; the command returned is
 by the mirror rule.
 
 Every extremal is an inflectional Euler elastica, and the oracle uses
-its closed form (``extremals.evaluate``) throughout: Newton's endpoint,
-the exact collinearity check of each root and the trajectory it returns.
-``solve_ocp`` reads the open-loop optimal path off the same closed form
-instead of integrating it.
+its closed form throughout: Newton's endpoint, the exact collinearity
+check of each root, each root's effort (``extremals.effort``) and the
+trajectory it returns.  ``solve_ocp`` reads the open-loop optimal path off
+the same closed form instead of integrating it.
 Newton is seeded from a grid in (q, beta) with q = alpha * t_go**2; this
 parameterization is invariant under the time/length rescaling of the
 extremal family, so one evaluation of the grid at unit time-to-go serves
 every query.  It is made on first use, once per grid, and cached for the
-life of the process.
+life of the process.  The seeds of a query run Newton in lockstep, one
+``evaluate`` call per round for all of them, and every distinct root they
+reach is reported in ``OracleSolution.roots`` with its effort and whether
+it is admissible.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from . import mlp
 from .extremals import (
     AdjointParams,
     ParamTrajectory,
+    effort,
     evaluate,
     propagate_param,
     range_look_angle,
@@ -111,6 +115,9 @@ class OracleSolution:
     effort: float                # normalized effort integral U^2/2 over [0, t_go]
     trajectory: ParamTrajectory  # solver-grid extremal (unmirrored)
     mirrored: bool               # query had sigma < 0
+    # every distinct root of a cold solve or continuation, in seed order, as
+    # (alpha, beta, effort, admissible); () on a warm hit
+    roots: tuple = ()
 
     def extremal(self) -> tuple:
         """(alpha, beta) of the signed extremal, as ``evaluate`` takes them.
@@ -237,50 +244,61 @@ def _seed_candidates(r_norm, sigma_abs, t_go, q_max):
 
 
 def _newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=40):
-    """Damped Newton on the closed-form endpoint residual.
+    """Damped Newton on the closed-form endpoint residual, every seed in lockstep.
 
-    Each iteration evaluates the residual and both forward-difference
-    columns of the Jacobian in one three-point call.  Returns
-    (alpha, beta, residual) or None when it does not converge.
+    Each round makes one ``_endpoint`` call.  It covers, for every active
+    seed, its trial point and the two forward-difference points there, so
+    an accepted trial carries its Jacobian into the next step.  A step is
+    halved down to 1/64 until the residual shrinks.  Returns, per seed,
+    (alpha, beta, residual) or None when that seed does not converge or
+    meets a singular Jacobian.
     """
-
-    def residual(a, b):
-        r, s = _endpoint(a, b, t_go)
-        return np.array([r - r_norm, s - sigma_abs])
+    scale = 1.0 + r_norm
 
     def size(f):
-        return float(np.hypot(f[0] / (1.0 + r_norm), f[1]))
+        return float(np.hypot(f[0] / scale, f[1]))
 
-    def converged(f):
-        return abs(f[0]) <= tol_r * (1.0 + r_norm) and abs(f[1]) <= tol_sigma
-
-    a, b = alpha0, beta0
-    f = residual(a, b)
-    for _ in range(max_iter):
-        if converged(f):
-            return a, b, f
-        da = max(1e-9, 1e-6 * a)
-        db = 1e-6
-        f3 = residual(np.array([a, a + da, a]), np.array([b, b, b + db]))
-        f = f3[:, 0]
-        jac = (f3[:, 1:] - f[:, None]) / np.array([da, db])
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return None
-        norm0 = size(f)
-        lam = 1.0
-        while lam > 1.0 / 64.0:
-            a_new = max(a + lam * step[0], 1e-12)
-            b_new = min(max(b + lam * step[1], 1e-9), math.pi)
-            f_new = residual(a_new, b_new)
-            if size(f_new) < norm0:
-                a, b, f = a_new, b_new, f_new
-                break
-            lam *= 0.5
-        else:
-            return None
-    return (a, b, f) if converged(f) else None
+    n = len(alpha0)
+    a_try, b_try = list(alpha0), list(beta0)  # each seed's next trial point
+    a, b = a_try[:], b_try[:]
+    step, norm0, lam, iters = [None] * n, [0.0] * n, [1.0] * n, [0] * n
+    out = [None] * n
+    live = list(range(n))
+    while live:
+        da = [max(1e-9, 1e-6 * a_try[i]) for i in live]
+        R, S = _endpoint(
+            np.array([(a_try[i], a_try[i] + d, a_try[i]) for i, d in zip(live, da)]),
+            np.array([(b_try[i], b_try[i], b_try[i] + 1e-6) for i in live]),
+            t_go,
+        )
+        F = np.stack([R - r_norm, S - sigma_abs], axis=1)  # (seed, component, point)
+        jac = (F[:, :, 1:] - F[:, :, :1]) / np.array([(d, 1e-6) for d in da])[:, None, :]
+        kept = []
+        for row, i in enumerate(live):
+            f = F[row, :, 0]
+            if step[i] is not None and not size(f) < norm0[i]:
+                lam[i] *= 0.5
+                if lam[i] > 1.0 / 64.0:
+                    kept.append(i)
+                continue
+            a[i], b[i] = a_try[i], b_try[i]
+            if abs(f[0]) <= tol_r * scale and abs(f[1]) <= tol_sigma:
+                out[i] = (a[i], b[i], f)
+                continue
+            if iters[i] == max_iter:
+                continue
+            try:
+                step[i] = np.linalg.solve(jac[row], -f)
+            except np.linalg.LinAlgError:
+                continue
+            norm0[i], lam[i] = size(f), 1.0
+            iters[i] += 1
+            kept.append(i)
+        live = kept
+        for i in live:
+            a_try[i] = max(a[i] + lam[i] * step[i][0], 1e-12)
+            b_try[i] = min(max(b[i] + lam[i] * step[i][1], 1e-9), math.pi)
+    return out
 
 
 def command_oracle(
@@ -295,16 +313,20 @@ def command_oracle(
     extremal still passes through the queried state, the solve is skipped:
     the stored trajectory is reused and only the command is re-read at the
     new time-to-go.  Otherwise Newton first continues from its costate
-    parameters, and the seed scan runs only when that fails.  Every root
-    must be collinearity-free up to the time-to-go, checked exactly.
+    parameters, and the seed scan runs only when that finds no admissible
+    root; the seeds of a scan run in lockstep.  Converged roots are merged
+    in seed order, and each distinct root gets one exact collinearity check
+    (admissible when collinearity-free up to the time-to-go) and its
+    closed-form effort.  The least-effort admissible root wins; only it is
+    sampled into ``trajectory``, and ``roots`` lists them all.
     Raises GuidanceError when no admissible extremal matches the query
     within tolerance.
     """
     sigma_abs = abs(query.sigma)
     mirrored = query.sigma < 0.0
+    sign = -1.0 if mirrored else 1.0
     r_norm = query.r / query.speed
     t_go = query.t_go
-    h = _solver_h(t_go)
 
     if sigma_abs <= 1e-12 and abs(r_norm - t_go) <= max(tol_r, 1e-12) * (1.0 + r_norm):
         return _degenerate_solution(query)
@@ -320,63 +342,56 @@ def command_oracle(
         # accept while the measured state still rides the solved extremal to
         # well below any effort/miss tolerance; larger drift forces a re-solve
         if abs(f[0]) <= max(tol_r, 1e-5) * (1.0 + r_norm) and abs(f[1]) <= max(tol_sigma, 1e-5):
-            traj = warm_solution.trajectory
-            sign = -1.0 if mirrored else 1.0
             return OracleSolution(
                 params=p,
                 residual=f,
                 normalized_t_go=t_go,
                 command=sign * float(U),
                 effort=warm_solution.effort,
-                trajectory=traj,
+                trajectory=warm_solution.trajectory,
                 mirrored=mirrored,
             )
         guess = p
 
-    roots = []
+    found = []  # distinct roots in seed order: (alpha, beta, residual, admissible)
 
-    def try_root(alpha0, beta0):
-        hit = _newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma)
-        if hit is None:
-            return
-        a, b, f = hit
-        if a < ALPHA_DEGENERATE:
-            # effectively the straight-line limit
-            roots.append((a, b, f, 0.0, None))
-            return
-        for a_seen, b_seen, *_ in roots:
-            if abs(a - a_seen) <= 1e-6 + 1e-3 * a_seen and abs(b - b_seen) <= 1e-3:
-                return
-        params = AdjointParams(a, b)
-        if terminal_time(params, t_bar=t_go) < t_go:
-            return  # reaches collinearity before the time-to-go
-        traj = propagate_param(params, t_go, h)
-        effort = float(np.trapezoid(traj.U**2 / 2.0, traj.t))
-        roots.append((a, b, f, effort, traj))
+    def solve(seeds):
+        hits = _newton(r_norm, sigma_abs, t_go, [s[0] for s in seeds], [s[1] for s in seeds], tol_r, tol_sigma)
+        for hit in filter(None, hits):
+            a, b, f = hit
+            if any(abs(a - a0) <= 1e-6 + 1e-3 * a0 and abs(b - b0) <= 1e-3 for a0, b0, *_ in found):
+                continue
+            # below ALPHA_DEGENERATE a root is effectively the straight line
+            ok = a < ALPHA_DEGENERATE or not terminal_time(AdjointParams(a, b), t_bar=t_go) < t_go
+            found.append((a, b, f, ok))
+        return any(ok for *_, ok in found)
 
-    if guess is not None:
-        try_root(guess.alpha, guess.beta)
-    if not roots:
+    if guess is None or not solve([(guess.alpha, guess.beta)]):
         for q_max in (40.0, 160.0, 640.0):
-            for a0, b0, _ in _seed_candidates(r_norm, sigma_abs, t_go, q_max):
-                try_root(a0, b0)
-            if roots:
+            if solve(_seed_candidates(r_norm, sigma_abs, t_go, q_max)):
                 break
-    if not roots:
-        raise GuidanceError("no admissible extremal found")
+        else:
+            raise GuidanceError("no admissible extremal found")
 
-    a, b, f, effort, traj = min(roots, key=lambda item: item[3])
-    if traj is None:
-        return _degenerate_solution(query)
-    sign = -1.0 if mirrored else 1.0
+    alphas = np.array([a for a, *_ in found])
+    efforts = np.where(alphas < ALPHA_DEGENERATE, 0.0, effort(alphas, [b for _, b, *_ in found], t_go))
+    roots = tuple((float(a), float(b), float(j), ok) for (a, b, _, ok), j in zip(found, efforts))
+    best = min((k for k, root in enumerate(roots) if root[3]), key=lambda k: roots[k][2])
+    a, b, f, _ = found[best]
+    if a < ALPHA_DEGENERATE:
+        return replace(_degenerate_solution(query), roots=roots)
+    params = AdjointParams(a, b)
+    # an admissible root is collinearity-free up to t_go, as just checked
+    traj = propagate_param(params, t_go, _solver_h(t_go), _t_term=t_go)
     return OracleSolution(
-        params=AdjointParams(a, b),
+        params=params,
         residual=(float(f[0]), float(f[1])),
         normalized_t_go=t_go,
         command=sign * float(traj.U[-1]),
-        effort=effort,
+        effort=roots[best][2],
         trajectory=traj,
         mirrored=mirrored,
+        roots=roots,
     )
 
 

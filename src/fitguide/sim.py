@@ -208,7 +208,9 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
                     # keep replaying the last verified plan; late-flight
                     # re-solves are ill-conditioned near collision course
                     resolve_failures += 1
-                next_solve = t + update_period
+                # node times accumulate rounding, so a node within a hair of
+                # the due time is due; else that re-solve lands a step late
+                next_solve = t + update_period * (1.0 - 1e-9)
             k = len(ts) - 1
             if oracle_sol.extremal() != plan:
                 # a warm hit keeps the extremal, and with it these commands

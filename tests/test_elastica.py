@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -17,6 +17,7 @@ from fitguide.extremals import (
     AdjointParams,
     _agm,
     _descend,
+    effort,
     ellipk,
     evaluate,
     propagate_param,
@@ -276,3 +277,28 @@ def test_propagated_samples_match_rk4(alpha, beta, frac):
         tol = 1e-9 * (1.0 + s * t)
         assert abs(got[0] - want[0]) * s <= tol
         assert abs(got[1] - want[1]) * s <= tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_alpha=st.floats(math.log(1e-4), math.log(1e2)),
+    beta=st.one_of(st.floats(1e-6, math.pi - 1e-6), st.floats(math.log(1e-6), 0.0).map(math.exp)),
+    frac=st.floats(0.6, 1.0),
+)
+@example(log_alpha=math.log(1e-4), beta=1e-6, frac=0.6)
+@example(log_alpha=math.log(1e2), beta=math.pi - 1e-6, frac=1.0)
+def test_effort_matches_trapezoid_of_the_command(log_alpha, beta, frac):
+    # t runs from 0.6 of the collinearity time up to it.  Earlier, and close
+    # to the separatrix, the effort is far below the O(s t) terms whose
+    # difference the closed form takes (4e-9 relative at 0.5, beta = 1e-6)
+    alpha = math.exp(log_alpha)
+    t_end = frac * terminal_time(AdjointParams(alpha, beta), t_bar=math.inf)
+    t = np.linspace(0.0, t_end, 200_001)
+    _, _, Theta, U = evaluate(alpha, beta, t)
+    # the trapezoid's own error, -h**2/12 [f'(t_end) - f'(0)] with f = U**2/2,
+    # U' = alpha sin(beta - Theta) and U(0) = 0, reaches 1e-9 near the
+    # separatrix, where U grows like exp(s t); take it out
+    h = t[1]
+    reference = np.trapezoid(0.5 * U * U, t) - h * h / 12.0 * U[-1] * alpha * math.sin(beta - Theta[-1])
+    assert float(effort(alpha, beta, t_end)) == pytest.approx(reference, rel=1e-9, abs=0.0)
+    assert effort(alpha, -beta, t_end) == effort(alpha, beta, t_end)

@@ -24,7 +24,9 @@ from fitguide import (
     step_cartesian,
     terminal_time,
 )
-from fitguide.extremals import evaluate, range_look_angle
+from fitguide.extremals import AdjointParams, evaluate, range_look_angle
+from fitguide.guidance import _endpoint, _newton, _seed_candidates, _seed_table
+from fitguide.kinematics import cartesian_to_polar
 
 CASE_A = dict(r=10000.0, t_go=25.0, speed=500.0)
 
@@ -151,6 +153,110 @@ def test_oracle_continues_from_a_stale_warm_solution(monkeypatch):
     assert warm.params.beta == pytest.approx(cold.params.beta, abs=1e-8)
     assert warm.effort == pytest.approx(cold.effort, rel=1e-8)
     assert warm.command == pytest.approx(cold.command, rel=1e-8)
+
+
+def test_oracle_lists_every_root_case_c():
+    # case C: t_f = 50 s at 600 m/s from (-20 km, -10 km), heading 45 degrees
+    speed = 600.0
+    polar = cartesian_to_polar(CartesianState(-20000.0, -10000.0, math.pi / 4))
+    query = GuidanceQuery(polar.r, polar.sigma, 50.0, speed)
+    sol = command_oracle(query)
+    assert sol.effort * speed**2 == pytest.approx(2.9158e4, rel=0.01)
+    assert (sol.params.alpha, sol.params.beta, sol.effort, True) in sol.roots
+    # one seed converges onto a branch that is collinear at about 30.2 s
+    (a, b, j, _), = [root for root in sol.roots if not root[3]]
+    assert a == pytest.approx(0.0250, rel=0.01)
+    assert terminal_time(AdjointParams(a, b), t_bar=query.t_go) == pytest.approx(30.2, abs=0.1)
+    assert j * speed**2 == pytest.approx(9.88e4, rel=0.01)
+    assert sol.effort == min(j for *_, j, ok in sol.roots if ok)
+    # a warm hit solves nothing and reports no roots
+    assert command_oracle(query, warm_solution=sol).roots == ()
+
+
+def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
+    import fitguide.extremals
+
+    _seed_table(40.0)  # the table's sweep has its own collinearity scan
+    calls = {"phase": 0, "terminal_time": 0}
+
+    def counting(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(fitguide.extremals, "_collinear_phase", "phase")
+    # the tracer attributes the collinearity solves through this attribute
+    counting(fitguide.guidance, "terminal_time", "terminal_time")
+    case_c = cartesian_to_polar(CartesianState(-20000.0, -10000.0, math.pi / 4))
+    for query in (GuidanceQuery(9000.0, 0.9, 22.0, 450.0), GuidanceQuery(case_c.r, case_c.sigma, 50.0, 600.0)):
+        calls.update(phase=0, terminal_time=0)
+        sol = command_oracle(query)
+        assert len(sol.roots) == calls["phase"] == calls["terminal_time"]
+
+
+def _sequential_newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=40):
+    """One seed at a time: the damped Newton that the lockstep one replaced, as a reference."""
+
+    def residual(a, b):
+        r, s = _endpoint(a, b, t_go)
+        return np.array([r - r_norm, s - sigma_abs])
+
+    def size(f):
+        return float(np.hypot(f[0] / (1.0 + r_norm), f[1]))
+
+    def converged(f):
+        return abs(f[0]) <= tol_r * (1.0 + r_norm) and abs(f[1]) <= tol_sigma
+
+    a, b = alpha0, beta0
+    f = residual(a, b)
+    for _ in range(max_iter):
+        if converged(f):
+            return a, b, f
+        da = max(1e-9, 1e-6 * a)
+        db = 1e-6
+        f3 = residual(np.array([a, a + da, a]), np.array([b, b, b + db]))
+        f = f3[:, 0]
+        jac = (f3[:, 1:] - f[:, None]) / np.array([da, db])
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            return None
+        norm0 = size(f)
+        lam = 1.0
+        while lam > 1.0 / 64.0:
+            a_new = max(a + lam * step[0], 1e-12)
+            b_new = min(max(b + lam * step[1], 1e-9), math.pi)
+            f_new = residual(a_new, b_new)
+            if size(f_new) < norm0:
+                a, b, f = a_new, b_new, f_new
+                break
+            lam *= 0.5
+        else:
+            return None
+    return (a, b, f) if converged(f) else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t_go=st.floats(15.0, 50.0),
+    ratio=st.floats(0.45, 0.8),
+    look=st.floats(0.3, 1.1),
+)
+def test_lockstep_newton_matches_sequential_over_engage_domain(t_go, ratio, look):
+    # the benchmark's engagement draw domain, in normalized units
+    r_norm = ratio * t_go
+    seeds = _seed_candidates(r_norm, look, t_go, 40.0)
+    got = _newton(r_norm, look, t_go, [a for a, *_ in seeds], [b for _, b, _ in seeds], 1e-9, 1e-9)
+    want = [_sequential_newton(r_norm, look, t_go, a, b, 1e-9, 1e-9) for a, b, _ in seeds]
+    assert [g is None for g in got] == [w is None for w in want]
+    for g, w in zip(got, want):
+        if w is not None:
+            assert abs(g[0] - w[0]) <= 1e-9 * w[0]
+            assert abs(g[1] - w[1]) <= 1e-9
 
 
 def _assert_collinearity_free(query, sol):

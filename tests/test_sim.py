@@ -239,3 +239,19 @@ def test_refine_miss_exact_on_straight_line_nodes(t_f, miss):
     impact_time, got = _refine_miss(t, r, dt)
     assert abs(got - miss) <= 1e-9
     assert abs(impact_time - t_f) <= 1e-9
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.2])
+def test_oracle_resolves_every_period_on_the_node_grid(monkeypatch, dt):
+    import fitguide.sim as sim_module
+
+    t_go = []
+    real = sim_module.command_oracle
+    monkeypatch.setattr(sim_module, "command_oracle", lambda query, **kw: t_go.append(query.t_go) or real(query, **kw))
+    # case A at t_f = 50 s: node times accumulate rounding, and a node that
+    # rounds just below the due time must not push the re-solve a step late
+    res = simulate(Scenario(CASE_A_START, 500.0, 50.0, guidance="oracle", dt=dt))
+    assert res.resolves == len(t_go)
+    assert np.max(np.abs(-np.diff(t_go) - 1.0)) <= 1e-9
+    # and they go on until the terminal lock at max(1 s, 0.1 t_f) = 5 s
+    assert 5.0 < t_go[-1] <= 6.0 + 1e-9
