@@ -290,8 +290,9 @@ def propagate_param(params: AdjointParams, t_end: float, dt: float, *, _t_term=N
     """Sample the extremal at t = 0, h, 2h, ... up to t_end, h = t_end / round(t_end / dt).
 
     The samples stop before the first collinearity if it comes before t_end.
-    ``_t_term`` is ``terminal_time(params, t_end)`` when the caller has
-    already solved it, so it is not solved twice.
+    ``_t_term`` is private to ``guidance.command_oracle``, which passes the
+    ``terminal_time(params, t_end)`` it has just solved so that it is not
+    solved twice; it is taken on trust.
     """
     if params.alpha <= 0.0:
         raise ValueError("degenerate costate")

@@ -1,15 +1,7 @@
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from fitguide import REDUCED_CONFIG, TrainConfig, generate_dataset, train
-
-# CI runs HYPOTHESIS_PROFILE=ci: the same examples on every run, so a result
-# follows from the diff and not from the search; local runs keep searching
-settings.register_profile("ci", derandomize=True, print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")
