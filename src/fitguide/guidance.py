@@ -26,11 +26,10 @@ its closed form throughout: Newton's endpoint, the exact collinearity
 check of each root, each root's effort (``extremals.effort``) and the
 trajectory it returns.  ``solve_ocp`` reads the open-loop optimal path off
 the same closed form instead of integrating it.
-Newton is seeded from a grid in (q, beta) with q = alpha * t_go**2; this
-parameterization is invariant under the time/length rescaling of the
-extremal family, so one evaluation of the grid at unit time-to-go serves
-every query.  It is made on first use, once per grid, and cached for the
-life of the process.  The seeds of a query run Newton in lockstep, one
+Newton is seeded from a chart of every admissible extremal at unit
+time-to-go, made on first use and cached for the life of the process
+(``_seed_table``); each chart cell around which the query's endpoint
+residual winds seeds it.  The seeds run Newton in lockstep, one
 ``evaluate`` call per round for all of them, and every distinct root they
 reach is reported in ``OracleSolution.roots`` with its effort and whether
 it is admissible.
@@ -191,56 +190,57 @@ def _degenerate_solution(query: GuidanceQuery) -> OracleSolution:
     )
 
 
-# Step of the seed table's sampling grid, in units of the time-to-go; a cell
-# stays admissible while its collinearity comes no earlier than two steps
-# before the horizon.
-_SEED_H = 1e-3
-
-
-@functools.lru_cache(maxsize=None)
-def _seed_table(q_max: float):
-    """Seed scan on a 48x48 (q, beta) grid at unit time-to-go, built once per q_max.
+@functools.cache
+def _seed_table():
+    """Endpoints of a 64x64 chart of the admissible extremals at unit time-to-go.
 
     q = alpha * t_go**2 makes the extremal family scale-invariant: the cell
     (q, beta) swept to time-to-go t_go ends at range t_go * R1 and look
-    angle Sigma1 of the unit-horizon cell, with the same admissibility.
-    Returns the flat read-only arrays (q, beta, R1, Sigma1, admissible).
+    angle Sigma1 of the unit-horizon cell.  It is collinearity-free up to
+    t_go exactly when q <= tau*(beta)**2, so on the chart's axes
+    rho = sqrt(q) / tau*(beta) in (0, 1] and beta every cell is admissible.
+    The betas run geometrically from 1e-9 to pi/16 (tau* grows without
+    bound as beta -> 0), then linearly to pi(1 - 1/128).  Returns the
+    read-only arrays (q, beta, R1, Sigma1), indexed by (rho, beta).
     """
-    n_q = n_b = 48
-    q = np.geomspace(q_max / (n_q * 40.0), q_max, n_q)
-    b = np.linspace(math.pi / n_b, math.pi * (1.0 - 0.5 / n_b), n_b)
-    Q, B = np.meshgrid(q, b, indexing="ij")
-    Q, B = Q.ravel(), B.ravel()
-    sweep = sweep_cells(Q, B, 1.0, _SEED_H)
-    R, S = range_look_angle(sweep.X, sweep.Y, sweep.Theta)
-    admissible = sweep.t_collinear >= 1.0 - 2.0 * _SEED_H
-    table = (Q, B, R, S, admissible)
+    n = 64
+    rho = np.sin(0.5 * math.pi * np.arange(1, n + 1) / n)[:, None]
+    beta = np.concatenate([
+        np.geomspace(1e-9, math.pi / 16.0, n // 2),
+        np.linspace(math.pi / 16.0, math.pi * (1.0 - 1.0 / 128.0), n // 2 + 1)[1:],
+    ])
+    tau = sweep_cells(np.ones(n), beta, 1.0, 1.0).t_collinear
+    Q = (rho * tau) ** 2
+    R, S = _endpoint(Q, beta, 1.0)  # one AGM per beta
+    table = (Q, np.broadcast_to(beta, Q.shape), R, S)
     for arr in table:
         arr.flags.writeable = False
     return table
 
 
-def _seed_candidates(r_norm, sigma_abs, t_go, q_max):
-    """Rank the cached seed table against a query; return promising admissible seeds."""
-    Q, B, R1, S, admissible = _seed_table(q_max)
+def _seed_candidates(r_norm, sigma_abs, t_go):
+    """(alpha, beta) seeds for a query, from the chart cells that bracket a root.
+
+    The residual F = ((R1 - rho) / rho, Sigma1 - |sigma|), rho = r_norm / t_go,
+    is invariant under the rescaling like the chart itself.  Every cell
+    around whose corners F winds once holds a root and seeds Newton from
+    its corner of least |F|; so does the chart's best cell.  Seeds come in
+    order of |F|.
+    """
+    Q, B, R1, S1 = _seed_table()
     rho = r_norm / t_go
-    # the relative range error, like the look angle, is invariant under the
-    # rescaling, so every time-to-go ranks the table the same way
-    res = np.where(admissible, np.hypot((R1 - rho) / rho, S - sigma_abs), np.inf)
-    A = Q / t_go**2
-    order = np.argsort(res)
-    seeds = []
-    for k in order:
-        if not np.isfinite(res[k]):
-            break
-        if res[k] > 0.5 and seeds:
-            break
-        # keep seeds pairwise separated to catch distinct roots
-        if all(abs(math.log(A[k] / a0)) > 0.35 or abs(B[k] - b0) > 0.22 for a0, b0, _ in seeds):
-            seeds.append((float(A[k]), float(B[k]), float(res[k])))
-        if len(seeds) >= 5:
-            break
-    return seeds
+    fr, fs = (R1 - rho) / rho, S1 - sigma_abs
+    phase = np.arctan2(fs, fr)
+    ring = [np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:]]  # each cell's corners, in turn
+    steps = (phase[c1] - phase[c0] for c0, c1 in zip(ring, ring[1:] + ring[:1]))
+    turn = sum(np.mod(d + math.pi, 2.0 * math.pi) - math.pi for d in steps)
+    flat = np.arange(phase.size).reshape(phase.shape)
+    cells = np.stack([flat[c][np.abs(turn) > math.pi] for c in ring])
+    res = np.hypot(fr, fs).ravel()
+    picks = cells[np.argmin(res[cells], axis=0), np.arange(cells.shape[1])]
+    picks = np.append(picks, np.argmin(res))
+    picks = picks[np.argsort(res[picks], kind="stable")]
+    return [(float(Q.flat[k]) / t_go**2, float(B.flat[k])) for k in dict.fromkeys(picks.tolist())]
 
 
 def _newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=40):
@@ -313,8 +313,9 @@ def command_oracle(
     extremal still passes through the queried state, the solve is skipped:
     the stored trajectory is reused and only the command is re-read at the
     new time-to-go.  Otherwise Newton first continues from its costate
-    parameters, and the seed scan runs only when that finds no admissible
-    root; the seeds of a scan run in lockstep.  Converged roots are merged
+    parameters, and only when that finds no admissible root does it run,
+    in lockstep, from every cell of the admissible chart that brackets a
+    root (``_seed_candidates``).  Converged roots are merged
     in seed order, and each distinct root gets one exact collinearity check
     (admissible when collinearity-free up to the time-to-go) and its
     closed-form effort.  The least-effort admissible root wins; only it is
@@ -367,10 +368,7 @@ def command_oracle(
         return any(ok for *_, ok in found)
 
     if guess is None or not solve([(guess.alpha, guess.beta)]):
-        for q_max in (40.0, 160.0, 640.0):
-            if solve(_seed_candidates(r_norm, sigma_abs, t_go, q_max)):
-                break
-        else:
+        if not solve(_seed_candidates(r_norm, sigma_abs, t_go)):
             raise GuidanceError("no admissible extremal found")
 
     alphas = np.array([a for a, *_ in found])

@@ -11,7 +11,7 @@ Reference values asserted here (efforts in m^2/s^3, times in s):
   60 deg, 500 m/s engagement;
 * the 50 s global-optimum effort 2.9158e4 for the (-20 km, -10 km),
   45 deg, 600 m/s engagement (a locally-optimal branch at 5.0572e4
-  exists and must be rejected);
+  exists and must be rejected: it is collinear at 46.85 s, before t_f);
 * four-interceptor salvo efforts at a common 100 s impact time, and the
   uncontrolled proportional-navigation impact times.
 

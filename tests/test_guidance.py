@@ -1,10 +1,11 @@
+import functools
 import math
 import os
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fitguide.guidance
@@ -24,7 +25,7 @@ from fitguide import (
     step_cartesian,
     terminal_time,
 )
-from fitguide.extremals import AdjointParams, evaluate, range_look_angle
+from fitguide.extremals import AdjointParams, effort, evaluate, range_look_angle, sweep_cells
 from fitguide.guidance import _endpoint, _newton, _seed_candidates, _seed_table
 from fitguide.kinematics import cartesian_to_polar
 
@@ -163,12 +164,12 @@ def test_oracle_lists_every_root_case_c():
     sol = command_oracle(query)
     assert sol.effort * speed**2 == pytest.approx(2.9158e4, rel=0.01)
     assert (sol.params.alpha, sol.params.beta, sol.effort, True) in sol.roots
-    # one seed converges onto a branch that is collinear at about 30.2 s
-    (a, b, j, _), = [root for root in sol.roots if not root[3]]
-    assert a == pytest.approx(0.0250, rel=0.01)
-    assert terminal_time(AdjointParams(a, b), t_bar=query.t_go) == pytest.approx(30.2, abs=0.1)
-    assert j * speed**2 == pytest.approx(9.88e4, rel=0.01)
     assert sol.effort == min(j for *_, j, ok in sol.roots if ok)
+    # the paper's locally-optimal branch is a root too, but it is collinear
+    # at 46.85 s, before the impact time, so it is not admissible
+    a, b, _ = _newton(query.r / speed, abs(query.sigma), query.t_go, [0.0106], [2.04], 1e-9, 1e-9)[0]
+    assert float(effort(a, b, query.t_go)) * speed**2 == pytest.approx(5.0572e4, rel=0.01)
+    assert terminal_time(AdjointParams(a, b), t_bar=query.t_go) == pytest.approx(46.85, abs=0.05)
     # a warm hit solves nothing and reports no roots
     assert command_oracle(query, warm_solution=sol).roots == ()
 
@@ -176,7 +177,7 @@ def test_oracle_lists_every_root_case_c():
 def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
     import fitguide.extremals
 
-    _seed_table(40.0)  # the table's sweep has its own collinearity scan
+    _seed_table()  # the table's sweep has its own collinearity scan
     calls = {"phase": 0, "terminal_time": 0}
 
     def counting(module, name, key):
@@ -249,9 +250,9 @@ def _sequential_newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma,
 def test_lockstep_newton_matches_sequential_over_engage_domain(t_go, ratio, look):
     # the benchmark's engagement draw domain, in normalized units
     r_norm = ratio * t_go
-    seeds = _seed_candidates(r_norm, look, t_go, 40.0)
-    got = _newton(r_norm, look, t_go, [a for a, *_ in seeds], [b for _, b, _ in seeds], 1e-9, 1e-9)
-    want = [_sequential_newton(r_norm, look, t_go, a, b, 1e-9, 1e-9) for a, b, _ in seeds]
+    seeds = _seed_candidates(r_norm, look, t_go)
+    got = _newton(r_norm, look, t_go, [a for a, _ in seeds], [b for _, b in seeds], 1e-9, 1e-9)
+    want = [_sequential_newton(r_norm, look, t_go, a, b, 1e-9, 1e-9) for a, b in seeds]
     assert [g is None for g in got] == [w is None for w in want]
     for g, w in zip(got, want):
         if w is not None:
@@ -299,6 +300,87 @@ def test_oracle_roots_collinearity_free_in_closed_loop(monkeypatch):
     assert any(warm is not None and sol.trajectory is not warm.trajectory for _, sol, warm in solves)
     for query, sol, _ in solves:
         _assert_collinearity_free(query, sol)
+
+
+@pytest.mark.parametrize(
+    "ratio, look, t_go, j_ref",
+    [
+        (0.9796, 0.6821, 31.298, 0.0296234895),   # root at beta 0.00789
+        (0.9435, 1.3632, 32.362, 0.138268905),    # root at beta 0.00137
+        (0.9443, 1.0654, 29.563, 0.0694279675),   # root at beta 0.0265
+        (0.9443, -1.0654, 29.563, 0.0694279675),  # its mirror
+    ],
+)
+def test_oracle_solves_small_beta_queries(ratio, look, t_go, j_ref):
+    # the least-effort roots lie below beta = pi/48, where a (q, beta) seed
+    # grid that starts there finds none; efforts from a dense brute-force polish
+    sol = command_oracle(GuidanceQuery(ratio * t_go, look, t_go, 1.0))
+    assert sol.effort == pytest.approx(j_ref, rel=1e-7)
+    assert terminal_time(sol.params, t_bar=t_go) == t_go
+    assert sol.mirrored == (look < 0.0)
+
+
+@functools.cache
+def _dense_chart():
+    """Endpoints of a 240 x 240 chart of admissible extremals at unit time-to-go.
+
+    rho = sqrt(q) / tau*(beta) runs linearly over (0, 1]; a third of the
+    betas run geometrically from 1e-10 to 0.2, the rest linearly to pi - 1e-3.
+    """
+    n = 240
+    rho = np.linspace(1.0 / n, 1.0, n)[:, None]
+    beta = np.concatenate([np.geomspace(1e-10, 0.2, n // 3), np.linspace(0.2, math.pi - 1e-3, n - n // 3 + 1)[1:]])
+    tau = sweep_cells(np.ones(n), beta, 1.0, 1.0).t_collinear
+    q = (rho * tau) ** 2
+    return (q, np.broadcast_to(beta, q.shape), *_endpoint(q, beta, 1.0))
+
+
+def _brute_force_efforts(r_norm, sigma_abs, t_go):
+    """Efforts of the admissible roots Newton polishes from the dense chart.
+
+    Newton starts from every local minimum of the residual on the chart and
+    from one corner of every cell around which the residual winds.
+    """
+    q, b, r1, s1 = _dense_chart()
+    rho = r_norm / t_go
+    fr, fs = (r1 - rho) / rho, s1 - sigma_abs
+    res = np.hypot(fr, fs)
+    pad = np.pad(res, 1, constant_values=np.inf)
+    n0, n1 = res.shape
+    around = [pad[1 + i : 1 + i + n0, 1 + j : 1 + j + n1] for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j]
+    seeds = res <= np.min(around, axis=0)
+    phase = np.arctan2(fs, fr)
+    corners = [phase[:-1, :-1], phase[1:, :-1], phase[1:, 1:], phase[:-1, 1:]]
+    turn = sum(np.mod(c1 - c0 + math.pi, 2.0 * math.pi) - math.pi for c0, c1 in zip(corners, corners[1:] + corners[:1]))
+    seeds[:-1, :-1] |= np.abs(turn) > math.pi
+    idx = np.flatnonzero(seeds)
+    hits = _newton(r_norm, sigma_abs, t_go, list(q.flat[idx] / t_go**2), list(b.flat[idx]), 1e-9, 1e-9)
+    return [
+        float(effort(a, beta, t_go))
+        for a, beta, _ in filter(None, hits)
+        if terminal_time(AdjointParams(a, beta), t_bar=t_go) == t_go
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t_go=st.floats(1.0, 50.0),
+    ratio=st.floats(0.2, 0.85),
+    look=st.floats(0.05, 2.6),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+# the box's far corner, next to the small-beta strip
+@example(t_go=1.0, ratio=0.85, look=2.6, sign=1.0)
+@example(t_go=50.0, ratio=0.85, look=2.6, sign=-1.0)
+def test_oracle_picks_least_effort_of_brute_force_roots(t_go, ratio, look, sign):
+    efforts = _brute_force_efforts(ratio * t_go, look, t_go)
+    try:
+        sol = command_oracle(GuidanceQuery(ratio * t_go, sign * look, t_go, 1.0))
+    except GuidanceError:
+        assert not efforts, "the brute force finds an admissible root"
+        return
+    if efforts:
+        assert sol.effort <= (1.0 + 1e-7) * min(efforts)
 
 
 def test_pn_command_conventions():
@@ -428,14 +510,13 @@ def test_seed_candidates_scale_invariant():
     from fitguide.guidance import _seed_candidates
 
     r_norm, sigma, t_go = 14.0, 0.9, 25.0
-    base = _seed_candidates(r_norm, sigma, t_go, 40.0)
+    base = _seed_candidates(r_norm, sigma, t_go)
     assert base
     # powers of two keep every rescaling exact in floating point
     for lam in (0.25, 2.0, 8.0):
-        scaled = _seed_candidates(lam * r_norm, sigma, lam * t_go, 40.0)
-        assert [b for _, b, _ in scaled] == [b for _, b, _ in base]
-        assert [a for a, _, _ in scaled] == [a / lam**2 for a, _, _ in base]
-        assert [res for *_, res in scaled] == [res for *_, res in base]
+        scaled = _seed_candidates(lam * r_norm, sigma, lam * t_go)
+        assert [b for _, b in scaled] == [b for _, b in base]
+        assert [a for a, _ in scaled] == [a / lam**2 for a, _ in base]
 
 
 def test_import_builds_no_seed_table():
