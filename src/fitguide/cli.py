@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .datagen import DatagenConfig, generate_dataset, read_dataset, write_dataset
@@ -85,18 +86,9 @@ def _cmd_train(args) -> int:
     )
     model, report = train(data, config)
     save_model(model, args.out)
-    summary = {
-        "epochs_run": report.epochs_run,
-        "final_train_mse": report.final_train_mse,
-        "final_val_mse": report.final_val_mse,
-        "best_val_mse": report.best_val_mse,
-        "final_train_mse_raw": report.final_train_mse_raw,
-        "final_val_mse_raw": report.final_val_mse_raw,
-        "reached_target": report.reached_target,
-    }
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
-            json.dump({**summary, "history": report.history}, f, indent=2)
+            json.dump(asdict(report), f, indent=2)
     print(f"train: {len(data)} samples, {report.epochs_run} epochs, "
           f"train MSE {report.final_train_mse:.3e}, val MSE {report.final_val_mse:.3e} "
           f"(normalized); model -> {args.out}")

@@ -65,6 +65,7 @@ __all__ = [
     "command_oracle",
     "pn_command",
     "solve_ocp",
+    "warm_check",
     "DEFAULT_KAPPA",
 ]
 
@@ -247,11 +248,11 @@ def _newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=4
     """Damped Newton on the closed-form endpoint residual, every seed in lockstep.
 
     Each round makes one ``_endpoint`` call.  It covers, for every active
-    seed, its trial point and the two forward-difference points there, so
-    an accepted trial carries its Jacobian into the next step.  A step is
-    halved down to 1/64 until the residual shrinks.  Returns, per seed,
-    (alpha, beta, residual) or None when that seed does not converge or
-    meets a singular Jacobian.
+    seed, its trial point and the two forward-difference points there (the
+    beta step, min(1e-6, 1e-3 beta), stays small beside small betas), so an
+    accepted trial carries its Jacobian into the next step.  A step is halved
+    down to 1/64 until the residual shrinks.  Returns, per seed, (alpha, beta,
+    residual) or None when that seed does not converge or meets a singular Jacobian.
     """
     scale = 1.0 + r_norm
 
@@ -266,13 +267,14 @@ def _newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=4
     live = list(range(n))
     while live:
         da = [max(1e-9, 1e-6 * a_try[i]) for i in live]
+        db = [min(1e-6, 1e-3 * b_try[i]) for i in live]
         R, S = _endpoint(
             np.array([(a_try[i], a_try[i] + d, a_try[i]) for i, d in zip(live, da)]),
-            np.array([(b_try[i], b_try[i], b_try[i] + 1e-6) for i in live]),
+            np.array([(b_try[i], b_try[i], b_try[i] + d) for i, d in zip(live, db)]),
             t_go,
         )
         F = np.stack([R - r_norm, S - sigma_abs], axis=1)  # (seed, component, point)
-        jac = (F[:, :, 1:] - F[:, :, :1]) / np.array([(d, 1e-6) for d in da])[:, None, :]
+        jac = (F[:, :, 1:] - F[:, :, :1]) / np.array([da, db]).T[:, None, :]
         kept = []
         for row, i in enumerate(live):
             f = F[row, :, 0]
@@ -301,6 +303,24 @@ def _newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=4
     return out
 
 
+def warm_check(solution: OracleSolution, r_norm, sigma_abs, t_go, tol_r=1e-9, tol_sigma=1e-9):
+    """Whether the solved extremal still passes through each queried state.
+
+    The queries (normalized range, folded look angle, time-to-go) broadcast.
+    Returns (hit, (dR, dSigma), U) of the unmirrored extremal: a hit rides it
+    to well below any effort or miss tolerance, max(tol, 1e-5).  Past the
+    solved time-to-go, and for the straight line, it is evaluated at NaN times
+    (alpha floored, so nothing divides by zero): all NaN, and no hit.
+    """
+    p = solution.params
+    usable = (solution.trajectory.t[-1] >= t_go) & (p.alpha > ALPHA_DEGENERATE)
+    X, Y, Theta, U = evaluate(max(p.alpha, ALPHA_DEGENERATE), p.beta, np.where(usable, t_go, np.nan))
+    r_end, s_end = range_look_angle(X, Y, Theta)
+    f = (r_end - r_norm, s_end - sigma_abs)
+    hit = (np.abs(f[0]) <= max(tol_r, 1e-5) * (1.0 + r_norm)) & (np.abs(f[1]) <= max(tol_sigma, 1e-5))
+    return hit, f, U
+
+
 def command_oracle(
     query: GuidanceQuery,
     tol_r: float = 1e-9,
@@ -310,9 +330,9 @@ def command_oracle(
     """Solve the boundary problem for the optimal command at the query.
 
     ``warm_solution`` is the previous solution of a closed loop.  While its
-    extremal still passes through the queried state, the solve is skipped:
-    the stored trajectory is reused and only the command is re-read at the
-    new time-to-go.  Otherwise Newton first continues from its costate
+    extremal still passes through the queried state (``warm_check``), the
+    solve is skipped: the stored trajectory is reused and only the command
+    is re-read at the new time-to-go.  Otherwise Newton first continues from its costate
     parameters, and only when that finds no admissible root does it run,
     in lockstep, from every cell of the admissible chart that brackets a
     root (``_seed_candidates``).  Converged roots are merged
@@ -333,26 +353,12 @@ def command_oracle(
         return _degenerate_solution(query)
 
     guess = None
-    if warm_solution is not None and warm_solution.params.alpha > ALPHA_DEGENERATE and (
-        warm_solution.trajectory.t[-1] >= t_go
-    ):
-        p = warm_solution.params
-        X, Y, Theta, U = evaluate(p.alpha, p.beta, t_go)
-        r_end, s_end = range_look_angle(X, Y, Theta)
-        f = (r_end - r_norm, s_end - sigma_abs)
-        # accept while the measured state still rides the solved extremal to
-        # well below any effort/miss tolerance; larger drift forces a re-solve
-        if abs(f[0]) <= max(tol_r, 1e-5) * (1.0 + r_norm) and abs(f[1]) <= max(tol_sigma, 1e-5):
-            return OracleSolution(
-                params=p,
-                residual=f,
-                normalized_t_go=t_go,
-                command=sign * float(U),
-                effort=warm_solution.effort,
-                trajectory=warm_solution.trajectory,
-                mirrored=mirrored,
-            )
-        guess = p
+    if warm_solution is not None:
+        hit, f, U = warm_check(warm_solution, r_norm, sigma_abs, t_go, tol_r, tol_sigma)
+        if hit:
+            return replace(warm_solution, residual=f, normalized_t_go=t_go, command=sign * float(U),
+                           mirrored=mirrored, roots=())
+        guess = None if np.isnan(f[0]) else warm_solution.params
 
     found = []  # distinct roots in seed order: (alpha, beta, residual, admissible)
 

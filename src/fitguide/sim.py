@@ -3,13 +3,14 @@
 The simulator flies the Cartesian kinematics exactly (constant turn rate
 over each step of fixed length).  The network and the
 proportional-navigation laws measure range and look angle and evaluate
-their command every step.  The boundary-value oracle measures only when
-its costate solve is refreshed, at a configurable period (default 1 s).
-Between refreshes its command depends on time alone: it is the latest
-solved extremal's, in closed form, at each step's midpoint time-to-go.
-So the oracle flies each segment between refreshes in one vectorized
-pass (``kinematics.fly_arcs``), and steps one at a time only once the
-range is too short to measure.
+their command every step.  The boundary-value oracle re-solves at a
+configurable period (default 1 s), and its command depends on time alone:
+it is the plan's, the latest solved extremal's, in closed form at each
+step's midpoint time-to-go.  So each plan is flown to the end in one
+vectorized pass (``kinematics.fly_arcs``) and tested at all its coming
+re-solve nodes in one ``guidance.warm_check`` call; the first node where
+the flown state has drifted off it is re-solved and flown again from.
+The oracle steps one at a time only once the range is too short to measure.
 
 Termination: network/oracle runs stop at the prescribed impact time
 (or on an early target crossing); proportional navigation ignores the
@@ -34,6 +35,7 @@ from .guidance import (
     command_nn,
     command_oracle,
     pn_command,
+    warm_check,
 )
 from .kinematics import CartesianState, cartesian_to_polar, fly_arcs, look_angles, step_cartesian
 
@@ -90,8 +92,11 @@ class SimResult:
     effort: float           # J, m^2/s^3
     miss: float
     impact_time: float
-    resolves: int = 0           # oracle solves attempted, the first included
+    resolves: int = 0           # oracle re-solve nodes, warm hits and the first solve included
     resolve_failures: int = 0   # oracle re-solves that raised; the last plan was replayed
+    # longest time, s, from the solve that set an oracle plan (a signed extremal)
+    # to the last step it commanded; a warm hit keeps the plan and its age
+    plan_age_max: float = 0.0
 
 
 def control_effort(times, turn_rates, speed: float) -> float:
@@ -172,6 +177,7 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
     next_solve = 0.0
     resolves = 0
     resolve_failures = 0
+    plan_age_max = 0.0
     if law == "oracle":
         nodes = _node_times(t_f, dt)
         t_go_nodes = t_f - nodes[:-1]
@@ -195,11 +201,10 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
         elif law == "oracle":
             if oracle_sol is None or (t >= next_solve and t_go > t_lock):
                 polar = cartesian_to_polar(state)
-                t_query = max(t_go, r / speed)
                 resolves += 1
                 try:
                     oracle_sol = command_oracle(
-                        GuidanceQuery(r, polar.sigma, t_query, speed),
+                        GuidanceQuery(r, polar.sigma, max(t_go, r / speed), speed),
                         warm_solution=oracle_sol,
                     )
                 except GuidanceError as err:
@@ -214,22 +219,36 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
             k = len(ts) - 1
             if oracle_sol.extremal() != plan:
                 # a warm hit keeps the extremal, and with it these commands
-                plan = oracle_sol.extremal()
+                plan, plan_t0 = oracle_sol.extremal(), t
                 u_plan[k:] = evaluate(*plan, t_eval[k:])[3]
-            # fly up to the next re-solve node, or to the end
-            end = k + 1 + int(np.searchsorted(nodes[k + 1 :], next_solve))
-            if end >= len(nodes) or t_f - nodes[end] <= t_lock:
-                end = len(nodes) - 1
-            u_seg = u_plan[k:end]
-            x, y, th = fly_arcs(state.x, state.y, state.theta, u_seg, hsteps[k:end], speed)
-            # from the first node too close to measure, the step loop holds the command
-            near = np.flatnonzero(np.hypot(x[1:], y[1:]) < 2.0 * speed * dt)
-            n = int(near[0]) + 1 if len(near) else len(u_seg)
-            u_hist.extend(u_seg[:n].tolist())
+            # fly the plan to the end; from the first node too close to
+            # measure, the step loop holds the command
+            x, y, th = fly_arcs(state.x, state.y, state.theta, u_plan[k:], hsteps[k:], speed)
+            rr = np.hypot(x, y)
+            near = np.flatnonzero(rr[1:] < 2.0 * speed * dt)
+            n = int(near[0]) + 1 if len(near) else len(rr) - 1
+            # the re-solve nodes on the way, each the first a period after the last
+            d, j = [], k
+            while (j := max(int(np.searchsorted(nodes, next_solve)), j + 1)) < k + n and t_f - nodes[j] > t_lock:
+                d.append(j - k)
+                next_solve = nodes[j] + update_period * (1.0 - 1e-9)
+            # test the plan at all of them at once; the first that drifts off
+            # it, or whose look angle changes side, ends the flight and re-solves
+            if d:
+                d = np.array(d)
+                sigma, r_d = look_angles(x[d], y[d], th[d]), rr[d] / speed
+                ok = warm_check(oracle_sol, r_d, np.abs(sigma), np.maximum(t_f - nodes[k + d], r_d))[0]
+                cut = int(np.argmin(np.append(ok & ((sigma < 0.0) == oracle_sol.mirrored), False)))
+                resolves += cut
+                if cut < len(d):
+                    n = int(d[cut])
+                    next_solve = nodes[k + n]
+            u_hist.extend(u_plan[k : k + n].tolist())
             ts.extend(nodes[k + 1 : k + 1 + n].tolist())
             xs.extend(x[1 : n + 1].tolist())
             ys.extend(y[1 : n + 1].tolist())
             ths.extend(th[1 : n + 1].tolist())
+            plan_age_max = max(plan_age_max, ts[-2] - plan_t0)
             state = CartesianState(xs[-1], ys[-1], ths[-1])
             t = ts[-1]
             last_u = u_hist[-1]
@@ -278,6 +297,7 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
         impact_time=impact_time,
         resolves=resolves,
         resolve_failures=resolve_failures,
+        plan_age_max=plan_age_max,
     )
 
 

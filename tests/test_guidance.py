@@ -218,7 +218,7 @@ def _sequential_newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma,
         if converged(f):
             return a, b, f
         da = max(1e-9, 1e-6 * a)
-        db = 1e-6
+        db = min(1e-6, 1e-3 * b)
         f3 = residual(np.array([a, a + da, a]), np.array([b, b, b + db]))
         f = f3[:, 0]
         jac = (f3[:, 1:] - f[:, None]) / np.array([da, db])
@@ -318,6 +318,53 @@ def test_oracle_solves_small_beta_queries(ratio, look, t_go, j_ref):
     assert sol.effort == pytest.approx(j_ref, rel=1e-7)
     assert terminal_time(sol.params, t_bar=t_go) == t_go
     assert sol.mirrored == (look < 0.0)
+
+
+@pytest.mark.parametrize(
+    "ratio, look, t_go, beta",
+    [
+        (0.908761, 2.962632, 42.148999, 1.66e-8),
+        (0.921595, 2.277771, 33.940034, 2.05e-6),
+        (0.881739, 3.031936, 35.649709, 9.31e-7),
+        (0.8934, 2.4314, 31.442, 3.03e-5),
+    ],
+)
+def test_oracle_solves_roots_next_to_the_separatrix(ratio, look, t_go, beta):
+    # roots at betas below a fixed 1e-6 difference step, which Newton missed
+    sol = command_oracle(GuidanceQuery(ratio * t_go, look, t_go, 1.0))
+    assert sol.params.beta == pytest.approx(beta, rel=0.01)
+    assert terminal_time(sol.params, t_bar=t_go) == t_go
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    t_go=st.floats(15.0, 50.0),
+    ratio=st.floats(0.45, 0.8),
+    look=st.floats(0.3, 1.1),
+    sign=st.sampled_from([-1.0, 1.0]),
+    points=st.lists(
+        st.tuples(st.floats(0.05, 1.02), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8
+    ),
+)
+def test_warm_check_agrees_with_the_oracle_warm_hit(t_go, ratio, look, sign, points):
+    # points on a solved extremal, moved off it by up to three warm tolerances
+    # in range and look angle, and up to 2 % past its horizon
+    sol = command_oracle(GuidanceQuery(ratio * t_go, sign * look, t_go, 1.0))
+    p = sol.params
+    frac, c_r, c_s = (np.array(v) for v in zip(*points))
+    t = frac * t_go
+    r_end, s_end = range_look_angle(*evaluate(p.alpha, p.beta, t)[:3])
+    r = r_end + c_r * 1e-5 * (1.0 + r_end)
+    s = np.clip(s_end + c_s * 1e-5, 0.0, math.pi)
+    keep = (r > 0.0) & (r <= t)
+    assume(keep.any())
+    hit = fitguide.guidance.warm_check(sol, r[keep], s[keep], t[keep])[0]
+    for k, query in enumerate(zip(r[keep], s[keep], t[keep])):
+        try:
+            warm = command_oracle(GuidanceQuery(query[0], sign * query[1], query[2], 1.0), warm_solution=sol)
+        except GuidanceError:
+            warm = None
+        assert hit[k] == (warm is not None and warm.trajectory is sol.trajectory)
 
 
 @functools.cache

@@ -145,6 +145,40 @@ def test_case_b_heading_sweep_full_range(model):
         assert n.effort == pytest.approx(o.effort, rel=0.01), f"heading {deg}"
 
 
+def _watch_resolve_nodes(monkeypatch, force_miss=0):
+    """Record the oracle loop's re-solve nodes in the next simulations.
+
+    The loop tests its plan at the coming re-solve nodes in one
+    ``warm_check`` call and calls ``command_oracle`` from the first node
+    that fails.  So its re-solve nodes are the ones a check passes up to its
+    first miss, plus every ``command_oracle`` call.  ``force_miss`` makes
+    the first node of that many checks miss.  Returns the list of every
+    node's query t_go, in order, and the list of the calls' queries.
+    """
+    import fitguide.sim as sim_module
+
+    t_go, calls = [], []
+    real_check, real_oracle = sim_module.warm_check, sim_module.command_oracle
+    forced = [force_miss]
+
+    def check(solution, r_norm, sigma_abs, t_query, *args, **kwargs):
+        hit, *rest = real_check(solution, r_norm, sigma_abs, t_query, *args, **kwargs)
+        if forced[0]:
+            forced[0] -= 1
+            hit = np.concatenate(([False], hit[1:]))
+        t_go.extend(t_query[: len(hit) if hit.all() else int(np.argmin(hit))].tolist())
+        return (hit, *rest)
+
+    def oracle(query, **kwargs):
+        t_go.append(query.t_go)
+        calls.append(query)
+        return real_oracle(query, **kwargs)
+
+    monkeypatch.setattr(sim_module, "warm_check", check)
+    monkeypatch.setattr(sim_module, "command_oracle", oracle)
+    return t_go, calls
+
+
 def test_failed_resolves_are_counted(monkeypatch):
     import fitguide.sim as sim_module
 
@@ -158,8 +192,11 @@ def test_failed_resolves_are_counted(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sim_module, "command_oracle", fail_second)
+    # the first re-solve node misses, so its re-solve is the second call
+    t_go, _ = _watch_resolve_nodes(monkeypatch, force_miss=1)
     res = simulate(Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle"))
-    assert len(calls) > 2
+    assert len(calls) == 2
+    assert res.resolves == len(t_go) > 2
     assert res.resolve_failures == 1
     assert res.t[-1] == pytest.approx(25.0)
     assert res.miss <= 5.0
@@ -174,22 +211,14 @@ def test_salvo_propagates_programming_errors():
 def test_oracle_measures_only_when_it_resolves(monkeypatch):
     import fitguide.sim as sim_module
 
-    counts = {"polar": 0, "oracle": 0}
-    real_polar, real_oracle = sim_module.cartesian_to_polar, sim_module.command_oracle
-
-    def polar(state):
-        counts["polar"] += 1
-        return real_polar(state)
-
-    def oracle(*args, **kwargs):
-        counts["oracle"] += 1
-        return real_oracle(*args, **kwargs)
-
-    monkeypatch.setattr(sim_module, "cartesian_to_polar", polar)
-    monkeypatch.setattr(sim_module, "command_oracle", oracle)
+    polar_calls = []
+    real_polar = sim_module.cartesian_to_polar
+    monkeypatch.setattr(sim_module, "cartesian_to_polar", lambda state: polar_calls.append(1) or real_polar(state))
+    t_go, calls = _watch_resolve_nodes(monkeypatch)
     res = simulate(Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle"))
-    assert 1 < counts["oracle"] == counts["polar"] < len(res.u) // 50
-    assert res.resolves == counts["oracle"]
+    assert 1 < len(t_go) < len(res.u) // 50
+    assert len(polar_calls) == len(calls)
+    assert res.resolves == len(t_go)
 
 
 def test_oracle_steps_one_at_a_time_only_in_the_hold_phase(monkeypatch):
@@ -243,11 +272,7 @@ def test_refine_miss_exact_on_straight_line_nodes(t_f, miss):
 
 @pytest.mark.parametrize("dt", [0.01, 0.2])
 def test_oracle_resolves_every_period_on_the_node_grid(monkeypatch, dt):
-    import fitguide.sim as sim_module
-
-    t_go = []
-    real = sim_module.command_oracle
-    monkeypatch.setattr(sim_module, "command_oracle", lambda query, **kw: t_go.append(query.t_go) or real(query, **kw))
+    t_go, _ = _watch_resolve_nodes(monkeypatch)
     # case A at t_f = 50 s: node times accumulate rounding, and a node that
     # rounds just below the due time must not push the re-solve a step late
     res = simulate(Scenario(CASE_A_START, 500.0, 50.0, guidance="oracle", dt=dt))
@@ -255,3 +280,80 @@ def test_oracle_resolves_every_period_on_the_node_grid(monkeypatch, dt):
     assert np.max(np.abs(-np.diff(t_go) - 1.0)) <= 1e-9
     # and they go on until the terminal lock at max(1 s, 0.1 t_f) = 5 s
     assert 5.0 < t_go[-1] <= 6.0 + 1e-9
+
+
+@pytest.mark.parametrize("period", [0.0, 0.05])
+def test_oracle_resolves_every_node_when_the_period_is_below_a_step(period):
+    # every node is due, up to the terminal lock at 0.1 t_f
+    sc = Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle", dt=0.2, update_period=period)
+    res = simulate(sc)
+    assert res.resolves == np.count_nonzero(sc.t_f - res.t > 0.1 * sc.t_f)
+
+
+def _parity_cases():
+    from fitguide.verification import CASE_C_START, CASE_C_TF, SALVO_STARTS, SALVO_TF
+
+    for t_f in (25.0, 30.0, 40.0, 50.0):
+        yield CASE_A_START, 500.0, t_f
+    c = CASE_C_START
+    yield CartesianState(c["x0"], c["y0"], c["theta0"]), c["speed"], CASE_C_TF
+    for x0, y0, th0, v in SALVO_STARTS:
+        yield CartesianState(x0, y0, th0), v, SALVO_TF
+
+
+@pytest.mark.parametrize("dt, pos_tol", [(0.01, 1e-9), (0.2, 1e-6)])
+def test_oracle_plan_flight_matches_resolving_at_every_node(monkeypatch, dt, pos_tol):
+    # reference: a warm check that always misses makes the loop call
+    # command_oracle at every re-solve node and fly again from each one
+    import fitguide.sim as sim_module
+
+    real = sim_module.command_oracle
+    for start, speed, t_f in _parity_cases():
+        sc = Scenario(start, speed, t_f, guidance="oracle", dt=dt)
+        with monkeypatch.context() as m:
+            t_go, calls = _watch_resolve_nodes(m)
+            res = simulate(sc)
+        ref_calls = []
+
+        def recorded(query, warm_solution=None):
+            ref_calls.append([query.t_go, False])
+            sol = real(query, warm_solution=warm_solution)
+            ref_calls[-1][1] = warm_solution is not None and sol.trajectory is warm_solution.trajectory
+            return sol
+
+        with monkeypatch.context() as m:
+            m.setattr(sim_module, "command_oracle", recorded)
+            m.setattr(sim_module, "warm_check", lambda sol, r, s, t, *a, **k: (np.zeros(np.shape(t), bool),))
+            ref = simulate(sc)
+        assert np.array_equal(res.t, ref.t)
+        assert (res.resolves, res.resolve_failures) == (ref.resolves, ref.resolve_failures)
+        # the same re-solve nodes, and the same hit or miss at each
+        assert t_go == [t for t, _ in ref_calls]
+        assert [q.t_go for q in calls] == [t for t, hit in ref_calls if not hit]
+        # exact arcs summed from other start nodes differ by rounding
+        assert np.max(np.hypot(res.x - ref.x, res.y - ref.y)) <= pos_tol
+        assert res.effort == pytest.approx(ref.effort, rel=1e-10)
+
+
+def test_plan_age_counts_from_the_solve_that_made_the_plan(monkeypatch):
+    sc = Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle")
+    with monkeypatch.context() as m:
+        _, calls = _watch_resolve_nodes(m)
+        res = simulate(sc)
+    # no re-solve node misses, so the first plan flies until the hold phase
+    assert len(calls) == 1 < res.resolves
+    assert sc.t_f - max(1.0, 0.1 * sc.t_f) <= res.plan_age_max < sc.t_f
+    # a plan solved afresh at the first re-solve node, 1 s in, is 1 s younger
+    import fitguide.sim as sim_module
+
+    real = sim_module.command_oracle
+
+    def cold(query, warm_solution=None):
+        return real(query)
+
+    with monkeypatch.context() as m:
+        m.setattr(sim_module, "command_oracle", cold)
+        _, calls = _watch_resolve_nodes(m, force_miss=1)
+        forced = simulate(sc)
+    assert len(calls) == 2
+    assert forced.plan_age_max == pytest.approx(res.plan_age_max - 1.0, abs=1e-6)
