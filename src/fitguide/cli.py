@@ -24,7 +24,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .datagen import DatagenConfig, generate_dataset, read_dataset, write_dataset
-from .guidance import DEFAULT_KAPPA, GuidanceError, GuidanceQuery, command_nn, command_oracle, solve_ocp
+from .guidance import GuidanceError, GuidanceQuery, command_nn, command_oracle, solve_ocp
 from .kinematics import CartesianState
 from .mlp import TrainConfig, load_model, save_model, train
 from .sim import Scenario, SimResult, export_trajectory, salvo, salvo_summary, simulate
@@ -32,7 +32,7 @@ from .sim import Scenario, SimResult, export_trajectory, salvo, salvo_summary, s
 SCENARIO_KEYS = {
     "x0": float, "y0": float, "theta0": float, "speed": float, "t_f": float,
     "guidance": str, "dt": float, "update_period": float, "pn_gain": float,
-    "max_time": float, "kappa": float,
+    "max_time": float,
 }
 
 
@@ -58,7 +58,6 @@ def _scenario_from_dict(cfg: dict, where: str = "scenario") -> Scenario:
         update_period=cfg.get("update_period"),
         pn_gain=cfg.get("pn_gain", 3.0),
         max_time=cfg.get("max_time"),
-        kappa=cfg.get("kappa", DEFAULT_KAPPA),
     )
 
 
@@ -109,7 +108,7 @@ def _cmd_guide(args) -> int:
     if args.law == "nn":
         if not args.model:
             raise ValueError("guide --law nn requires --model")
-        u = command_nn(load_model(args.model), query, kappa=args.kappa)
+        u = command_nn(load_model(args.model), query)
     else:
         u = command_oracle(query).command
     print(f"guide: u={u:.8g} rad/s  a={args.speed * u:.8g} m/s^2")
@@ -209,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--speed", type=float, required=True, help="m/s")
     u.add_argument("--law", choices=("oracle", "nn"), default="oracle")
     u.add_argument("--model", help="model file (required for --law nn)")
-    u.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     u.set_defaults(func=_cmd_guide)
 
     m = sub.add_parser("simulate", help="run one closed-loop scenario from a JSON config")

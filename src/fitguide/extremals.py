@@ -327,7 +327,7 @@ def hamiltonian(X, Y, Theta, params: AdjointParams):
 
 @dataclass
 class CellSweep:
-    """Endpoints at a common horizon and exact stop times of many (alpha, beta) cells.
+    """Exact stop times of many (alpha, beta) cells, and the horizon's sampling grid.
 
     ``t_collinear`` is the first collinearity time and ``t_control_zero``
     the first interior zero of the command, 2K(k)/sqrt(alpha); neither is
@@ -340,25 +340,21 @@ class CellSweep:
     betas: np.ndarray
     h: float
     n_steps: int
-    X: np.ndarray
-    Y: np.ndarray
-    Theta: np.ndarray
     t_collinear: np.ndarray
     t_control_zero: np.ndarray
 
 
 def sweep_cells(alphas, betas, t_end: float, h: float) -> CellSweep:
-    """Evaluate a batch of cells at t_end, with their exact stop times."""
+    """Exact stop times of a batch of cells, with the grid of [0, t_end] in steps of about h."""
     a = np.ascontiguousarray(alphas, dtype=float)
     b = np.ascontiguousarray(betas, dtype=float)
     if a.shape != b.shape:
         raise ValueError("alphas and betas must have matching shapes")
     n = max(1, int(round(t_end / h)))
-    X, Y, Theta, _ = evaluate(a, b, t_end)
     # both stop phases depend on beta alone: solve once per distinct beta
     distinct, inverse = np.unique(np.abs(b), return_inverse=True)
     phase = _collinear_phase(distinct)
     zero_phase = np.where(np.isinf(phase), np.inf, 2.0 * ellipk(np.cos(0.5 * distinct), np.sin(0.5 * distinct)))
     s = np.sqrt(a)
     inverse = inverse.reshape(b.shape)
-    return CellSweep(a, b, t_end / n, n, X, Y, Theta, phase[inverse] / s, zero_phase[inverse] / s)
+    return CellSweep(a, b, t_end / n, n, phase[inverse] / s, zero_phase[inverse] / s)

@@ -33,6 +33,11 @@ residual winds seeds it.  The seeds run Newton in lockstep, one
 ``evaluate`` call per round for all of them, and every distinct root they
 reach is reported in ``OracleSolution.roots`` with its effort and whether
 it is admissible.
+
+A closed loop keeps flying a solved extremal while its state stays on it:
+``warm_check`` tests many states against one solution in one call, within
+``WARM_TOL``.  ``command_oracle`` always solves; given the previous
+solution, it first continues Newton from its costate parameters.
 """
 
 from __future__ import annotations
@@ -79,6 +84,12 @@ DEFAULT_KAPPA = 0.35
 # Degenerate straight-line threshold for the costate magnitude.
 ALPHA_DEGENERATE = 1e-6
 
+# Newton stops once |dR| <= NEWTON_TOL * (1 + r) and |dSigma| <= NEWTON_TOL
+# (normalized units).  A solved extremal still passes through a state within
+# the looser WARM_TOL band: far below any effort or miss tolerance.
+NEWTON_TOL = 1e-9
+WARM_TOL = 1e-5
+
 
 class GuidanceError(RuntimeError):
     """Raised when no admissible command can be produced for a query."""
@@ -110,13 +121,13 @@ class OracleSolution:
 
     params: AdjointParams
     residual: tuple              # (delta_r, delta_sigma) in normalized units
-    normalized_t_go: float
-    command: float               # signed turn rate, rad/s
+    normalized_t_go: float       # the time-to-go solved for: the extremal's horizon
+    command: float               # signed turn rate at normalized_t_go, rad/s
     effort: float                # normalized effort integral U^2/2 over [0, t_go]
-    trajectory: ParamTrajectory  # solver-grid extremal (unmirrored)
+    trajectory: ParamTrajectory  # the extremal sampled on the solver grid (unmirrored)
     mirrored: bool               # query had sigma < 0
-    # every distinct root of a cold solve or continuation, in seed order, as
-    # (alpha, beta, effort, admissible); () on a warm hit
+    # every distinct root the solve reached, in seed order, as
+    # (alpha, beta, effort, admissible); () for the straight line met head-on
     roots: tuple = ()
 
     def extremal(self) -> tuple:
@@ -131,12 +142,12 @@ class OracleSolution:
         return 1.0, 0.0
 
 
-def command_nn(model, query: GuidanceQuery, kappa: float = DEFAULT_KAPPA) -> float:
+def command_nn(model, query: GuidanceQuery) -> float:
     """Network-backed turn-rate command for an arbitrary-speed query."""
     if query.sigma == 0.0:
         return 0.0
     sign = 1.0 if query.sigma > 0.0 else -1.0
-    g = min(query.t_go, kappa * model.t_bar)
+    g = min(query.t_go, DEFAULT_KAPPA * model.t_bar)
     r_net = query.r * g / (query.speed * query.t_go)
     # looked up per call, so a wrapper patched onto mlp.forward sees every command
     c = mlp.forward(model, (r_net, abs(query.sigma), g))
@@ -303,39 +314,38 @@ def _newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=4
     return out
 
 
-def warm_check(solution: OracleSolution, r_norm, sigma_abs, t_go, tol_r=1e-9, tol_sigma=1e-9):
+def _usable(solution: OracleSolution, t_go):
+    """Where the solved extremal reaches the queried time-to-go and is not the straight line."""
+    return (solution.normalized_t_go >= t_go) & (solution.params.alpha > ALPHA_DEGENERATE)
+
+
+def warm_check(solution: OracleSolution, r_norm, sigma_abs, t_go):
     """Whether the solved extremal still passes through each queried state.
 
     The queries (normalized range, folded look angle, time-to-go) broadcast.
-    Returns (hit, (dR, dSigma), U) of the unmirrored extremal: a hit rides it
-    to well below any effort or miss tolerance, max(tol, 1e-5).  Past the
-    solved time-to-go, and for the straight line, it is evaluated at NaN times
-    (alpha floored, so nothing divides by zero): all NaN, and no hit.
+    Returns (hit, (dR, dSigma), U) of the unmirrored extremal: a hit lies
+    within WARM_TOL of it.  Past the solved time-to-go, and for the straight
+    line, it is evaluated at NaN times (alpha floored, so nothing divides by
+    zero): all NaN, and no hit.
     """
     p = solution.params
-    usable = (solution.trajectory.t[-1] >= t_go) & (p.alpha > ALPHA_DEGENERATE)
-    X, Y, Theta, U = evaluate(max(p.alpha, ALPHA_DEGENERATE), p.beta, np.where(usable, t_go, np.nan))
+    X, Y, Theta, U = evaluate(max(p.alpha, ALPHA_DEGENERATE), p.beta, np.where(_usable(solution, t_go), t_go, np.nan))
     r_end, s_end = range_look_angle(X, Y, Theta)
     f = (r_end - r_norm, s_end - sigma_abs)
-    hit = (np.abs(f[0]) <= max(tol_r, 1e-5) * (1.0 + r_norm)) & (np.abs(f[1]) <= max(tol_sigma, 1e-5))
+    hit = (np.abs(f[0]) <= WARM_TOL * (1.0 + r_norm)) & (np.abs(f[1]) <= WARM_TOL)
     return hit, f, U
 
 
-def command_oracle(
-    query: GuidanceQuery,
-    tol_r: float = 1e-9,
-    tol_sigma: float = 1e-9,
-    warm_solution: OracleSolution | None = None,
-) -> OracleSolution:
+def command_oracle(query: GuidanceQuery, warm_solution: OracleSolution | None = None) -> OracleSolution:
     """Solve the boundary problem for the optimal command at the query.
 
-    ``warm_solution`` is the previous solution of a closed loop.  While its
-    extremal still passes through the queried state (``warm_check``), the
-    solve is skipped: the stored trajectory is reused and only the command
-    is re-read at the new time-to-go.  Otherwise Newton first continues from its costate
-    parameters, and only when that finds no admissible root does it run,
-    in lockstep, from every cell of the admissible chart that brackets a
-    root (``_seed_candidates``).  Converged roots are merged
+    Every call solves.  ``warm_solution`` is the previous solution of a
+    closed loop, whose extremal the state has drifted off (the loop tests
+    that with ``warm_check``).  When that extremal reaches the query's
+    time-to-go, Newton first continues from its costate parameters; only
+    when there is nothing to continue from, or that finds no admissible
+    root, does it run, in lockstep, from every cell of the admissible chart
+    that brackets a root (``_seed_candidates``).  Converged roots are merged
     in seed order, and each distinct root gets one exact collinearity check
     (admissible when collinearity-free up to the time-to-go) and its
     closed-form effort.  The least-effort admissible root wins; only it is
@@ -349,21 +359,15 @@ def command_oracle(
     r_norm = query.r / query.speed
     t_go = query.t_go
 
-    if sigma_abs <= 1e-12 and abs(r_norm - t_go) <= max(tol_r, 1e-12) * (1.0 + r_norm):
+    if sigma_abs <= 1e-12 and abs(r_norm - t_go) <= NEWTON_TOL * (1.0 + r_norm):
         return _degenerate_solution(query)
 
-    guess = None
-    if warm_solution is not None:
-        hit, f, U = warm_check(warm_solution, r_norm, sigma_abs, t_go, tol_r, tol_sigma)
-        if hit:
-            return replace(warm_solution, residual=f, normalized_t_go=t_go, command=sign * float(U),
-                           mirrored=mirrored, roots=())
-        guess = None if np.isnan(f[0]) else warm_solution.params
+    guess = warm_solution.params if warm_solution is not None and _usable(warm_solution, t_go) else None
 
     found = []  # distinct roots in seed order: (alpha, beta, residual, admissible)
 
     def solve(seeds):
-        hits = _newton(r_norm, sigma_abs, t_go, [s[0] for s in seeds], [s[1] for s in seeds], tol_r, tol_sigma)
+        hits = _newton(r_norm, sigma_abs, t_go, [s[0] for s in seeds], [s[1] for s in seeds], NEWTON_TOL, NEWTON_TOL)
         for hit in filter(None, hits):
             a, b, f = hit
             if any(abs(a - a0) <= 1e-6 + 1e-3 * a0 and abs(b - b0) <= 1e-3 for a0, b0, *_ in found):

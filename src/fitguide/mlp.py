@@ -138,10 +138,7 @@ def forward_batch(model: CommandModel, inputs: np.ndarray) -> np.ndarray:
     x = np.asarray(inputs, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite network input")
-    a = (x - model.input_mean) / model.input_scale
-    for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.tanh(a @ W + b)
-    out = a @ model.weights[-1] + model.biases[-1]
+    out, _ = _forward_standardized(model.weights, model.biases, (x - model.input_mean) / model.input_scale)
     return out[:, 0] * model.output_scale + model.output_mean
 
 

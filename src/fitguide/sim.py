@@ -10,6 +10,8 @@ step's midpoint time-to-go.  So each plan is flown to the end in one
 vectorized pass (``kinematics.fly_arcs``) and tested at all its coming
 re-solve nodes in one ``guidance.warm_check`` call; the first node where
 the flown state has drifted off it is re-solved and flown again from.
+``command_oracle`` is called only for the first plan and at those nodes,
+and it always solves, continuing Newton from the plan it replaces.
 The oracle steps one at a time only once the range is too short to measure.
 
 Termination: network/oracle runs stop at the prescribed impact time
@@ -29,7 +31,6 @@ import numpy as np
 from .datagen import write_csv
 from .extremals import evaluate
 from .guidance import (
-    DEFAULT_KAPPA,
     GuidanceError,
     GuidanceQuery,
     command_nn,
@@ -66,7 +67,6 @@ class Scenario:
     update_period: float | None = None  # oracle re-solve period; None -> 1.0
     pn_gain: float = 3.0
     max_time: float | None = None       # PN time-out; None -> max(4*t_f, 60)
-    kappa: float = DEFAULT_KAPPA
 
     def __post_init__(self):
         if self.guidance not in GUIDANCE_LAWS:
@@ -92,10 +92,10 @@ class SimResult:
     effort: float           # J, m^2/s^3
     miss: float
     impact_time: float
-    resolves: int = 0           # oracle re-solve nodes, warm hits and the first solve included
+    resolves: int = 0           # oracle re-solve nodes: the first solve, each warm check that passed, each re-solve
     resolve_failures: int = 0   # oracle re-solves that raised; the last plan was replayed
     # longest time, s, from the solve that set an oracle plan (a signed extremal)
-    # to the last step it commanded; a warm hit keeps the plan and its age
+    # to the last step it commanded; a node whose warm check passes keeps the plan and its age
     plan_age_max: float = 0.0
 
 
@@ -260,7 +260,7 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
             else:
                 # clamp marginal terminal-phase infeasibility from command noise
                 t_query = max(t_go, r / speed)
-                u = command_nn(model, GuidanceQuery(r, polar.sigma, t_query, speed), scenario.kappa)
+                u = command_nn(model, GuidanceQuery(r, polar.sigma, t_query, speed))
         last_u = u
         u_hist.append(u)
         hstep = dt if law == "pn" else min(dt, t_f - t)

@@ -232,6 +232,8 @@ def cross_at_phase(beta, tau):
 
 @settings(max_examples=100, deadline=None)
 @given(alpha=alphas, alpha2=alphas, beta=betas)
+# the figure-eight elastica, where c and its derivative -U*d vanish together
+@example(alpha=1.0, alpha2=37.0, beta=0.86027439)
 def test_terminal_time_is_first_sign_change_of_cross_product(alpha, alpha2, beta):
     tau = terminal_time(AdjointParams(alpha, beta), t_bar=math.inf) * math.sqrt(alpha)
     # the collinearity phase depends on beta alone

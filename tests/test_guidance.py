@@ -26,7 +26,7 @@ from fitguide import (
     terminal_time,
 )
 from fitguide.extremals import AdjointParams, effort, evaluate, range_look_angle, sweep_cells
-from fitguide.guidance import _endpoint, _newton, _seed_candidates, _seed_table
+from fitguide.guidance import ALPHA_DEGENERATE, _endpoint, _newton, _seed_candidates, _seed_table, warm_check
 from fitguide.kinematics import cartesian_to_polar
 
 CASE_A = dict(r=10000.0, t_go=25.0, speed=500.0)
@@ -113,29 +113,54 @@ def test_oracle_mirror_antisymmetry():
     assert u_pos == pytest.approx(-u_neg, rel=1e-9)
 
 
-def test_oracle_warm_start_reuses_trajectory():
+def scalar_warm_rule(solution, r_norm, sigma_abs, t_go):
+    """One query at a time: the warm test ``command_oracle`` once made itself, as a reference.
+
+    Returns (hit, (dR, dSigma), U) of the unmirrored extremal, all NaN and no
+    hit past the solved time-to-go and for the straight line.
+    """
+    p = solution.params
+    if not (solution.normalized_t_go >= t_go and p.alpha > ALPHA_DEGENERATE):
+        return False, (math.nan, math.nan), math.nan
+    X, Y, Theta, U = evaluate(p.alpha, p.beta, t_go)
+    r_end, s_end = range_look_angle(X, Y, Theta)
+    f = (float(r_end) - r_norm, float(s_end) - sigma_abs)
+    return abs(f[0]) <= 1e-5 * (1.0 + r_norm) and abs(f[1]) <= 1e-5, f, float(U)
+
+
+def _assert_warm_check_is_the_scalar_rule(solution, r_norm, sigma_abs, t_go):
+    hit, f, U = warm_check(solution, r_norm, sigma_abs, t_go)
+    for k, query in enumerate(zip(r_norm, sigma_abs, t_go)):
+        want_hit, want_f, want_U = scalar_warm_rule(solution, *map(float, query))
+        assert hit[k] == want_hit
+        # the same closed form, evaluated on an array and on a scalar
+        np.testing.assert_array_equal([f[0][k], f[1][k], U[k]], [*want_f, want_U])
+    return hit, f, U
+
+
+def test_warm_check_hits_the_solved_query():
+    # the solved query lies on its extremal, with the solution's own command
     q = GuidanceQuery(r=9000.0, sigma=0.9, t_go=22.0, speed=450.0)
-    first = command_oracle(q)
-    warm = command_oracle(
-        GuidanceQuery(r=9000.0, sigma=0.9, t_go=22.0, speed=450.0),
-        warm_solution=first,
-    )
-    assert warm.trajectory is first.trajectory
-    assert warm.command == pytest.approx(first.command, rel=1e-9)
+    sol = command_oracle(q)
+    r, s, t = np.array([[q.r / q.speed], [q.sigma], [q.t_go]])
+    hit, f, U = _assert_warm_check_is_the_scalar_rule(sol, r, s, t)
+    assert hit[0]
+    assert (f[0][0], f[1][0]) == pytest.approx(sol.residual, abs=1e-12)
+    assert U[0] == pytest.approx(sol.command, rel=1e-9)
 
 
-def test_oracle_warm_hit_reads_the_extremal_command():
-    # a later point of the solved (mirrored) extremal is a warm hit; its
-    # command is the closed form's at the new time-to-go, not the solver grid's
-    speed = 450.0
-    first = command_oracle(GuidanceQuery(r=9000.0, sigma=-0.9, t_go=22.0, speed=speed))
-    p = first.params
-    for t_go in (21.0, 13.37, 4.2):
-        X, Y, Theta, U = evaluate(p.alpha, p.beta, t_go)
-        r_end, s_end = range_look_angle(X, Y, Theta)
-        warm = command_oracle(GuidanceQuery(speed * float(r_end), -float(s_end), t_go, speed), warm_solution=first)
-        assert warm.trajectory is first.trajectory
-        assert warm.command == pytest.approx(-float(U), rel=1e-13, abs=1e-16)
+def test_warm_check_reads_the_extremal_command():
+    # later points of a solved (mirrored) extremal are hits with no residual;
+    # the command is the closed form's at the new time-to-go, and it agrees
+    # with the costate form on the solver grid
+    first = command_oracle(GuidanceQuery(r=9000.0, sigma=-0.9, t_go=22.0, speed=450.0))
+    p, traj = first.params, first.trajectory
+    grid = [3818, 2431, 764]  # about 21, 13.37 and 4.2 s on its 5.5 ms grid
+    t_go = traj.t[grid]
+    r_end, s_end = range_look_angle(*evaluate(p.alpha, p.beta, t_go)[:3])
+    hit, f, U = _assert_warm_check_is_the_scalar_rule(first, r_end, s_end, t_go)
+    assert hit.all() and not np.any(f)
+    assert np.allclose(U, traj.U[grid], rtol=1e-9, atol=0.0)
 
 
 def test_oracle_continues_from_a_stale_warm_solution(monkeypatch):
@@ -170,8 +195,10 @@ def test_oracle_lists_every_root_case_c():
     a, b, _ = _newton(query.r / speed, abs(query.sigma), query.t_go, [0.0106], [2.04], 1e-9, 1e-9)[0]
     assert float(effort(a, b, query.t_go)) * speed**2 == pytest.approx(5.0572e4, rel=0.01)
     assert terminal_time(AdjointParams(a, b), t_bar=query.t_go) == pytest.approx(46.85, abs=0.05)
-    # a warm hit solves nothing and reports no roots
-    assert command_oracle(query, warm_solution=sol).roots == ()
+    # a warm call solves too: continuation from the solution reaches its root alone
+    (root,) = command_oracle(query, warm_solution=sol).roots
+    assert root[:2] == (sol.params.alpha, sol.params.beta) and root[3]
+    assert root[2] == pytest.approx(sol.effort, rel=1e-12)
 
 
 def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
@@ -284,7 +311,7 @@ def test_oracle_roots_collinearity_free_over_engage_domain(t_go, speed, ratio, l
 
 
 def test_oracle_roots_collinearity_free_in_closed_loop(monkeypatch):
-    # cold solves, warm hits and continuations of receding-horizon engagements
+    # cold solves and continuations of receding-horizon engagements
     solves = []
     solve = fitguide.sim.command_oracle
 
@@ -294,10 +321,10 @@ def test_oracle_roots_collinearity_free_in_closed_loop(monkeypatch):
         return sol
 
     monkeypatch.setattr(fitguide.sim, "command_oracle", checked)
-    # a coarse step drifts off the replayed plan, so some warm calls re-solve
+    # a coarse step drifts off the replayed plan, so some solves continue from it
     simulate(Scenario(CartesianState(-10000.0, 0.0, math.pi / 3), 500.0, 25.0, guidance="oracle", dt=0.2))
     simulate(Scenario(CartesianState(-20000.0, -10000.0, math.pi / 4), 600.0, 50.0, guidance="oracle", dt=0.2))
-    assert any(warm is not None and sol.trajectory is not warm.trajectory for _, sol, warm in solves)
+    assert any(warm is not None for *_, warm in solves)
     for query, sol, _ in solves:
         _assert_collinearity_free(query, sol)
 
@@ -346,7 +373,7 @@ def test_oracle_solves_roots_next_to_the_separatrix(ratio, look, t_go, beta):
         st.tuples(st.floats(0.05, 1.02), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8
     ),
 )
-def test_warm_check_agrees_with_the_oracle_warm_hit(t_go, ratio, look, sign, points):
+def test_warm_check_agrees_with_the_scalar_warm_rule(t_go, ratio, look, sign, points):
     # points on a solved extremal, moved off it by up to three warm tolerances
     # in range and look angle, and up to 2 % past its horizon
     sol = command_oracle(GuidanceQuery(ratio * t_go, sign * look, t_go, 1.0))
@@ -356,15 +383,7 @@ def test_warm_check_agrees_with_the_oracle_warm_hit(t_go, ratio, look, sign, poi
     r_end, s_end = range_look_angle(*evaluate(p.alpha, p.beta, t)[:3])
     r = r_end + c_r * 1e-5 * (1.0 + r_end)
     s = np.clip(s_end + c_s * 1e-5, 0.0, math.pi)
-    keep = (r > 0.0) & (r <= t)
-    assume(keep.any())
-    hit = fitguide.guidance.warm_check(sol, r[keep], s[keep], t[keep])[0]
-    for k, query in enumerate(zip(r[keep], s[keep], t[keep])):
-        try:
-            warm = command_oracle(GuidanceQuery(query[0], sign * query[1], query[2], 1.0), warm_solution=sol)
-        except GuidanceError:
-            warm = None
-        assert hit[k] == (warm is not None and warm.trajectory is sol.trajectory)
+    _assert_warm_check_is_the_scalar_rule(sol, r, s, t)
 
 
 @functools.cache

@@ -304,8 +304,10 @@ def _parity_cases():
 @pytest.mark.parametrize("dt, pos_tol", [(0.01, 1e-9), (0.2, 1e-6)])
 def test_oracle_plan_flight_matches_resolving_at_every_node(monkeypatch, dt, pos_tol):
     # reference: a warm check that always misses makes the loop call
-    # command_oracle at every re-solve node and fly again from each one
+    # command_oracle at every re-solve node and fly again from each one; the
+    # scalar warm rule there keeps the plan on a hit and re-solves on a miss
     import fitguide.sim as sim_module
+    from test_guidance import scalar_warm_rule
 
     real = sim_module.command_oracle
     for start, speed, t_f in _parity_cases():
@@ -316,10 +318,10 @@ def test_oracle_plan_flight_matches_resolving_at_every_node(monkeypatch, dt, pos
         ref_calls = []
 
         def recorded(query, warm_solution=None):
-            ref_calls.append([query.t_go, False])
-            sol = real(query, warm_solution=warm_solution)
-            ref_calls[-1][1] = warm_solution is not None and sol.trajectory is warm_solution.trajectory
-            return sol
+            hit = warm_solution is not None and (query.sigma < 0.0) == warm_solution.mirrored
+            hit = hit and scalar_warm_rule(warm_solution, query.r / query.speed, abs(query.sigma), query.t_go)[0]
+            ref_calls.append((query.t_go, hit))
+            return warm_solution if hit else real(query, warm_solution=warm_solution)
 
         with monkeypatch.context() as m:
             m.setattr(sim_module, "command_oracle", recorded)
