@@ -287,9 +287,10 @@ def terminal_time(params: AdjointParams, t_bar: float) -> float:
 
 
 def propagate_param(params: AdjointParams, t_end: float, dt: float, *, _t_term=None) -> ParamTrajectory:
-    """Sample the extremal at t = 0, h, 2h, ... up to t_end, h = t_end / round(t_end / dt).
+    """Sample the extremal at t = 0, h, 2h, ..., t_end, h = t_end / round(t_end / dt).
 
-    The samples stop before the first collinearity if it comes before t_end.
+    The last sample is t_end exactly.  The samples stop before the first
+    collinearity if it comes before t_end.
     ``_t_term`` is private to ``guidance.command_oracle``, which passes the
     ``terminal_time(params, t_end)`` it has just solved so that it is not
     solved twice; it is taken on trust.
@@ -299,7 +300,7 @@ def propagate_param(params: AdjointParams, t_end: float, dt: float, *, _t_term=N
     if t_end <= 0.0 or dt <= 0.0:
         raise ValueError("t_end and dt must be positive")
     n = max(1, int(round(t_end / dt)))
-    t = np.arange(n + 1) * (t_end / n)
+    t = np.linspace(0.0, t_end, n + 1)
     t_term = terminal_time(params, t_end) if _t_term is None else _t_term
     if 0.0 < t_term < t_end:
         t = t[t < t_term]

@@ -29,10 +29,10 @@ the same closed form instead of integrating it.
 Newton is seeded from a chart of every admissible extremal at unit
 time-to-go, made on first use and cached for the life of the process
 (``_seed_table``); each chart cell around which the query's endpoint
-residual winds seeds it.  The seeds run Newton in lockstep, one
-``evaluate`` call per round for all of them, and every distinct root they
-reach is reported in ``OracleSolution.roots`` with its effort and whether
-it is admissible.
+residual winds seeds it.  Each seed runs its own damped Newton, one
+``evaluate`` call per trial point with the Jacobian's alpha column in
+closed form, and every distinct root the seeds reach is reported in
+``OracleSolution.roots`` with its effort and whether it is admissible.
 
 A closed loop keeps flying a solved extremal while its state stays on it:
 ``warm_check`` tests many states against one solution in one call, within
@@ -85,9 +85,11 @@ DEFAULT_KAPPA = 0.35
 ALPHA_DEGENERATE = 1e-6
 
 # Newton stops once |dR| <= NEWTON_TOL * (1 + r) and |dSigma| <= NEWTON_TOL
-# (normalized units).  A solved extremal still passes through a state within
-# the looser WARM_TOL band: far below any effort or miss tolerance.
+# (normalized units), and gives up after NEWTON_MAX_ITER steps.  A solved
+# extremal still passes through a state within the looser WARM_TOL band: far
+# below any effort or miss tolerance.
 NEWTON_TOL = 1e-9
+NEWTON_MAX_ITER = 40
 WARM_TOL = 1e-5
 
 
@@ -255,63 +257,61 @@ def _seed_candidates(r_norm, sigma_abs, t_go):
     return [(float(Q.flat[k]) / t_go**2, float(B.flat[k])) for k in dict.fromkeys(picks.tolist())]
 
 
-def _newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=40):
-    """Damped Newton on the closed-form endpoint residual, every seed in lockstep.
+def _endpoint_jacobian(alpha, beta, t_go):
+    """R and Sigma of the extremal (alpha, beta) at t_go, and their Jacobian in (alpha, beta).
 
-    Each round makes one ``_endpoint`` call.  It covers, for every active
-    seed, its trial point and the two forward-difference points there (the
-    beta step, min(1e-6, 1e-3 beta), stays small beside small betas), so an
-    accepted trial carries its Jacobian into the next step.  A step is halved
-    down to 1/64 until the residual shrinks.  Returns, per seed, (alpha, beta,
-    residual) or None when that seed does not converge or meets a singular Jacobian.
+    One ``evaluate`` call of the extremal and its beta step, min(1e-6, 1e-3 beta)
+    (small beside small betas), gives the beta column as a forward difference.
+    The alpha column is exact: the family is scale-invariant,
+    R = R1(beta, sqrt(alpha) t) / sqrt(alpha) and Sigma = Sigma1(beta, sqrt(alpha) t),
+    so dR/dalpha = (t cos Sigma - R) / (2 alpha) and dSigma/dalpha = t Sigma' / (2 alpha),
+    where Sigma' = -sgn(c) U - sin(Sigma) / R is the look angle's rate along the
+    extremal and c the cross product of line of sight and heading.
+    """
+    db = min(1e-6, 1e-3 * beta)
+    X, Y, Theta, U = evaluate(alpha, np.array([beta, beta + db]), t_go)
+    (r, r_b), (s, s_b) = range_look_angle(X, Y, Theta)
+    turn = math.copysign(1.0, Y[0] * math.cos(Theta[0]) - X[0] * math.sin(Theta[0]))  # sgn(c)
+    rate = -turn * U[0] - math.sin(s) / r  # Sigma'
+    return r, s, np.array([[(t_go * math.cos(s) - r) / (2.0 * alpha), (r_b - r) / db],
+                           [t_go * rate / (2.0 * alpha), (s_b - s) / db]])
+
+
+def _newton(r_norm, sigma_abs, t_go, alpha, beta):
+    """Damped Newton on the closed-form endpoint residual, from one seed.
+
+    Each trial point costs one ``_endpoint_jacobian`` call, which also gives
+    the Jacobian of the next step.  A step is tried at 1, 1/2, ..., 1/32 of
+    its length until the residual shrinks.  Returns (alpha, beta, residual),
+    or None when the seed does not converge within NEWTON_MAX_ITER steps or
+    meets a singular Jacobian.
     """
     scale = 1.0 + r_norm
 
-    def size(f):
-        return float(np.hypot(f[0] / scale, f[1]))
+    def trial(a, b):
+        r, s, jac = _endpoint_jacobian(a, b, t_go)
+        f = np.array([r - r_norm, s - sigma_abs])
+        return a, b, f, float(np.hypot(f[0] / scale, f[1])), jac
 
-    n = len(alpha0)
-    a_try, b_try = list(alpha0), list(beta0)  # each seed's next trial point
-    a, b = a_try[:], b_try[:]
-    step, norm0, lam, iters = [None] * n, [0.0] * n, [1.0] * n, [0] * n
-    out = [None] * n
-    live = list(range(n))
-    while live:
-        da = [max(1e-9, 1e-6 * a_try[i]) for i in live]
-        db = [min(1e-6, 1e-3 * b_try[i]) for i in live]
-        R, S = _endpoint(
-            np.array([(a_try[i], a_try[i] + d, a_try[i]) for i, d in zip(live, da)]),
-            np.array([(b_try[i], b_try[i], b_try[i] + d) for i, d in zip(live, db)]),
-            t_go,
-        )
-        F = np.stack([R - r_norm, S - sigma_abs], axis=1)  # (seed, component, point)
-        jac = (F[:, :, 1:] - F[:, :, :1]) / np.array([da, db]).T[:, None, :]
-        kept = []
-        for row, i in enumerate(live):
-            f = F[row, :, 0]
-            if step[i] is not None and not size(f) < norm0[i]:
-                lam[i] *= 0.5
-                if lam[i] > 1.0 / 64.0:
-                    kept.append(i)
-                continue
-            a[i], b[i] = a_try[i], b_try[i]
-            if abs(f[0]) <= tol_r * scale and abs(f[1]) <= tol_sigma:
-                out[i] = (a[i], b[i], f)
-                continue
-            if iters[i] == max_iter:
-                continue
-            try:
-                step[i] = np.linalg.solve(jac[row], -f)
-            except np.linalg.LinAlgError:
-                continue
-            norm0[i], lam[i] = size(f), 1.0
-            iters[i] += 1
-            kept.append(i)
-        live = kept
-        for i in live:
-            a_try[i] = max(a[i] + lam[i] * step[i][0], 1e-12)
-            b_try[i] = min(max(b[i] + lam[i] * step[i][1], 1e-9), math.pi)
-    return out
+    def converged(f):
+        return abs(f[0]) <= NEWTON_TOL * scale and abs(f[1]) <= NEWTON_TOL
+
+    a, b, f, size, jac = trial(alpha, beta)
+    for _ in range(NEWTON_MAX_ITER):
+        if converged(f):
+            return a, b, f
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            return None
+        for lam in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
+            point = trial(max(a + lam * step[0], 1e-12), min(max(b + lam * step[1], 1e-9), math.pi))
+            if point[3] < size:
+                break
+        else:
+            return None
+        a, b, f, size, jac = point
+    return (a, b, f) if converged(f) else None
 
 
 def _usable(solution: OracleSolution, t_go):
@@ -344,8 +344,8 @@ def command_oracle(query: GuidanceQuery, warm_solution: OracleSolution | None = 
     that with ``warm_check``).  When that extremal reaches the query's
     time-to-go, Newton first continues from its costate parameters; only
     when there is nothing to continue from, or that finds no admissible
-    root, does it run, in lockstep, from every cell of the admissible chart
-    that brackets a root (``_seed_candidates``).  Converged roots are merged
+    root, does it run from every cell of the admissible chart that brackets a
+    root (``_seed_candidates``), one seed after another.  Converged roots are merged
     in seed order, and each distinct root gets one exact collinearity check
     (admissible when collinearity-free up to the time-to-go) and its
     closed-form effort.  The least-effort admissible root wins; only it is
@@ -367,8 +367,7 @@ def command_oracle(query: GuidanceQuery, warm_solution: OracleSolution | None = 
     found = []  # distinct roots in seed order: (alpha, beta, residual, admissible)
 
     def solve(seeds):
-        hits = _newton(r_norm, sigma_abs, t_go, [s[0] for s in seeds], [s[1] for s in seeds], NEWTON_TOL, NEWTON_TOL)
-        for hit in filter(None, hits):
+        for hit in filter(None, (_newton(r_norm, sigma_abs, t_go, *seed) for seed in seeds)):
             a, b, f = hit
             if any(abs(a - a0) <= 1e-6 + 1e-3 * a0 and abs(b - b0) <= 1e-3 for a0, b0, *_ in found):
                 continue

@@ -62,8 +62,6 @@ class CommandModel:
     input_scale: np.ndarray
     output_mean: float
     output_scale: float
-    hidden_activation: str = "tanh"
-    output_activation: str = "identity"
     t_bar: float = 10.0    # horizon cap of the training data; used by guidance
 
     def validate(self) -> None:
@@ -87,7 +85,6 @@ class TrainConfig:
     max_epochs: int = 200
     batch_size: int = 1024
     learning_rate: float = 1e-3
-    lr_decay: float = 0.5           # multiplier applied when validation plateaus
     lr_patience: int = 6
     lr_min: float = 1e-5
     validation_fraction: float = 0.1
@@ -273,7 +270,7 @@ def train(dataset: np.ndarray, config: TrainConfig | None = None) -> tuple[Comma
             best_val = min(best_val, val_mse)
             plateau += 1
             if plateau >= config.lr_patience:
-                lr = max(lr * config.lr_decay, config.lr_min)
+                lr = max(lr * 0.5, config.lr_min)  # halved on a plateau
                 plateau = 0
         if train_mse <= config.target_mse:
             reached = True
@@ -305,8 +302,8 @@ def save_model(model: CommandModel, path) -> None:
     lines = [
         f"{MODEL_FORMAT} v{MODEL_VERSION}",
         "layer_sizes: " + " ".join(str(s) for s in model.layer_sizes),
-        f"hidden_activation: {model.hidden_activation}",
-        f"output_activation: {model.output_activation}",
+        "hidden_activation: tanh",  # the only activations the format knows
+        "output_activation: identity",
         "t_bar: %.17g" % model.t_bar,
         "input_mean: " + _fmt_array(model.input_mean),
         "input_scale: " + _fmt_array(model.input_scale),
@@ -364,11 +361,9 @@ def load_model(path) -> CommandModel:
         input_scale=np.array([float(v) for v in _parse_field(fields, "input_scale").split()]),
         output_mean=float(_parse_field(fields, "output_mean")),
         output_scale=float(_parse_field(fields, "output_scale")),
-        hidden_activation=_parse_field(fields, "hidden_activation"),
-        output_activation=_parse_field(fields, "output_activation"),
         t_bar=float(_parse_field(fields, "t_bar")),
     )
-    if model.hidden_activation != "tanh" or model.output_activation != "identity":
+    if _parse_field(fields, "hidden_activation") != "tanh" or _parse_field(fields, "output_activation") != "identity":
         raise ValueError("corrupt model file: unsupported activation")
     model.validate()
     return model

@@ -71,8 +71,14 @@ class Scenario:
     def __post_init__(self):
         if self.guidance not in GUIDANCE_LAWS:
             raise ValueError(f"unknown guidance law {self.guidance!r}")
-        if self.speed <= 0.0 or self.t_f <= 0.0 or self.dt <= 0.0:
-            raise ValueError("speed, t_f and dt must be positive")
+        if not all(0.0 < v < math.inf for v in (self.speed, self.t_f, self.dt)):
+            raise ValueError("speed, t_f and dt must be finite and positive")
+        if not math.isfinite(self.pn_gain):
+            raise ValueError("pn_gain must be finite")
+        if self.update_period is not None and not 0.0 <= self.update_period < math.inf:
+            raise ValueError("update_period must be finite and non-negative")
+        if self.max_time is not None and not 0.0 < self.max_time < math.inf:
+            raise ValueError("max_time must be finite and positive")
 
 
 @dataclass

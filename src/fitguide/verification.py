@@ -348,7 +348,7 @@ def check_training(report) -> CheckResult:
 
 
 def run_acceptance(model_path=None, full_grid: bool = True, dt: float = 0.01,
-                   model=None, report=None, dataset=None) -> list[CheckResult]:
+                   model=None, report=None) -> list[CheckResult]:
     """Run every acceptance check, printing one line per criterion.
 
     A reduced-grid model is trained on the fly unless both ``model`` and
@@ -356,10 +356,8 @@ def run_acceptance(model_path=None, full_grid: bool = True, dt: float = 0.01,
     in which case training still runs once for the training criterion).
     """
     results = []
-    if dataset is None and (model is None or report is None):
-        dataset = generate_dataset(REDUCED_CONFIG)
     if report is None:
-        trained_model, report = train(dataset, TrainConfig())
+        trained_model, report = train(generate_dataset(REDUCED_CONFIG), TrainConfig())
         if model is None:
             model = trained_model
     if model_path is not None:

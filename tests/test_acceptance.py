@@ -129,13 +129,12 @@ def test_criterion_7_training(train_report):
     _assert_check(check_training(train_report))
 
 
-def test_full_table_summary(model, train_report, reduced_dataset):
+def test_full_table_summary(model, train_report):
     # one combined pass/fail table, matching the CLI verify output; criterion 3
     # reports the PN effort sub-check as the known gap of the xfail above
     from fitguide.verification import run_acceptance
 
-    results = run_acceptance(model=model, report=train_report, dataset=reduced_dataset,
-                             full_grid=False)
+    results = run_acceptance(model=model, report=train_report, full_grid=False)
     by_name = {r.criterion.split()[0]: r for r in results}
     assert by_name["1"].passed
     assert by_name["2"].passed

@@ -83,6 +83,14 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+def test_simulate_rejects_infinite_impact_time(tmp_path, capsys):
+    # json reads Infinity; the scenario refuses it before any run starts
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text('{"x0": -5000, "y0": 0, "theta0": 1, "speed": 500, "t_f": Infinity}', encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_salvo_from_config(tmp_path, capsys):
     cfg = {
         "t_f": 30.0,

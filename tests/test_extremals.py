@@ -34,6 +34,16 @@ def test_command_identity_every_sample():
     assert np.array_equal(traj.U, expected)
 
 
+def test_last_sample_lands_on_the_horizon():
+    # horizons on the oracle's sampling grid, step min(0.01, max(0.0025, t/4000));
+    # alpha is small enough that no collinearity cuts the samples short
+    params = AdjointParams(1e-4, 1.2)
+    for t_end in np.random.default_rng(3).uniform(15.0, 50.0, 300):
+        traj = propagate_param(params, t_end=t_end, dt=min(0.01, max(0.0025, t_end / 4000.0)))
+        assert traj.terminal_time == t_end
+        assert traj.t[-1] == t_end
+
+
 def test_degenerate_costate_rejected():
     with pytest.raises(ValueError, match="degenerate costate"):
         propagate_param(AdjointParams(0.0, 1.0), t_end=1.0, dt=0.01)

@@ -26,7 +26,15 @@ from fitguide import (
     terminal_time,
 )
 from fitguide.extremals import AdjointParams, effort, evaluate, range_look_angle, sweep_cells
-from fitguide.guidance import ALPHA_DEGENERATE, _endpoint, _newton, _seed_candidates, _seed_table, warm_check
+from fitguide.guidance import (
+    ALPHA_DEGENERATE,
+    _endpoint,
+    _endpoint_jacobian,
+    _newton,
+    _seed_candidates,
+    _seed_table,
+    warm_check,
+)
 from fitguide.kinematics import cartesian_to_polar
 
 CASE_A = dict(r=10000.0, t_go=25.0, speed=500.0)
@@ -192,7 +200,7 @@ def test_oracle_lists_every_root_case_c():
     assert sol.effort == min(j for *_, j, ok in sol.roots if ok)
     # the paper's locally-optimal branch is a root too, but it is collinear
     # at 46.85 s, before the impact time, so it is not admissible
-    a, b, _ = _newton(query.r / speed, abs(query.sigma), query.t_go, [0.0106], [2.04], 1e-9, 1e-9)[0]
+    a, b, _ = _newton(query.r / speed, abs(query.sigma), query.t_go, 0.0106, 2.04)
     assert float(effort(a, b, query.t_go)) * speed**2 == pytest.approx(5.0572e4, rel=0.01)
     assert terminal_time(AdjointParams(a, b), t_bar=query.t_go) == pytest.approx(46.85, abs=0.05)
     # a warm call solves too: continuation from the solution reaches its root alone
@@ -227,7 +235,7 @@ def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
 
 
 def _sequential_newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=40):
-    """One seed at a time: the damped Newton that the lockstep one replaced, as a reference."""
+    """The damped Newton with a forward-difference Jacobian in both columns, as a reference."""
 
     def residual(a, b):
         r, s = _endpoint(a, b, t_go)
@@ -268,17 +276,45 @@ def _sequential_newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma,
     return (a, b, f) if converged(f) else None
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    log_alpha=st.floats(-4.0, 1.0),
+    beta=st.floats(1e-9, math.pi),
+    t=st.floats(0.01, 50.0),
+)
+# the worst cases of a 60,000-draw sweep, in R and next to the separatrix in Sigma,
+# and a case next to pi where the difference is 1 % off in Sigma
+@example(log_alpha=math.log10(1.4463678787556693), beta=0.8553418598915584, t=34.78740627591285)
+@example(log_alpha=math.log10(8.093951276339098), beta=1.510202555799848e-08, t=49.4565283674443)
+@example(log_alpha=math.log10(0.0007608442216573759), beta=3.141592652306007, t=37.94122663581753)
+def test_exact_alpha_column_matches_central_difference(log_alpha, beta, t):
+    alpha = 10.0**log_alpha
+    h = 1e-5 * alpha
+    X, Y, Theta, _ = evaluate(alpha + np.array([-2.0, -1.0, 1.0, 2.0]) * h, beta, t)
+    cross = Y * np.cos(Theta) - X * np.sin(Theta)
+    assume(np.sign(cross[0]) == np.sign(cross[-1]))  # the folded look angle has a kink where cross = 0
+    R, S = range_look_angle(X, Y, Theta)
+    r, _, jac = _endpoint_jacobian(alpha, beta, t)
+    # the difference's own error: its truncation, gauged by the difference in
+    # step 2h, and its rounding.  evaluate sums terms of size t + 2/sqrt(alpha),
+    # and over this domain its endpoints are good to about 2**-40 of them
+    rounding = 2.0**-38 * (t + 2.0 / math.sqrt(alpha)) / h
+    for F, exact, floor in ((R, jac[0, 0], rounding), (S, jac[1, 0], rounding / r)):
+        diff, diff_2h = (F[2] - F[1]) / (2.0 * h), (F[3] - F[0]) / (4.0 * h)
+        assert abs(exact - diff) <= abs(diff - diff_2h) + floor
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     t_go=st.floats(15.0, 50.0),
     ratio=st.floats(0.45, 0.8),
     look=st.floats(0.3, 1.1),
 )
-def test_lockstep_newton_matches_sequential_over_engage_domain(t_go, ratio, look):
+def test_newton_matches_finite_difference_reference_over_engage_domain(t_go, ratio, look):
     # the benchmark's engagement draw domain, in normalized units
     r_norm = ratio * t_go
     seeds = _seed_candidates(r_norm, look, t_go)
-    got = _newton(r_norm, look, t_go, [a for a, _ in seeds], [b for _, b in seeds], 1e-9, 1e-9)
+    got = [_newton(r_norm, look, t_go, a, b) for a, b in seeds]
     want = [_sequential_newton(r_norm, look, t_go, a, b, 1e-9, 1e-9) for a, b in seeds]
     assert [g is None for g in got] == [w is None for w in want]
     for g, w in zip(got, want):
@@ -420,7 +456,7 @@ def _brute_force_efforts(r_norm, sigma_abs, t_go):
     turn = sum(np.mod(c1 - c0 + math.pi, 2.0 * math.pi) - math.pi for c0, c1 in zip(corners, corners[1:] + corners[:1]))
     seeds[:-1, :-1] |= np.abs(turn) > math.pi
     idx = np.flatnonzero(seeds)
-    hits = _newton(r_norm, sigma_abs, t_go, list(q.flat[idx] / t_go**2), list(b.flat[idx]), 1e-9, 1e-9)
+    hits = [_newton(r_norm, sigma_abs, t_go, q.flat[k] / t_go**2, b.flat[k]) for k in idx]
     return [
         float(effort(a, beta, t_go))
         for a, beta, _ in filter(None, hits)
@@ -431,13 +467,14 @@ def _brute_force_efforts(r_norm, sigma_abs, t_go):
 @settings(max_examples=40, deadline=None)
 @given(
     t_go=st.floats(1.0, 50.0),
-    ratio=st.floats(0.2, 0.85),
-    look=st.floats(0.05, 2.6),
+    ratio=st.floats(0.2, 0.82),
+    look=st.floats(0.05, math.pi - 0.01),
     sign=st.sampled_from([-1.0, 1.0]),
 )
-# the box's far corner, next to the small-beta strip
-@example(t_go=1.0, ratio=0.85, look=2.6, sign=1.0)
-@example(t_go=50.0, ratio=0.85, look=2.6, sign=-1.0)
+# the box's far corner, next to the small-beta strip: from r/t_go 0.83 on, at
+# look angles from 2.59, Newton misses some roots with beta below 1e-4
+@example(t_go=1.0, ratio=0.82, look=math.pi - 0.01, sign=1.0)
+@example(t_go=50.0, ratio=0.82, look=math.pi - 0.01, sign=-1.0)
 def test_oracle_picks_least_effort_of_brute_force_roots(t_go, ratio, look, sign):
     efforts = _brute_force_efforts(ratio * t_go, look, t_go)
     try:

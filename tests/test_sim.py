@@ -51,6 +51,29 @@ def test_scenario_validation():
         simulate(Scenario(CASE_A_START, 500.0, 25.0, guidance="nn"))
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("speed", math.inf),
+        ("t_f", math.inf),
+        ("t_f", math.nan),
+        ("dt", math.inf),
+        ("pn_gain", math.nan),
+        ("pn_gain", -math.inf),
+        ("update_period", math.inf),
+        ("update_period", math.nan),
+        ("update_period", -0.5),
+        ("max_time", math.inf),
+        ("max_time", math.nan),
+        ("max_time", 0.0),
+    ],
+)
+def test_scenario_rejects_non_finite_and_out_of_range_settings(name, value):
+    # an infinite t_f or max_time would never end a run (or overflow its node count)
+    with pytest.raises(ValueError):
+        Scenario(**{"initial": CASE_A_START, "speed": 500.0, "t_f": 25.0, "guidance": "pn", name: value})
+
+
 def test_result_shapes_and_units():
     res = simulate(Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle"))
     assert len(res.u) == len(res.t) - 1
