@@ -37,6 +37,8 @@ SCENARIO_KEYS = {
 
 
 def _scenario_from_dict(cfg: dict, where: str = "scenario") -> Scenario:
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{where}: must be an object")
     unknown = set(cfg) - set(SCENARIO_KEYS)
     if unknown:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
@@ -45,7 +47,7 @@ def _scenario_from_dict(cfg: dict, where: str = "scenario") -> Scenario:
             raise ValueError(f"{where}: missing required key {key!r}")
     for key, value in cfg.items():
         want = SCENARIO_KEYS[key]
-        if want is float and not isinstance(value, (int, float)):
+        if want is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ValueError(f"{where}: key {key!r} must be a number")
         if want is str and not isinstance(value, str):
             raise ValueError(f"{where}: key {key!r} must be a string")
@@ -132,10 +134,12 @@ def _cmd_salvo(args) -> int:
     if not isinstance(cfg, dict) or "interceptors" not in cfg or not isinstance(cfg["interceptors"], list):
         raise ValueError("salvo config must be an object with an 'interceptors' list")
     shared = {k: v for k, v in cfg.items() if k != "interceptors"}
-    scenarios = [
-        _scenario_from_dict({**shared, **entry}, where=f"interceptors[{i}]")
-        for i, entry in enumerate(cfg["interceptors"])
-    ]
+    scenarios = []
+    for i, entry in enumerate(cfg["interceptors"]):
+        where = f"interceptors[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: must be an object")
+        scenarios.append(_scenario_from_dict({**shared, **entry}, where=where))
     model = load_model(args.model) if args.model else None
     results = salvo(scenarios, model=model)
     summary = salvo_summary(results)

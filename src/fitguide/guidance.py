@@ -36,8 +36,8 @@ closed form, and every distinct root the seeds reach is reported in
 
 A closed loop keeps flying a solved extremal while its state stays on it:
 ``warm_check`` tests many states against one solution in one call, within
-``WARM_TOL``.  ``command_oracle`` always solves; given the previous
-solution, it first continues Newton from its costate parameters.
+``WARM_TOL``.  ``command_oracle`` keeps no state: every call solves its
+query from the chart, so its answer depends on the query alone.
 """
 
 from __future__ import annotations
@@ -282,19 +282,20 @@ def _newton(r_norm, sigma_abs, t_go, alpha, beta):
 
     Each trial point costs one ``_endpoint_jacobian`` call, which also gives
     the Jacobian of the next step.  A step is tried at 1, 1/2, ..., 1/32 of
-    its length until the residual shrinks.  Returns (alpha, beta, residual),
-    or None when the seed does not converge within NEWTON_MAX_ITER steps or
-    meets a singular Jacobian.
+    its length until the residual shrinks, measured with its range part
+    relative to the queried range: like the family, that merit is
+    scale-invariant, so a seed takes the same steps at every time-to-go.
+    Returns (alpha, beta, residual), or None when the seed does not converge
+    within NEWTON_MAX_ITER steps or meets a singular Jacobian.
     """
-    scale = 1.0 + r_norm
 
     def trial(a, b):
         r, s, jac = _endpoint_jacobian(a, b, t_go)
         f = np.array([r - r_norm, s - sigma_abs])
-        return a, b, f, float(np.hypot(f[0] / scale, f[1])), jac
+        return a, b, f, float(np.hypot(f[0] / r_norm, f[1])), jac
 
     def converged(f):
-        return abs(f[0]) <= NEWTON_TOL * scale and abs(f[1]) <= NEWTON_TOL
+        return abs(f[0]) <= NEWTON_TOL * (1.0 + r_norm) and abs(f[1]) <= NEWTON_TOL
 
     a, b, f, size, jac = trial(alpha, beta)
     for _ in range(NEWTON_MAX_ITER):
@@ -314,11 +315,6 @@ def _newton(r_norm, sigma_abs, t_go, alpha, beta):
     return (a, b, f) if converged(f) else None
 
 
-def _usable(solution: OracleSolution, t_go):
-    """Where the solved extremal reaches the queried time-to-go and is not the straight line."""
-    return (solution.normalized_t_go >= t_go) & (solution.params.alpha > ALPHA_DEGENERATE)
-
-
 def warm_check(solution: OracleSolution, r_norm, sigma_abs, t_go):
     """Whether the solved extremal still passes through each queried state.
 
@@ -329,27 +325,24 @@ def warm_check(solution: OracleSolution, r_norm, sigma_abs, t_go):
     zero): all NaN, and no hit.
     """
     p = solution.params
-    X, Y, Theta, U = evaluate(max(p.alpha, ALPHA_DEGENERATE), p.beta, np.where(_usable(solution, t_go), t_go, np.nan))
+    usable = (solution.normalized_t_go >= t_go) & (p.alpha > ALPHA_DEGENERATE)
+    X, Y, Theta, U = evaluate(max(p.alpha, ALPHA_DEGENERATE), p.beta, np.where(usable, t_go, np.nan))
     r_end, s_end = range_look_angle(X, Y, Theta)
     f = (r_end - r_norm, s_end - sigma_abs)
     hit = (np.abs(f[0]) <= WARM_TOL * (1.0 + r_norm)) & (np.abs(f[1]) <= WARM_TOL)
     return hit, f, U
 
 
-def command_oracle(query: GuidanceQuery, warm_solution: OracleSolution | None = None) -> OracleSolution:
+def command_oracle(query: GuidanceQuery) -> OracleSolution:
     """Solve the boundary problem for the optimal command at the query.
 
-    Every call solves.  ``warm_solution`` is the previous solution of a
-    closed loop, whose extremal the state has drifted off (the loop tests
-    that with ``warm_check``).  When that extremal reaches the query's
-    time-to-go, Newton first continues from its costate parameters; only
-    when there is nothing to continue from, or that finds no admissible
-    root, does it run from every cell of the admissible chart that brackets a
-    root (``_seed_candidates``), one seed after another.  Converged roots are merged
-    in seed order, and each distinct root gets one exact collinearity check
-    (admissible when collinearity-free up to the time-to-go) and its
-    closed-form effort.  The least-effort admissible root wins; only it is
-    sampled into ``trajectory``, and ``roots`` lists them all.
+    The answer depends on the query alone.  Newton runs from every cell of
+    the admissible chart that brackets a root (``_seed_candidates``), one
+    seed after another.  Converged roots are merged in seed order, and each
+    distinct root gets one exact collinearity check (admissible when
+    collinearity-free up to the time-to-go) and its closed-form effort.  The
+    least-effort admissible root wins; only it is sampled into
+    ``trajectory``, and ``roots`` lists them all.
     Raises GuidanceError when no admissible extremal matches the query
     within tolerance.
     """
@@ -362,23 +355,16 @@ def command_oracle(query: GuidanceQuery, warm_solution: OracleSolution | None = 
     if sigma_abs <= 1e-12 and abs(r_norm - t_go) <= NEWTON_TOL * (1.0 + r_norm):
         return _degenerate_solution(query)
 
-    guess = warm_solution.params if warm_solution is not None and _usable(warm_solution, t_go) else None
-
     found = []  # distinct roots in seed order: (alpha, beta, residual, admissible)
-
-    def solve(seeds):
-        for hit in filter(None, (_newton(r_norm, sigma_abs, t_go, *seed) for seed in seeds)):
-            a, b, f = hit
-            if any(abs(a - a0) <= 1e-6 + 1e-3 * a0 and abs(b - b0) <= 1e-3 for a0, b0, *_ in found):
-                continue
-            # below ALPHA_DEGENERATE a root is effectively the straight line
-            ok = a < ALPHA_DEGENERATE or not terminal_time(AdjointParams(a, b), t_bar=t_go) < t_go
-            found.append((a, b, f, ok))
-        return any(ok for *_, ok in found)
-
-    if guess is None or not solve([(guess.alpha, guess.beta)]):
-        if not solve(_seed_candidates(r_norm, sigma_abs, t_go)):
-            raise GuidanceError("no admissible extremal found")
+    seeds = _seed_candidates(r_norm, sigma_abs, t_go)
+    for a, b, f in filter(None, (_newton(r_norm, sigma_abs, t_go, *seed) for seed in seeds)):
+        if any(abs(a - a0) <= 1e-6 + 1e-3 * a0 and abs(b - b0) <= 1e-3 for a0, b0, *_ in found):
+            continue
+        # below ALPHA_DEGENERATE a root is effectively the straight line
+        ok = a < ALPHA_DEGENERATE or not terminal_time(AdjointParams(a, b), t_bar=t_go) < t_go
+        found.append((a, b, f, ok))
+    if not any(ok for *_, ok in found):
+        raise GuidanceError("no admissible extremal found")
 
     alphas = np.array([a for a, *_ in found])
     efforts = np.where(alphas < ALPHA_DEGENERATE, 0.0, effort(alphas, [b for _, b, *_ in found], t_go))

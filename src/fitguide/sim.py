@@ -11,7 +11,7 @@ vectorized pass (``kinematics.fly_arcs``) and tested at all its coming
 re-solve nodes in one ``guidance.warm_check`` call; the first node where
 the flown state has drifted off it is re-solved and flown again from.
 ``command_oracle`` is called only for the first plan and at those nodes,
-and it always solves, continuing Newton from the plan it replaces.
+and each call solves its query afresh, with no memory of the plan.
 The oracle steps one at a time only once the range is too short to measure.
 
 Termination: network/oracle runs stop at the prescribed impact time
@@ -100,8 +100,8 @@ class SimResult:
     impact_time: float
     resolves: int = 0           # oracle re-solve nodes: the first solve, each warm check that passed, each re-solve
     resolve_failures: int = 0   # oracle re-solves that raised; the last plan was replayed
-    # longest time, s, from the solve that set an oracle plan (a signed extremal)
-    # to the last step it commanded; a node whose warm check passes keeps the plan and its age
+    # longest time, s, from the solve that made an oracle plan to the last step it
+    # commanded; a node whose warm check passes, or whose re-solve fails, keeps the plan and its age
     plan_age_max: float = 0.0
 
 
@@ -180,7 +180,6 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
     u_hist: list[float] = []
     last_u = 0.0
     oracle_sol = None
-    next_solve = 0.0
     resolves = 0
     resolve_failures = 0
     plan_age_max = 0.0
@@ -190,8 +189,7 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
         hsteps = np.minimum(dt, t_go_nodes)
         # midpoint sampling of the held command halves the hold bias
         t_eval = np.maximum(t_go_nodes - 0.5 * hsteps, 0.0)
-        u_plan = np.empty(len(hsteps))
-        plan = None  # the signed extremal whose commands fill u_plan from its first step on
+        u_plan = np.empty(len(hsteps))  # the plan's commands, filled from the step it was solved at
 
     while True:
         r = math.hypot(state.x, state.y)
@@ -205,28 +203,24 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
         if r < 2.0 * speed * dt:
             u = last_u  # range too short to measure the look angle reliably
         elif law == "oracle":
-            if oracle_sol is None or (t >= next_solve and t_go > t_lock):
-                polar = cartesian_to_polar(state)
-                resolves += 1
-                try:
-                    oracle_sol = command_oracle(
-                        GuidanceQuery(r, polar.sigma, max(t_go, r / speed), speed),
-                        warm_solution=oracle_sol,
-                    )
-                except GuidanceError as err:
-                    if oracle_sol is None:
-                        raise GuidanceError(f"t={t:.3f} s: {err}") from err
-                    # keep replaying the last verified plan; late-flight
-                    # re-solves are ill-conditioned near collision course
-                    resolve_failures += 1
-                # node times accumulate rounding, so a node within a hair of
-                # the due time is due; else that re-solve lands a step late
-                next_solve = t + update_period * (1.0 - 1e-9)
+            # the first node, or the first re-solve node whose warm check failed
             k = len(ts) - 1
-            if oracle_sol.extremal() != plan:
-                # a warm hit keeps the extremal, and with it these commands
-                plan, plan_t0 = oracle_sol.extremal(), t
-                u_plan[k:] = evaluate(*plan, t_eval[k:])[3]
+            polar = cartesian_to_polar(state)
+            resolves += 1
+            try:
+                sol = command_oracle(GuidanceQuery(r, polar.sigma, max(t_go, r / speed), speed))
+            except GuidanceError as err:
+                if oracle_sol is None:
+                    raise GuidanceError(f"t={t:.3f} s: {err}") from err
+                # keep replaying the last verified plan; late-flight
+                # re-solves are ill-conditioned near collision course
+                resolve_failures += 1
+            else:
+                oracle_sol, plan_t0 = sol, t
+                u_plan[k:] = evaluate(*sol.extremal(), t_eval[k:])[3]
+            # node times accumulate rounding, so a node within a hair of
+            # the due time is due; else that re-solve lands a step late
+            next_solve = t + update_period * (1.0 - 1e-9)
             # fly the plan to the end; from the first node too close to
             # measure, the step loop holds the command
             x, y, th = fly_arcs(state.x, state.y, state.theta, u_plan[k:], hsteps[k:], speed)
@@ -248,7 +242,6 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
                 resolves += cut
                 if cut < len(d):
                     n = int(d[cut])
-                    next_solve = nodes[k + n]
             u_hist.extend(u_plan[k : k + n].tolist())
             ts.extend(nodes[k + 1 : k + 1 + n].tolist())
             xs.extend(x[1 : n + 1].tolist())

@@ -91,6 +91,24 @@ def test_simulate_rejects_infinite_impact_time(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("simulate", [[1]], "scenario: must be an object"),
+        # json's true is a Python bool, which is an int
+        ("simulate", {"x0": True, "y0": 0, "theta0": 1, "speed": 500, "t_f": 20}, "'x0' must be a number"),
+        ("salvo", {"t_f": 30, "interceptors": [5]}, "interceptors[0]: must be an object"),
+    ],
+    ids=["simulate-list", "simulate-bool-number", "salvo-number-entry"],
+)
+def test_malformed_configs_are_errors(tmp_path, capsys, command, config, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_salvo_from_config(tmp_path, capsys):
     cfg = {
         "t_f": 30.0,

@@ -192,10 +192,10 @@ def _watch_resolve_nodes(monkeypatch, force_miss=0):
         t_go.extend(t_query[: len(hit) if hit.all() else int(np.argmin(hit))].tolist())
         return (hit, *rest)
 
-    def oracle(query, **kwargs):
+    def oracle(query):
         t_go.append(query.t_go)
         calls.append(query)
-        return real_oracle(query, **kwargs)
+        return real_oracle(query)
 
     monkeypatch.setattr(sim_module, "warm_check", check)
     monkeypatch.setattr(sim_module, "command_oracle", oracle)
@@ -328,7 +328,7 @@ def _parity_cases():
 def test_oracle_plan_flight_matches_resolving_at_every_node(monkeypatch, dt, pos_tol):
     # reference: a warm check that always misses makes the loop call
     # command_oracle at every re-solve node and fly again from each one; the
-    # scalar warm rule there keeps the plan on a hit and re-solves on a miss
+    # scalar warm rule there keeps the last plan on a hit and solves on a miss
     import fitguide.sim as sim_module
     from test_guidance import scalar_warm_rule
 
@@ -338,13 +338,16 @@ def test_oracle_plan_flight_matches_resolving_at_every_node(monkeypatch, dt, pos
         with monkeypatch.context() as m:
             t_go, calls = _watch_resolve_nodes(m)
             res = simulate(sc)
-        ref_calls = []
+        ref_calls, plan = [], [None]
 
-        def recorded(query, warm_solution=None):
-            hit = warm_solution is not None and (query.sigma < 0.0) == warm_solution.mirrored
-            hit = hit and scalar_warm_rule(warm_solution, query.r / query.speed, abs(query.sigma), query.t_go)[0]
+        def recorded(query):
+            last = plan[0]
+            hit = last is not None and (query.sigma < 0.0) == last.mirrored
+            hit = hit and scalar_warm_rule(last, query.r / query.speed, abs(query.sigma), query.t_go)[0]
             ref_calls.append((query.t_go, hit))
-            return warm_solution if hit else real(query, warm_solution=warm_solution)
+            if not hit:
+                plan[0] = real(query)
+            return plan[0]
 
         with monkeypatch.context() as m:
             m.setattr(sim_module, "command_oracle", recorded)
@@ -369,15 +372,7 @@ def test_plan_age_counts_from_the_solve_that_made_the_plan(monkeypatch):
     assert len(calls) == 1 < res.resolves
     assert sc.t_f - max(1.0, 0.1 * sc.t_f) <= res.plan_age_max < sc.t_f
     # a plan solved afresh at the first re-solve node, 1 s in, is 1 s younger
-    import fitguide.sim as sim_module
-
-    real = sim_module.command_oracle
-
-    def cold(query, warm_solution=None):
-        return real(query)
-
     with monkeypatch.context() as m:
-        m.setattr(sim_module, "command_oracle", cold)
         _, calls = _watch_resolve_nodes(m, force_miss=1)
         forced = simulate(sc)
     assert len(calls) == 2
