@@ -31,8 +31,7 @@ from .sim import Scenario, SimResult, export_trajectory, salvo, salvo_summary, s
 
 SCENARIO_KEYS = {
     "x0": float, "y0": float, "theta0": float, "speed": float, "t_f": float,
-    "guidance": str, "dt": float, "update_period": float, "pn_gain": float,
-    "max_time": float,
+    "guidance": str, "dt": float,
 }
 
 
@@ -57,9 +56,6 @@ def _scenario_from_dict(cfg: dict, where: str = "scenario") -> Scenario:
         t_f=cfg["t_f"],
         guidance=cfg.get("guidance", "oracle"),
         dt=cfg.get("dt", 0.01),
-        update_period=cfg.get("update_period"),
-        pn_gain=cfg.get("pn_gain", 3.0),
-        max_time=cfg.get("max_time"),
     )
 
 

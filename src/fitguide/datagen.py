@@ -55,8 +55,8 @@ class DatagenConfig:
     h: float = 0.005
 
     def __post_init__(self):
-        if self.alpha_bar <= 0 or self.t_bar <= 0 or self.h <= 0:
-            raise ValueError("alpha_bar, t_bar and h must be positive")
+        if not all(0.0 < v < math.inf for v in (self.alpha_bar, self.t_bar, self.h)):
+            raise ValueError("alpha_bar, t_bar and h must be finite and positive")
         if self.n_i < 1 or self.n_j < 1:
             raise ValueError("grid counts must be positive integers")
         if self.h > self.t_bar:

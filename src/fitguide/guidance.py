@@ -12,7 +12,7 @@ acceleration = speed * turn rate):
   (first-collinearity time >= time-to-go) and, among admissible roots,
   returning the one of least effort.
 * ``pn_command``       — proportional navigation baseline, turn rate =
-  gain * line-of-sight rate.
+  3 * line-of-sight rate.
 
 Normalization: the oracle rescales lengths by 1/speed (time unchanged),
 so the parameterized system's command is already a physical turn rate.
@@ -156,11 +156,11 @@ def command_nn(model, query: GuidanceQuery) -> float:
     return sign * (g / query.t_go) * c
 
 
-def pn_command(state: PolarState, speed: float, gain: float = 3.0) -> float:
-    """Proportional navigation: turn rate = gain * LOS rate."""
+def pn_command(state: PolarState, speed: float) -> float:
+    """Proportional navigation: turn rate = 3 * LOS rate (navigation gain 3)."""
     if state.r <= 0.0:
         raise ValueError("range must be positive")
-    return gain * (speed * math.sin(state.sigma) / state.r)
+    return 3.0 * (speed * math.sin(state.sigma) / state.r)
 
 
 # --- boundary-value oracle ---
@@ -419,7 +419,10 @@ def solve_ocp(initial: CartesianState, speed: float, t_f: float, dt: float = 0.0
     Nodes fall on t_k = min(k dt, t_f), and the last one is the target.  The
     command held over each step is the extremal's at the step's midpoint,
     where ``simulate`` samples a replayed plan; the effort is the oracle's.
+    Raises ValueError unless dt is finite and positive.
     """
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
     polar = cartesian_to_polar(initial)
     query = GuidanceQuery(r=polar.r, sigma=polar.sigma, t_go=t_f, speed=speed)
     sol = command_oracle(query)

@@ -91,8 +91,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.target_mse <= 0:
-            raise ValueError("target_mse must be positive")
+        if not all(0.0 < v < math.inf for v in (self.target_mse, self.learning_rate, self.lr_min)):
+            raise ValueError("target_mse, learning_rate and lr_min must be finite and positive")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
         if self.max_epochs < 1 or self.batch_size < 1:
@@ -197,6 +197,8 @@ def train(dataset: np.ndarray, config: TrainConfig | None = None) -> tuple[Comma
     data = np.asarray(dataset, dtype=float)
     if data.ndim != 2 or data.shape[1] != 4 or len(data) == 0:
         raise ValueError("dataset must be a non-empty (n, 4) array")
+    if not np.isfinite(data).all():
+        raise ValueError("dataset has non-finite values")
     rng = np.random.default_rng(config.seed)
     data = data[rng.permutation(len(data))]
     n_val = max(1, int(len(data) * config.validation_fraction))

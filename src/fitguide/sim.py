@@ -1,10 +1,10 @@
 """Closed-loop engagement simulation and effort/miss metrics.
 
 The simulator flies the Cartesian kinematics exactly (constant turn rate
-over each step of fixed length).  The network and the
-proportional-navigation laws measure range and look angle and evaluate
-their command every step.  The boundary-value oracle re-solves at a
-configurable period (default 1 s), and its command depends on time alone:
+over each step of fixed length), and each law has one flight path.  The
+network and the proportional-navigation (gain 3) laws measure range and
+look angle and evaluate their command every step.  The boundary-value
+oracle re-solves once a second, and its command depends on time alone:
 it is the plan's, the latest solved extremal's, in closed form at each
 step's midpoint time-to-go.  So each plan is flown to the end in one
 vectorized pass (``kinematics.fly_arcs``) and tested at all its coming
@@ -12,11 +12,12 @@ re-solve nodes in one ``guidance.warm_check`` call; the first node where
 the flown state has drifted off it is re-solved and flown again from.
 ``command_oracle`` is called only for the first plan and at those nodes,
 and each call solves its query afresh, with no memory of the plan.
-The oracle steps one at a time only once the range is too short to measure.
+Once the range is too short to measure (two steps' flight), every law
+holds its last command; the oracle flies that hold in one more pass.
 
 Termination: network/oracle runs stop at the prescribed impact time
 (or on an early target crossing); proportional navigation ignores the
-impact time and flies until intercept or ``max_time``.  Miss distance
+impact time and flies until intercept or max(4 t_f, 60 s).  Miss distance
 and impact time are refined by fitting a parabola to the squared range
 over the final integration nodes.
 """
@@ -54,31 +55,29 @@ TRAJECTORY_HEADER = "t,x,y,theta,r,sigma,u,a"
 
 GUIDANCE_LAWS = ("nn", "oracle", "pn")
 
+RESOLVE_PERIOD = 1.0  # s, from one oracle re-solve node to the next
+
 
 @dataclass(frozen=True)
 class Scenario:
-    """One engagement: interceptor initial state in the target frame."""
+    """One engagement: interceptor initial state in the target frame, speed,
+    prescribed impact time, guidance law and integration step.
+
+    Nothing else is set per run: the oracle re-solves every
+    ``RESOLVE_PERIOD`` (1 s), and PN has gain 3 and gives up at max(4 t_f, 60 s).
+    """
 
     initial: CartesianState
     speed: float
     t_f: float
     guidance: str = "oracle"
     dt: float = 0.01
-    update_period: float | None = None  # oracle re-solve period; None -> 1.0
-    pn_gain: float = 3.0
-    max_time: float | None = None       # PN time-out; None -> max(4*t_f, 60)
 
     def __post_init__(self):
         if self.guidance not in GUIDANCE_LAWS:
             raise ValueError(f"unknown guidance law {self.guidance!r}")
         if not all(0.0 < v < math.inf for v in (self.speed, self.t_f, self.dt)):
             raise ValueError("speed, t_f and dt must be finite and positive")
-        if not math.isfinite(self.pn_gain):
-            raise ValueError("pn_gain must be finite")
-        if self.update_period is not None and not 0.0 <= self.update_period < math.inf:
-            raise ValueError("update_period must be finite and non-negative")
-        if self.max_time is not None and not 0.0 < self.max_time < math.inf:
-            raise ValueError("max_time must be finite and positive")
 
 
 @dataclass
@@ -153,6 +152,109 @@ def _node_times(t_f: float, dt: float) -> np.ndarray:
     return t
 
 
+def _fly_oracle(scenario: Scenario):
+    """Node arrays ``(t, x, y, theta, u)`` of an oracle engagement, and its re-solve counts."""
+    speed, dt, t_f = scenario.speed, scenario.dt, scenario.t_f
+    # no re-solve in the terminal phase: the query degenerates toward a
+    # collision course where the solve is ill conditioned, while the
+    # replayed extremal is already exact
+    t_lock = max(RESOLVE_PERIOD, 0.1 * t_f)
+    nodes = _node_times(t_f, dt)
+    last = len(nodes) - 1
+    t_go = t_f - nodes[:-1]
+    h = np.minimum(dt, t_go)
+    # midpoint sampling of the held command halves the hold bias
+    t_eval = np.maximum(t_go - 0.5 * h, 0.0)
+    u = np.empty(last)  # from the node a plan was solved at on, that plan's commands
+    path = np.empty((3, last + 1))  # x, y, theta at each node
+    path[:, 0] = scenario.initial.x, scenario.initial.y, scenario.initial.theta
+    sol = None
+    resolves = resolve_failures = 0
+    plan_age_max = 0.0
+    k = 0
+    # from the first node too close to measure, the last command is held
+    while k < last and (r := math.hypot(*path[:2, k])) >= 2.0 * speed * dt:
+        # the first node, or the first re-solve node whose warm check failed
+        polar = cartesian_to_polar(CartesianState(*path[:, k]))
+        resolves += 1
+        try:
+            new = command_oracle(GuidanceQuery(r, polar.sigma, max(t_f - nodes[k], r / speed), speed))
+        except GuidanceError as err:
+            if sol is None:
+                raise GuidanceError(f"t={nodes[k]:.3f} s: {err}") from err
+            # keep replaying the last verified plan; late-flight
+            # re-solves are ill-conditioned near collision course
+            resolve_failures += 1
+        else:
+            sol, plan_t0 = new, nodes[k]
+            u[k:] = evaluate(*sol.extremal(), t_eval[k:])[3]
+        # fly the plan to the end, or to the first node too close to measure
+        flown = xs, ys, ths = fly_arcs(*path[:, k], u[k:], h[k:], speed)
+        rr = np.hypot(xs, ys)
+        near = np.flatnonzero(rr[1:] < 2.0 * speed * dt)
+        n = int(near[0]) + 1 if len(near) else last - k
+        # the re-solve nodes on the way, each the first a period after the
+        # last; node times accumulate rounding, so a node within a hair of
+        # the due time is due, else that re-solve lands a step late
+        d, j = [], k
+        next_solve = nodes[k] + RESOLVE_PERIOD * (1.0 - 1e-9)
+        while (j := max(int(np.searchsorted(nodes, next_solve)), j + 1)) < k + n and t_f - nodes[j] > t_lock:
+            d.append(j - k)
+            next_solve = nodes[j] + RESOLVE_PERIOD * (1.0 - 1e-9)
+        # test the plan at all of them at once; the first that drifts off
+        # it, or whose look angle changes side, ends the flight and re-solves
+        if d:
+            d = np.array(d)
+            sigma, r_d = look_angles(xs[d], ys[d], ths[d]), rr[d] / speed
+            ok = warm_check(sol, r_d, np.abs(sigma), np.maximum(t_f - nodes[k + d], r_d))[0]
+            cut = int(np.argmin(np.append(ok & ((sigma < 0.0) == sol.mirrored), False)))
+            resolves += cut
+            if cut < len(d):
+                n = int(d[cut])
+        path[:, k + 1 : k + n + 1] = [a[1 : n + 1] for a in flown]
+        plan_age_max = max(plan_age_max, nodes[k + n - 1] - plan_t0)
+        k += n
+    if k < last:
+        # hold until the first node within half a step's flight, or t_f
+        u[k:] = u[k - 1] if k else 0.0
+        flown = fly_arcs(*path[:, k], u[k:], h[k:], speed)
+        near = np.flatnonzero(np.hypot(*flown[:2]) < speed * dt / 2.0)
+        n = int(near[0]) if len(near) else last - k
+        path[:, k + 1 : k + n + 1] = [a[1 : n + 1] for a in flown]
+        k += n
+    counts = {"resolves": resolves, "resolve_failures": resolve_failures, "plan_age_max": float(plan_age_max)}
+    return (nodes[: k + 1], *path[:, : k + 1], u[:k]), counts
+
+
+def _fly_steps(scenario: Scenario, model):
+    """Node arrays ``(t, x, y, theta, u)`` of a network or PN engagement, one step at a time."""
+    law, speed, dt, t_f = scenario.guidance, scenario.speed, scenario.dt, scenario.t_f
+    t_end = max(4.0 * t_f, 60.0) if law == "pn" else t_f - 1e-12
+    state = scenario.initial
+    t = 0.0
+    ts, xs, ys, ths = [0.0], [state.x], [state.y], [state.theta]
+    u_hist: list[float] = []
+    u = 0.0
+    while (r := math.hypot(state.x, state.y)) >= speed * dt / 2.0 and t < t_end:
+        # else the range is too short to measure the look angle reliably: hold u
+        if r >= 2.0 * speed * dt:
+            polar = cartesian_to_polar(state)
+            if law == "pn":
+                u = pn_command(polar, speed)
+            else:
+                # clamp marginal terminal-phase infeasibility from command noise
+                u = command_nn(model, GuidanceQuery(r, polar.sigma, max(t_f - t, r / speed), speed))
+        u_hist.append(u)
+        hstep = dt if law == "pn" else min(dt, t_f - t)
+        state = step_cartesian(state, u, hstep, speed)
+        t += hstep
+        ts.append(t)
+        xs.append(state.x)
+        ys.append(state.y)
+        ths.append(state.theta)
+    return (np.array(ts), np.array(xs), np.array(ys), np.array(ths), np.array(u_hist)), {}
+
+
 def simulate(scenario: Scenario, model=None) -> SimResult:
     """Run one closed-loop engagement."""
     law = scenario.guidance
@@ -162,122 +264,9 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
     r0 = math.hypot(scenario.initial.x, scenario.initial.y)
     if law in ("nn", "oracle") and r0 > speed * t_f * (1.0 + 1e-12):
         raise GuidanceError("infeasible scenario: target unreachable by t_f")
-
-    update_period = scenario.update_period if scenario.update_period is not None else 1.0
-    max_time = scenario.max_time if scenario.max_time is not None else max(4.0 * t_f, 60.0)
-
-    # no re-solve in the terminal phase: the query degenerates toward a
-    # collision course where the solve is ill conditioned, while the
-    # replayed extremal is already exact
-    t_lock = max(update_period, 0.1 * t_f)
-
-    state = scenario.initial
-    t = 0.0
-    ts = [0.0]
-    xs = [state.x]
-    ys = [state.y]
-    ths = [state.theta]
-    u_hist: list[float] = []
-    last_u = 0.0
-    oracle_sol = None
-    resolves = 0
-    resolve_failures = 0
-    plan_age_max = 0.0
-    if law == "oracle":
-        nodes = _node_times(t_f, dt)
-        t_go_nodes = t_f - nodes[:-1]
-        hsteps = np.minimum(dt, t_go_nodes)
-        # midpoint sampling of the held command halves the hold bias
-        t_eval = np.maximum(t_go_nodes - 0.5 * hsteps, 0.0)
-        u_plan = np.empty(len(hsteps))  # the plan's commands, filled from the step it was solved at
-
-    while True:
-        r = math.hypot(state.x, state.y)
-        if law == "pn":
-            if r < speed * dt / 2.0 or t >= max_time:
-                break
-        else:
-            if t >= t_f - 1e-12 or r < speed * dt / 2.0:
-                break
-        t_go = t_f - t
-        if r < 2.0 * speed * dt:
-            u = last_u  # range too short to measure the look angle reliably
-        elif law == "oracle":
-            # the first node, or the first re-solve node whose warm check failed
-            k = len(ts) - 1
-            polar = cartesian_to_polar(state)
-            resolves += 1
-            try:
-                sol = command_oracle(GuidanceQuery(r, polar.sigma, max(t_go, r / speed), speed))
-            except GuidanceError as err:
-                if oracle_sol is None:
-                    raise GuidanceError(f"t={t:.3f} s: {err}") from err
-                # keep replaying the last verified plan; late-flight
-                # re-solves are ill-conditioned near collision course
-                resolve_failures += 1
-            else:
-                oracle_sol, plan_t0 = sol, t
-                u_plan[k:] = evaluate(*sol.extremal(), t_eval[k:])[3]
-            # node times accumulate rounding, so a node within a hair of
-            # the due time is due; else that re-solve lands a step late
-            next_solve = t + update_period * (1.0 - 1e-9)
-            # fly the plan to the end; from the first node too close to
-            # measure, the step loop holds the command
-            x, y, th = fly_arcs(state.x, state.y, state.theta, u_plan[k:], hsteps[k:], speed)
-            rr = np.hypot(x, y)
-            near = np.flatnonzero(rr[1:] < 2.0 * speed * dt)
-            n = int(near[0]) + 1 if len(near) else len(rr) - 1
-            # the re-solve nodes on the way, each the first a period after the last
-            d, j = [], k
-            while (j := max(int(np.searchsorted(nodes, next_solve)), j + 1)) < k + n and t_f - nodes[j] > t_lock:
-                d.append(j - k)
-                next_solve = nodes[j] + update_period * (1.0 - 1e-9)
-            # test the plan at all of them at once; the first that drifts off
-            # it, or whose look angle changes side, ends the flight and re-solves
-            if d:
-                d = np.array(d)
-                sigma, r_d = look_angles(x[d], y[d], th[d]), rr[d] / speed
-                ok = warm_check(oracle_sol, r_d, np.abs(sigma), np.maximum(t_f - nodes[k + d], r_d))[0]
-                cut = int(np.argmin(np.append(ok & ((sigma < 0.0) == oracle_sol.mirrored), False)))
-                resolves += cut
-                if cut < len(d):
-                    n = int(d[cut])
-            u_hist.extend(u_plan[k : k + n].tolist())
-            ts.extend(nodes[k + 1 : k + 1 + n].tolist())
-            xs.extend(x[1 : n + 1].tolist())
-            ys.extend(y[1 : n + 1].tolist())
-            ths.extend(th[1 : n + 1].tolist())
-            plan_age_max = max(plan_age_max, ts[-2] - plan_t0)
-            state = CartesianState(xs[-1], ys[-1], ths[-1])
-            t = ts[-1]
-            last_u = u_hist[-1]
-            continue
-        else:
-            polar = cartesian_to_polar(state)
-            if law == "pn":
-                u = pn_command(polar, speed, scenario.pn_gain)
-            else:
-                # clamp marginal terminal-phase infeasibility from command noise
-                t_query = max(t_go, r / speed)
-                u = command_nn(model, GuidanceQuery(r, polar.sigma, t_query, speed))
-        last_u = u
-        u_hist.append(u)
-        hstep = dt if law == "pn" else min(dt, t_f - t)
-        state = step_cartesian(state, u, hstep, speed)
-        t += hstep
-        ts.append(t)
-        xs.append(state.x)
-        ys.append(state.y)
-        ths.append(state.theta)
-
-    t_arr = np.array(ts)
-    x_arr = np.array(xs)
-    y_arr = np.array(ys)
-    th_arr = np.array(ths)
+    flight = _fly_oracle(scenario) if law == "oracle" else _fly_steps(scenario, model)
+    (t_arr, x_arr, y_arr, th_arr, u_arr), counts = flight
     r_arr = np.hypot(x_arr, y_arr)
-    sigma_arr = look_angles(x_arr, y_arr, th_arr)
-    u_arr = np.array(u_hist)
-    a_arr = speed * u_arr
     effort = control_effort(t_arr[:-1], u_arr, speed) if len(u_arr) else 0.0
     impact_time, miss = _refine_miss(t_arr, r_arr, dt)
     return SimResult(
@@ -287,16 +276,14 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
         y=y_arr,
         theta=th_arr,
         r=r_arr,
-        sigma=sigma_arr,
+        sigma=look_angles(x_arr, y_arr, th_arr),
         t_control=t_arr[:-1],
         u=u_arr,
-        accel=a_arr,
+        accel=speed * u_arr,
         effort=effort,
         miss=miss,
         impact_time=impact_time,
-        resolves=resolves,
-        resolve_failures=resolve_failures,
-        plan_age_max=plan_age_max,
+        **counts,
     )
 
 

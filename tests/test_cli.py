@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fitguide import read_dataset, save_model
+from fitguide import read_dataset, save_model, write_dataset
 from fitguide.cli import main
 
 
@@ -40,6 +40,37 @@ def test_solve_case_a(tmp_path, capsys):
     assert j_val == pytest.approx(2.1350e4, rel=0.01)
     header = out.read_text(encoding="utf-8").splitlines()[0]
     assert header == "t,x,y,theta,r,sigma,u,a"
+
+
+@pytest.mark.parametrize("dt", ["0", "-0.01", "inf", "nan"])
+def test_solve_refuses_a_non_finite_or_non_positive_dt(capsys, dt):
+    code = main(["solve", "--x0", "-10000", "--y0", "0", "--theta0", "1", "--speed", "500",
+                 "--tf", "25", f"--dt={dt}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dt must be finite and positive" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--t-bar", "inf"), ("--alpha-bar", "nan")])
+def test_gen_data_refuses_non_finite_floats(tmp_path, capsys, flag, value):
+    code = main(["gen-data", "--out", str(tmp_path / "d.csv"), "--ni", "1", "--nj", "1", f"{flag}={value}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite and positive" in err
+
+
+@pytest.mark.parametrize("bad", ["inf-row", "nan-lr"])
+def test_train_refuses_bad_input(tmp_path, capsys, bad):
+    rng = np.random.default_rng(0)
+    data = rng.uniform(0.1, 1.0, (200, 4))
+    if bad == "inf-row":
+        data[7, 2] = math.inf
+    data_path = tmp_path / "d.csv"
+    write_dataset(data, data_path)
+    args = ["train", "--data", str(data_path), "--out", str(tmp_path / "m.txt"), "--epochs", "1"]
+    assert main(args + (["--lr", "nan"] if bad == "nan-lr" else [])) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "m.txt").exists()
 
 
 def test_guide_oracle(capsys):
@@ -81,6 +112,17 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
                                     "t_f": 5, "warp": 9}), encoding="utf-8")
     assert main(["simulate", "--config", str(cfg_path)]) == 1
     assert "unknown keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("update_period", 0.5), ("pn_gain", 4.0), ("max_time", 90.0)])
+def test_simulate_refuses_removed_scenario_keys(tmp_path, capsys, key, value):
+    # the re-solve period (1 s), PN gain (3) and PN time-out are fixed
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps({"x0": -5000, "y0": 0, "theta0": 1, "speed": 500, "t_f": 20,
+                                    "guidance": "pn", key: value}), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"unknown keys ['{key}']" in err
 
 
 def test_simulate_rejects_infinite_impact_time(tmp_path, capsys):

@@ -32,6 +32,13 @@ def test_config_validation():
         DatagenConfig(t_bar=0.001, h=0.01)
 
 
+@pytest.mark.parametrize("name", ["alpha_bar", "t_bar", "h"])
+@pytest.mark.parametrize("value", [0.0, math.inf, math.nan])
+def test_config_rejects_non_finite_or_non_positive_floats(name, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        DatagenConfig(**{name: value})
+
+
 def test_sample_invariants(reduced_dataset):
     d = reduced_dataset
     assert np.all(np.isfinite(d))

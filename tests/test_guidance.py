@@ -561,6 +561,12 @@ def test_solve_ocp_infeasible_rejected():
         solve_ocp(CartesianState(-10000.0, 0.0, 0.1), speed=100.0, t_f=5.0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.inf, math.nan])
+def test_solve_ocp_rejects_a_non_finite_or_non_positive_dt(dt):
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        solve_ocp(CartesianState(-10000.0, 0.0, math.pi / 3), 500.0, 25.0, dt=dt)
+
+
 def test_terminal_command_vanishes():
     sol = solve_ocp(CartesianState(-10000.0, 0.0, math.pi / 3), 500.0, 25.0)
     alpha = sol.oracle.params.alpha

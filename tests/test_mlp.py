@@ -126,6 +126,21 @@ def test_training_diverges_loudly():
         np.seterr(**np_err)
 
 
+def test_train_rejects_non_finite_rows():
+    for bad in (math.inf, -math.inf, math.nan):
+        data = _affine_dataset()
+        data[11, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            train(data, TrainConfig(max_epochs=1))
+
+
+@pytest.mark.parametrize("name", ["target_mse", "learning_rate", "lr_min"])
+@pytest.mark.parametrize("value", [0.0, math.inf, math.nan])
+def test_train_config_rejects_non_finite_or_non_positive_rates(name, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        TrainConfig(**{name: value})
+
+
 def test_training_determinism():
     config = TrainConfig(max_epochs=3, batch_size=512, seed=7)
     m1, r1 = train(_affine_dataset(), config)

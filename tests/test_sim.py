@@ -58,18 +58,10 @@ def test_scenario_validation():
         ("t_f", math.inf),
         ("t_f", math.nan),
         ("dt", math.inf),
-        ("pn_gain", math.nan),
-        ("pn_gain", -math.inf),
-        ("update_period", math.inf),
-        ("update_period", math.nan),
-        ("update_period", -0.5),
-        ("max_time", math.inf),
-        ("max_time", math.nan),
-        ("max_time", 0.0),
     ],
 )
 def test_scenario_rejects_non_finite_and_out_of_range_settings(name, value):
-    # an infinite t_f or max_time would never end a run (or overflow its node count)
+    # an infinite t_f would never end a run (or overflow its node count)
     with pytest.raises(ValueError):
         Scenario(**{"initial": CASE_A_START, "speed": 500.0, "t_f": 25.0, "guidance": "pn", name: value})
 
@@ -244,7 +236,7 @@ def test_oracle_measures_only_when_it_resolves(monkeypatch):
     assert res.resolves == len(t_go)
 
 
-def test_oracle_steps_one_at_a_time_only_in_the_hold_phase(monkeypatch):
+def test_oracle_never_steps_and_holds_its_command_near_the_target(monkeypatch):
     import fitguide.sim as sim_module
 
     calls = []
@@ -252,9 +244,11 @@ def test_oracle_steps_one_at_a_time_only_in_the_hold_phase(monkeypatch):
     monkeypatch.setattr(sim_module, "step_cartesian", lambda *args: calls.append(1) or real(*args))
     sc = Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle")
     res = simulate(sc)
-    # from the first node closer than two steps the command is held
+    assert calls == []
+    # from the first node closer than two steps the last command is held
     hold = int(np.argmax(res.r[:-1] < 2.0 * sc.speed * sc.dt))
-    assert 0 < len(calls) == len(res.u) - hold < 5
+    assert 0 < hold < len(res.u)
+    assert np.all(res.u[hold:] == res.u[hold - 1])
 
 
 def test_oracle_first_second_matches_open_loop_extremal():
@@ -305,12 +299,12 @@ def test_oracle_resolves_every_period_on_the_node_grid(monkeypatch, dt):
     assert 5.0 < t_go[-1] <= 6.0 + 1e-9
 
 
-@pytest.mark.parametrize("period", [0.0, 0.05])
-def test_oracle_resolves_every_node_when_the_period_is_below_a_step(period):
-    # every node is due, up to the terminal lock at 0.1 t_f
-    sc = Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle", dt=0.2, update_period=period)
+def test_oracle_resolves_every_node_when_the_period_is_below_a_step():
+    # with steps longer than the 1 s period every node is due, up to the
+    # terminal lock at 0.1 t_f: 18 of the 21 nodes
+    sc = Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle", dt=1.25)
     res = simulate(sc)
-    assert res.resolves == np.count_nonzero(sc.t_f - res.t > 0.1 * sc.t_f)
+    assert res.resolves == np.count_nonzero(sc.t_f - res.t > 0.1 * sc.t_f) == 18
 
 
 def _parity_cases():
