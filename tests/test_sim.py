@@ -299,12 +299,15 @@ def test_oracle_resolves_every_period_on_the_node_grid(monkeypatch, dt):
     assert 5.0 < t_go[-1] <= 6.0 + 1e-9
 
 
-def test_oracle_resolves_every_node_when_the_period_is_below_a_step():
-    # with steps longer than the 1 s period every node is due, up to the
-    # terminal lock at 0.1 t_f: 18 of the 21 nodes
-    sc = Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle", dt=1.25)
+@pytest.mark.parametrize("gap", [0.0, 0.05, 0.25])
+def test_oracle_resolves_every_node_when_the_period_is_below_a_step(gap):
+    nodes = {0.0: 23, 0.05: 22, 0.25: 18}[gap]
+    # steps of dt = 1 s + gap, so the 1 s period is at or below a step and
+    # every node is due, up to the terminal lock at 0.1 t_f; at a zero gap
+    # rounding in the node times must not make a node fall short of its due time
+    sc = Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle", dt=1.0 + gap)
     res = simulate(sc)
-    assert res.resolves == np.count_nonzero(sc.t_f - res.t > 0.1 * sc.t_f) == 18
+    assert res.resolves == np.count_nonzero(sc.t_f - res.t > 0.1 * sc.t_f) == nodes
 
 
 def _parity_cases():
