@@ -270,38 +270,42 @@ def _collinear_phase(beta):
     return np.where(degenerate, np.inf, hi[..., 0])
 
 
+def _require_finite_positive(**values):
+    """Raise ValueError naming the first argument not finite and positive throughout."""
+    for name, value in values.items():
+        v = np.asarray(value, dtype=float)
+        if v.size and not (v.min() > 0.0 and v.max() < math.inf):  # NaN fails both
+            raise ValueError(f"{name} must be finite and positive")
+
+
 def terminal_time(params: AdjointParams, t_bar: float) -> float:
-    """First collinearity time, capped at t_bar.
+    """First collinearity time, capped at t_bar (inf for no cap).
 
     Returns 0.0 for degenerate parameters (straight-line extremal that
     never leaves the collinear set).
     """
     if params.alpha <= 0.0:
         raise ValueError("degenerate costate")
-    if t_bar <= 0.0:
-        raise ValueError("t_bar must be positive")
+    if not t_bar > 0.0:
+        raise ValueError("t_bar must be positive or inf")
     tau = float(_collinear_phase(params.beta))
     if math.isinf(tau):
         return 0.0
     return min(t_bar, tau / math.sqrt(params.alpha))
 
 
-def propagate_param(params: AdjointParams, t_end: float, dt: float, *, _t_term=None) -> ParamTrajectory:
+def propagate_param(params: AdjointParams, t_end: float, dt: float) -> ParamTrajectory:
     """Sample the extremal at t = 0, h, 2h, ..., t_end, h = t_end / round(t_end / dt).
 
     The last sample is t_end exactly.  The samples stop before the first
     collinearity if it comes before t_end.
-    ``_t_term`` is private to ``guidance.command_oracle``, which passes the
-    ``terminal_time(params, t_end)`` it has just solved so that it is not
-    solved twice; it is taken on trust.
     """
     if params.alpha <= 0.0:
         raise ValueError("degenerate costate")
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ValueError("t_end and dt must be positive")
+    _require_finite_positive(t_end=t_end, dt=dt)
     n = max(1, int(round(t_end / dt)))
     t = np.linspace(0.0, t_end, n + 1)
-    t_term = terminal_time(params, t_end) if _t_term is None else _t_term
+    t_term = terminal_time(params, t_end)
     if 0.0 < t_term < t_end:
         t = t[t < t_term]
     X, Y, Th, _ = evaluate(params.alpha, params.beta, t)
@@ -351,6 +355,7 @@ def sweep_cells(alphas, betas, t_end: float, h: float) -> CellSweep:
     b = np.ascontiguousarray(betas, dtype=float)
     if a.shape != b.shape:
         raise ValueError("alphas and betas must have matching shapes")
+    _require_finite_positive(alphas=a, t_end=t_end, h=h)
     n = max(1, int(round(t_end / h)))
     # both stop phases depend on beta alone: solve once per distinct beta
     distinct, inverse = np.unique(np.abs(b), return_inverse=True)

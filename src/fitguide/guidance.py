@@ -24,8 +24,9 @@ by the mirror rule.
 Every extremal is an inflectional Euler elastica, and the oracle uses
 its closed form throughout: Newton's endpoint, the exact collinearity
 check of each root, each root's effort (``extremals.effort``) and the
-trajectory it returns.  ``solve_ocp`` reads the open-loop optimal path off
-the same closed form instead of integrating it.
+command at the time-to-go.  A solve returns the winning extremal's
+parameters and samples nothing; ``solve_ocp`` and ``simulate`` read the
+optimal path off the same closed form instead of integrating it.
 Newton is seeded from a chart of every admissible extremal at unit
 time-to-go, made on first use and cached for the life of the process
 (``_seed_table``); each chart cell around which the query's endpoint
@@ -51,10 +52,9 @@ import numpy as np
 from . import mlp
 from .extremals import (
     AdjointParams,
-    ParamTrajectory,
     effort,
     evaluate,
-    propagate_param,
+    propagate_param,  # not called here; benchmarks/metrics.py traces it under this name
     range_look_angle,
     sweep_cells,
     terminal_time,
@@ -121,12 +121,11 @@ class GuidanceQuery:
 class OracleSolution:
     """Converged boundary-value solution for one query."""
 
-    params: AdjointParams
+    params: AdjointParams        # the unmirrored extremal; read it signed with ``extremal()``
     residual: tuple              # (delta_r, delta_sigma) in normalized units
     normalized_t_go: float       # the time-to-go solved for: the extremal's horizon
-    command: float               # signed turn rate at normalized_t_go, rad/s
+    command: float               # the extremal's signed U at normalized_t_go, rad/s
     effort: float                # normalized effort integral U^2/2 over [0, t_go]
-    trajectory: ParamTrajectory  # the extremal sampled on the solver grid (unmirrored)
     mirrored: bool               # query had sigma < 0
     # every distinct root the solve reached, in seed order, as
     # (alpha, beta, effort, admissible); () for the straight line met head-on
@@ -166,11 +165,6 @@ def pn_command(state: PolarState, speed: float) -> float:
 # --- boundary-value oracle ---
 
 
-def _solver_h(t_go: float) -> float:
-    """Sampling step of the oracle's trajectory (fixed per query)."""
-    return min(0.01, max(0.0025, t_go / 4000.0))
-
-
 def _endpoint(alpha, beta, t_go):
     """(R, Sigma) of the parameterized system at t_go, in closed form.
 
@@ -182,24 +176,12 @@ def _endpoint(alpha, beta, t_go):
 
 
 def _degenerate_solution(query: GuidanceQuery) -> OracleSolution:
-    traj = ParamTrajectory(
-        params=AdjointParams(0.0, math.pi),
-        t=np.array([0.0, query.t_go]),
-        X=np.array([0.0, -query.t_go]),
-        Y=np.zeros(2),
-        Theta=np.zeros(2),
-        R=np.array([0.0, query.t_go]),
-        Sigma=np.array([np.nan, 0.0]),
-        U=np.zeros(2),
-        terminal_time=0.0,
-    )
     return OracleSolution(
         params=AdjointParams(0.0, math.pi),
         residual=(query.r / query.speed - query.t_go, 0.0),
         normalized_t_go=query.t_go,
         command=0.0,
         effort=0.0,
-        trajectory=traj,
         mirrored=False,
     )
 
@@ -341,8 +323,9 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
     seed after another.  Converged roots are merged in seed order, and each
     distinct root gets one exact collinearity check (admissible when
     collinearity-free up to the time-to-go) and its closed-form effort.  The
-    least-effort admissible root wins; only it is sampled into
-    ``trajectory``, and ``roots`` lists them all.
+    least-effort admissible root wins, and ``roots`` lists them all.  Its
+    command is the closed form's U at the time-to-go, as ``simulate`` flies
+    it and ``warm_check`` returns it; nothing is sampled.
     Raises GuidanceError when no admissible extremal matches the query
     within tolerance.
     """
@@ -373,16 +356,12 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
     a, b, f, _ = found[best]
     if a < ALPHA_DEGENERATE:
         return replace(_degenerate_solution(query), roots=roots)
-    params = AdjointParams(a, b)
-    # an admissible root is collinearity-free up to t_go, as just checked
-    traj = propagate_param(params, t_go, _solver_h(t_go), _t_term=t_go)
     return OracleSolution(
-        params=params,
+        params=AdjointParams(a, b),
         residual=(float(f[0]), float(f[1])),
         normalized_t_go=t_go,
-        command=sign * float(traj.U[-1]),
+        command=sign * float(evaluate(a, b, t_go)[3]),
         effort=roots[best][2],
-        trajectory=traj,
         mirrored=mirrored,
         roots=roots,
     )

@@ -35,7 +35,7 @@ def test_command_identity_every_sample():
 
 
 def test_last_sample_lands_on_the_horizon():
-    # horizons on the oracle's sampling grid, step min(0.01, max(0.0025, t/4000));
+    # engagement-scale horizons, step min(0.01, max(0.0025, t/4000));
     # alpha is small enough that no collinearity cuts the samples short
     params = AdjointParams(1e-4, 1.2)
     for t_end in np.random.default_rng(3).uniform(15.0, 50.0, 300):
@@ -49,6 +49,46 @@ def test_degenerate_costate_rejected():
         propagate_param(AdjointParams(0.0, 1.0), t_end=1.0, dt=0.01)
     with pytest.raises(ValueError, match="degenerate costate"):
         terminal_time(AdjointParams(0.0, 1.0), t_bar=1.0)
+
+
+@pytest.mark.parametrize("t_bar", [0.0, -1.0, -math.inf, math.nan])
+def test_terminal_time_rejects_a_bad_horizon(t_bar):
+    with pytest.raises(ValueError, match="t_bar"):
+        terminal_time(AdjointParams(1.0, 1.0), t_bar=t_bar)
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, name",
+    [
+        (math.inf, 0.01, "t_end"),
+        (math.nan, 0.01, "t_end"),
+        (-1.0, 0.01, "t_end"),
+        (1.0, math.inf, "dt"),
+        (1.0, math.nan, "dt"),
+        (1.0, 0.0, "dt"),
+    ],
+)
+def test_propagate_param_rejects_a_bad_horizon_or_step(t_end, dt, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        propagate_param(AdjointParams(1.0, 1.0), t_end=t_end, dt=dt)
+
+
+@pytest.mark.parametrize(
+    "alphas, t_end, h, name",
+    [
+        ([1.0, -2.0], 1.0, 0.01, "alphas"),
+        ([1.0, 0.0], 1.0, 0.01, "alphas"),
+        ([1.0, math.nan], 1.0, 0.01, "alphas"),
+        ([1.0, math.inf], 1.0, 0.01, "alphas"),
+        ([1.0, 2.0], -1.0, 0.01, "t_end"),
+        ([1.0, 2.0], math.inf, 0.01, "t_end"),
+        ([1.0, 2.0], 1.0, 0.0, "h"),
+        ([1.0, 2.0], 1.0, math.nan, "h"),
+    ],
+)
+def test_sweep_cells_rejects_bad_alphas_horizon_or_step(alphas, t_end, h, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        sweep_cells(np.array(alphas), np.array([0.8, 1.9]), t_end=t_end, h=h)
 
 
 def test_terminal_time_matches_dense_scan():

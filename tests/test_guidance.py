@@ -25,7 +25,7 @@ from fitguide import (
     step_cartesian,
     terminal_time,
 )
-from fitguide.extremals import AdjointParams, effort, evaluate, range_look_angle, sweep_cells
+from fitguide.extremals import AdjointParams, effort, evaluate, propagate_param, range_look_angle, sweep_cells
 from fitguide.guidance import (
     ALPHA_DEGENERATE,
     _endpoint,
@@ -160,10 +160,11 @@ def test_warm_check_hits_the_solved_query():
 def test_warm_check_reads_the_extremal_command():
     # later points of a solved (mirrored) extremal are hits with no residual;
     # the command is the closed form's at the new time-to-go, and it agrees
-    # with the costate form on the solver grid
+    # with the costate form sampled on a 5.5 ms grid
     first = command_oracle(GuidanceQuery(r=9000.0, sigma=-0.9, t_go=22.0, speed=450.0))
-    p, traj = first.params, first.trajectory
-    grid = [3818, 2431, 764]  # about 21, 13.37 and 4.2 s on its 5.5 ms grid
+    p, horizon = first.params, first.normalized_t_go
+    traj = propagate_param(p, horizon, min(0.01, max(0.0025, horizon / 4000.0)))
+    grid = [3818, 2431, 764]  # about 21, 13.37 and 4.2 s
     t_go = traj.t[grid]
     r_end, s_end = range_look_angle(*evaluate(p.alpha, p.beta, t_go)[:3])
     hit, f, U = _assert_warm_check_is_the_scalar_rule(first, r_end, s_end, t_go)
@@ -191,7 +192,7 @@ def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
     import fitguide.extremals
 
     _seed_table()  # the table's sweep has its own collinearity scan
-    calls = {"phase": 0, "terminal_time": 0}
+    calls = {"phase": 0, "terminal_time": 0, "sampled": 0}
 
     def counting(module, name, key):
         original = getattr(module, name)
@@ -205,11 +206,17 @@ def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
     counting(fitguide.extremals, "_collinear_phase", "phase")
     # the tracer attributes the collinearity solves through this attribute
     counting(fitguide.guidance, "terminal_time", "terminal_time")
+    # a solve returns its extremal and samples nothing, under either name
+    counting(fitguide.guidance, "propagate_param", "sampled")
+    counting(fitguide.extremals, "propagate_param", "sampled")
     case_c = cartesian_to_polar(CartesianState(-20000.0, -10000.0, math.pi / 4))
-    for query in (GuidanceQuery(9000.0, 0.9, 22.0, 450.0), GuidanceQuery(case_c.r, case_c.sigma, 50.0, 600.0)):
-        calls.update(phase=0, terminal_time=0)
+    straight = GuidanceQuery(9000.0, 0.0, 20.0, 450.0)  # met head-on: the degenerate solution
+    for query in (GuidanceQuery(9000.0, 0.9, 22.0, 450.0), GuidanceQuery(case_c.r, case_c.sigma, 50.0, 600.0), straight):
+        calls.update(phase=0, terminal_time=0, sampled=0)
         sol = command_oracle(query)
         assert len(sol.roots) == calls["phase"] == calls["terminal_time"]
+        assert calls["sampled"] == 0
+    assert sol.params.alpha == 0.0 and sol.roots == ()
 
 
 def _sequential_newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=40):
@@ -506,14 +513,15 @@ def test_solve_ocp_straight_line_off_axis_is_warning_free():
 
 
 def _held_command_flight(initial, speed, t_f, sol, dt=0.01):
-    """Fly the oracle's sampled command step by step as an independent reference.
+    """Fly the oracle's extremal, sampled in costate form, step by step as an independent reference.
 
-    The command is interpolated on the solver's trajectory at each step's
+    The command is interpolated on the sampled extremal at each step's
     midpoint time-to-go and held over the step, so the flight carries the
     interpolation and hold errors that the closed form does not.
     """
     sign = -1.0 if sol.mirrored else 1.0
-    traj = sol.trajectory
+    t_go = sol.normalized_t_go
+    traj = propagate_param(sol.params, t_go, min(0.01, max(0.0025, t_go / 4000.0)))
     xs, ys, us = [initial.x], [initial.y], []
     state, t = initial, 0.0
     for _ in range(int(math.ceil(t_f / dt - 1e-9))):
