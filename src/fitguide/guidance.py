@@ -25,8 +25,10 @@ Every extremal is an inflectional Euler elastica, and the oracle uses
 its closed form throughout: Newton's endpoint, the exact collinearity
 check of each root, each root's effort (``extremals.effort``) and the
 command at the time-to-go.  A solve returns the winning extremal's
-parameters and samples nothing; ``solve_ocp`` and ``simulate`` read the
-optimal path off the same closed form instead of integrating it.
+parameters, signed as ``evaluate`` takes them, and samples nothing: a
+negative look angle mirrors the extremal (beta < 0), and the straight line
+is (1, 0).  ``solve_ocp`` and ``simulate`` read the optimal path off the
+same closed form instead of integrating it.
 Newton is seeded from a chart of every admissible extremal at unit
 time-to-go, made on first use and cached for the life of the process
 (``_seed_table``); each chart cell around which the query's endpoint
@@ -36,9 +38,10 @@ closed form, and every distinct root the seeds reach is reported in
 ``OracleSolution.roots`` with its effort and whether it is admissible.
 
 A closed loop keeps flying a solved extremal while its state stays on it:
-``warm_check`` tests many states against one solution in one call, within
-``WARM_TOL``.  ``command_oracle`` keeps no state: every call solves its
-query from the chart, so its answer depends on the query alone.
+``warm_check`` tests many states against one solution in one call, on the
+extremal's side and within ``WARM_TOL``.  ``command_oracle`` keeps no
+state: every call solves its query from the chart, so its answer depends
+on the query alone.
 """
 
 from __future__ import annotations
@@ -121,26 +124,14 @@ class GuidanceQuery:
 class OracleSolution:
     """Converged boundary-value solution for one query."""
 
-    params: AdjointParams        # the unmirrored extremal; read it signed with ``extremal()``
+    params: AdjointParams        # as ``evaluate`` takes it: beta < 0 for sigma < 0; (1, 0) is the straight line
     residual: tuple              # (delta_r, delta_sigma) in normalized units
     normalized_t_go: float       # the time-to-go solved for: the extremal's horizon
-    command: float               # the extremal's signed U at normalized_t_go, rad/s
+    command: float               # the extremal's U at normalized_t_go, rad/s
     effort: float                # normalized effort integral U^2/2 over [0, t_go]
-    mirrored: bool               # query had sigma < 0
-    # every distinct root the solve reached, in seed order, as
+    # every distinct root the solve reached, in seed order, as signed
     # (alpha, beta, effort, admissible); () for the straight line met head-on
     roots: tuple = ()
-
-    def extremal(self) -> tuple:
-        """(alpha, beta) of the signed extremal, as ``evaluate`` takes them.
-
-        beta is negated for a mirrored query; the degenerate straight-line
-        solution is the beta = 0 extremal of any alpha.
-        """
-        p = self.params
-        if p.alpha > 0.0:
-            return p.alpha, -p.beta if self.mirrored else p.beta
-        return 1.0, 0.0
 
 
 def command_nn(model, query: GuidanceQuery) -> float:
@@ -177,12 +168,11 @@ def _endpoint(alpha, beta, t_go):
 
 def _degenerate_solution(query: GuidanceQuery) -> OracleSolution:
     return OracleSolution(
-        params=AdjointParams(0.0, math.pi),
+        params=AdjointParams(1.0, 0.0),
         residual=(query.r / query.speed - query.t_go, 0.0),
         normalized_t_go=query.t_go,
         command=0.0,
         effort=0.0,
-        mirrored=False,
     )
 
 
@@ -297,22 +287,23 @@ def _newton(r_norm, sigma_abs, t_go, alpha, beta):
     return (a, b, f) if converged(f) else None
 
 
-def warm_check(solution: OracleSolution, r_norm, sigma_abs, t_go):
+def warm_check(solution: OracleSolution, r_norm, sigma, t_go):
     """Whether the solved extremal still passes through each queried state.
 
-    The queries (normalized range, folded look angle, time-to-go) broadcast.
-    Returns (hit, (dR, dSigma), U) of the unmirrored extremal: a hit lies
-    within WARM_TOL of it.  Past the solved time-to-go, and for the straight
-    line, it is evaluated at NaN times (alpha floored, so nothing divides by
-    zero): all NaN, and no hit.
+    The queries (normalized range, signed look angle, time-to-go) broadcast.
+    Returns (hit, (dR, dSigma), U) of the signed extremal, dSigma against the
+    folded look angle: a hit lies on the extremal's side (sigma and beta not
+    of opposite signs) and within WARM_TOL of it.  The straight line takes
+    either side, as a straight flight's look angle rounds to about +-1e-15.
+    Past the solved time-to-go it is evaluated at NaN times: dR and dSigma
+    are NaN, and nothing hits.
     """
     p = solution.params
-    usable = (solution.normalized_t_go >= t_go) & (p.alpha > ALPHA_DEGENERATE)
-    X, Y, Theta, U = evaluate(max(p.alpha, ALPHA_DEGENERATE), p.beta, np.where(usable, t_go, np.nan))
+    X, Y, Theta, U = evaluate(p.alpha, p.beta, np.where(solution.normalized_t_go >= t_go, t_go, np.nan))
     r_end, s_end = range_look_angle(X, Y, Theta)
-    f = (r_end - r_norm, s_end - sigma_abs)
+    f = (r_end - r_norm, s_end - np.abs(sigma))
     hit = (np.abs(f[0]) <= WARM_TOL * (1.0 + r_norm)) & (np.abs(f[1]) <= WARM_TOL)
-    return hit, f, U
+    return hit & (sigma * p.beta >= 0.0), f, U
 
 
 def command_oracle(query: GuidanceQuery) -> OracleSolution:
@@ -323,15 +314,15 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
     seed after another.  Converged roots are merged in seed order, and each
     distinct root gets one exact collinearity check (admissible when
     collinearity-free up to the time-to-go) and its closed-form effort.  The
-    least-effort admissible root wins, and ``roots`` lists them all.  Its
-    command is the closed form's U at the time-to-go, as ``simulate`` flies
-    it and ``warm_check`` returns it; nothing is sampled.
+    least-effort admissible root wins, and ``roots`` lists them all, with
+    beta negated for a negative look angle: ``params`` is the winning entry,
+    or (1, 0) for the straight line.  Its command is the closed form's U at
+    the time-to-go, as ``simulate`` flies it and ``warm_check`` returns it;
+    nothing is sampled.
     Raises GuidanceError when no admissible extremal matches the query
     within tolerance.
     """
     sigma_abs = abs(query.sigma)
-    mirrored = query.sigma < 0.0
-    sign = -1.0 if mirrored else 1.0
     r_norm = query.r / query.speed
     t_go = query.t_go
 
@@ -351,18 +342,18 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
 
     alphas = np.array([a for a, *_ in found])
     efforts = np.where(alphas < ALPHA_DEGENERATE, 0.0, effort(alphas, [b for _, b, *_ in found], t_go))
-    roots = tuple((float(a), float(b), float(j), ok) for (a, b, _, ok), j in zip(found, efforts))
+    side = -1.0 if query.sigma < 0.0 else 1.0  # a negative look angle mirrors the extremal
+    roots = tuple((float(a), side * float(b), float(j), ok) for (a, b, _, ok), j in zip(found, efforts))
     best = min((k for k, root in enumerate(roots) if root[3]), key=lambda k: roots[k][2])
-    a, b, f, _ = found[best]
+    a, b, j, _ = roots[best]
     if a < ALPHA_DEGENERATE:
         return replace(_degenerate_solution(query), roots=roots)
     return OracleSolution(
         params=AdjointParams(a, b),
-        residual=(float(f[0]), float(f[1])),
+        residual=tuple(map(float, found[best][2])),
         normalized_t_go=t_go,
-        command=sign * float(evaluate(a, b, t_go)[3]),
-        effort=roots[best][2],
-        mirrored=mirrored,
+        command=float(evaluate(a, b, t_go)[3]),
+        effort=j,
         roots=roots,
     )
 
@@ -405,11 +396,10 @@ def solve_ocp(initial: CartesianState, speed: float, t_f: float, dt: float = 0.0
     polar = cartesian_to_polar(initial)
     query = GuidanceQuery(r=polar.r, sigma=polar.sigma, t_go=t_f, speed=speed)
     sol = command_oracle(query)
-    alpha, beta = sol.extremal()
     n = int(math.ceil(t_f / dt - 1e-9))
     t = np.minimum(np.arange(n + 1) * dt, t_f)
     mid = 0.5 * (t[:-1] + t[1:])
-    X, Y, Theta, U = evaluate(alpha, beta, t_f - np.concatenate([t, mid]))
+    X, Y, Theta, U = evaluate(sol.params.alpha, sol.params.beta, t_f - np.concatenate([t, mid]))
     X, Y, Theta, u = X[: n + 1], Y[: n + 1], Theta[: n + 1], U[n + 1 :]
     phi = math.atan2(initial.y, initial.x) - math.atan2(Y[0], X[0])
     c, s = speed * math.cos(phi), speed * math.sin(phi)

@@ -75,8 +75,15 @@ class CommandModel:
                 raise ValueError(f"layer {k}: bias shape {b.shape} does not match ({self.layer_sizes[k]},)")
             if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {k}: non-finite parameters")
-        if np.any(self.input_scale <= 0.0) or self.output_scale <= 0.0:
-            raise ValueError("normalization scales must be positive")
+        if not 0.0 < self.t_bar < math.inf:
+            raise ValueError("t_bar must be finite and positive")
+        n_in = (self.layer_sizes[0],)
+        for name, shape in (("input_mean", n_in), ("input_scale", n_in), ("output_mean", ()), ("output_scale", ())):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.shape != shape or not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be {shape[0] if shape else 1} finite value(s)")
+            if name.endswith("scale") and np.any(v <= 0.0):
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass

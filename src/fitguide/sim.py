@@ -187,7 +187,7 @@ def _fly_oracle(scenario: Scenario):
             resolve_failures += 1
         else:
             sol, plan_t0 = new, nodes[k]
-            u[k:] = evaluate(*sol.extremal(), t_eval[k:])[3]
+            u[k:] = evaluate(sol.params.alpha, sol.params.beta, t_eval[k:])[3]
         # fly the plan to the end, or to the first node too close to measure
         flown = xs, ys, ths = fly_arcs(*path[:, k], u[k:], h[k:], speed)
         rr = np.hypot(xs, ys)
@@ -205,9 +205,9 @@ def _fly_oracle(scenario: Scenario):
         # it, or whose look angle changes side, ends the flight and re-solves
         if d:
             d = np.array(d)
-            sigma, r_d = look_angles(xs[d], ys[d], ths[d]), rr[d] / speed
-            ok = warm_check(sol, r_d, np.abs(sigma), np.maximum(t_f - nodes[k + d], r_d))[0]
-            cut = int(np.argmin(np.append(ok & ((sigma < 0.0) == sol.mirrored), False)))
+            r_d = rr[d] / speed
+            ok = warm_check(sol, r_d, look_angles(xs[d], ys[d], ths[d]), np.maximum(t_f - nodes[k + d], r_d))[0]
+            cut = int(np.argmin(np.append(ok, False)))
             resolves += cut
             if cut < len(d):
                 n = int(d[cut])

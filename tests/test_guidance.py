@@ -27,7 +27,6 @@ from fitguide import (
 )
 from fitguide.extremals import AdjointParams, effort, evaluate, propagate_param, range_look_angle, sweep_cells
 from fitguide.guidance import (
-    ALPHA_DEGENERATE,
     _endpoint,
     _endpoint_jacobian,
     _newton,
@@ -99,7 +98,7 @@ def test_oracle_degenerate_collision_course():
     sol = command_oracle(GuidanceQuery(r=20.0, sigma=0.0, t_go=20.0, speed=1.0))
     assert sol.command == 0.0
     assert sol.effort == 0.0
-    assert sol.params.alpha < 1e-6
+    assert sol.params == AdjointParams(1.0, 0.0)
 
 
 def test_oracle_case_a_effort():
@@ -110,35 +109,47 @@ def test_oracle_case_a_effort():
     assert abs(sol.residual[0]) <= 1e-9 * (1 + CASE_A["r"] / CASE_A["speed"])
     assert abs(sol.residual[1]) <= 1e-9
     # the mirrored start turns clockwise back toward the target
-    assert sol.mirrored and sol.command < 0.0
+    assert sol.params.beta < 0.0 and sol.command < 0.0
 
 
-def test_oracle_mirror_antisymmetry():
-    q_pos = GuidanceQuery(r=6000.0, sigma=0.8, t_go=20.0, speed=400.0)
-    q_neg = GuidanceQuery(r=6000.0, sigma=-0.8, t_go=20.0, speed=400.0)
-    u_pos = command_oracle(q_pos).command
-    u_neg = command_oracle(q_neg).command
-    assert u_pos == pytest.approx(-u_neg, rel=1e-9)
+@settings(max_examples=20, deadline=None)
+@given(
+    t_go=st.floats(15.0, 50.0),
+    ratio=st.floats(0.45, 0.8),
+    look=st.floats(0.3, 1.1),
+)
+def test_oracle_mirror_antisymmetry(t_go, ratio, look):
+    # the mirrored query's plan is the mirrored extremal, to the bit
+    try:
+        pos, neg = (command_oracle(GuidanceQuery(ratio * t_go, sign * look, t_go, 1.0)) for sign in (1.0, -1.0))
+    except GuidanceError:
+        assume(False)
+    assert neg.params == AdjointParams(pos.params.alpha, -pos.params.beta)
+    assert neg.roots == tuple((a, -b, j, ok) for a, b, j, ok in pos.roots)
+    assert neg.command == -pos.command
+    assert (neg.effort, neg.residual) == (pos.effort, pos.residual)
 
 
-def scalar_warm_rule(solution, r_norm, sigma_abs, t_go):
+def scalar_warm_rule(solution, r_norm, sigma, t_go):
     """One query at a time: the warm test ``command_oracle`` once made itself, as a reference.
 
-    Returns (hit, (dR, dSigma), U) of the unmirrored extremal, all NaN and no
-    hit past the solved time-to-go and for the straight line.
+    Returns (hit, (dR, dSigma), U) of the signed extremal, all NaN and no hit
+    past the solved time-to-go; a hit lies on the extremal's side, and the
+    straight line takes either.
     """
     p = solution.params
-    if not (solution.normalized_t_go >= t_go and p.alpha > ALPHA_DEGENERATE):
+    if not solution.normalized_t_go >= t_go:
         return False, (math.nan, math.nan), math.nan
     X, Y, Theta, U = evaluate(p.alpha, p.beta, t_go)
     r_end, s_end = range_look_angle(X, Y, Theta)
-    f = (float(r_end) - r_norm, float(s_end) - sigma_abs)
-    return abs(f[0]) <= 1e-5 * (1.0 + r_norm) and abs(f[1]) <= 1e-5, f, float(U)
+    f = (float(r_end) - r_norm, float(s_end) - abs(sigma))
+    hit = sigma * p.beta >= 0.0 and abs(f[0]) <= 1e-5 * (1.0 + r_norm) and abs(f[1]) <= 1e-5
+    return hit, f, float(U)
 
 
-def _assert_warm_check_is_the_scalar_rule(solution, r_norm, sigma_abs, t_go):
-    hit, f, U = warm_check(solution, r_norm, sigma_abs, t_go)
-    for k, query in enumerate(zip(r_norm, sigma_abs, t_go)):
+def _assert_warm_check_is_the_scalar_rule(solution, r_norm, sigma, t_go):
+    hit, f, U = warm_check(solution, r_norm, sigma, t_go)
+    for k, query in enumerate(zip(r_norm, sigma, t_go)):
         want_hit, want_f, want_U = scalar_warm_rule(solution, *map(float, query))
         assert hit[k] == want_hit
         # the same closed form, evaluated on an array and on a scalar
@@ -167,7 +178,7 @@ def test_warm_check_reads_the_extremal_command():
     grid = [3818, 2431, 764]  # about 21, 13.37 and 4.2 s
     t_go = traj.t[grid]
     r_end, s_end = range_look_angle(*evaluate(p.alpha, p.beta, t_go)[:3])
-    hit, f, U = _assert_warm_check_is_the_scalar_rule(first, r_end, s_end, t_go)
+    hit, f, U = _assert_warm_check_is_the_scalar_rule(first, r_end, -s_end, t_go)
     assert hit.all() and not np.any(f)
     assert np.allclose(U, traj.U[grid], rtol=1e-9, atol=0.0)
 
@@ -216,7 +227,7 @@ def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
         sol = command_oracle(query)
         assert len(sol.roots) == calls["phase"] == calls["terminal_time"]
         assert calls["sampled"] == 0
-    assert sol.params.alpha == 0.0 and sol.roots == ()
+    assert sol.params == AdjointParams(1.0, 0.0) and sol.roots == ()
 
 
 def _sequential_newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=40):
@@ -309,7 +320,7 @@ def test_newton_matches_finite_difference_reference_over_engage_domain(t_go, rat
 
 
 def _assert_collinearity_free(query, sol):
-    if sol.params.alpha > 0.0:  # the straight line has no collinearity time
+    if sol.params.beta != 0.0:  # the straight line has no collinearity time
         assert terminal_time(sol.params, t_bar=query.t_go) == query.t_go
 
 
@@ -372,7 +383,7 @@ def test_oracle_solves_small_beta_queries(ratio, look, t_go, j_ref):
     sol = command_oracle(GuidanceQuery(ratio * t_go, look, t_go, 1.0))
     assert sol.effort == pytest.approx(j_ref, rel=1e-7)
     assert terminal_time(sol.params, t_bar=t_go) == t_go
-    assert sol.mirrored == (look < 0.0)
+    assert (sol.params.beta < 0.0) == (look < 0.0)
 
 
 @pytest.mark.parametrize(
@@ -410,7 +421,7 @@ def test_warm_check_agrees_with_the_scalar_warm_rule(t_go, ratio, look, sign, po
     t = frac * t_go
     r_end, s_end = range_look_angle(*evaluate(p.alpha, p.beta, t)[:3])
     r = r_end + c_r * 1e-5 * (1.0 + r_end)
-    s = np.clip(s_end + c_s * 1e-5, 0.0, math.pi)
+    s = sign * np.clip(s_end + c_s * 1e-5, 0.0, math.pi)
     _assert_warm_check_is_the_scalar_rule(sol, r, s, t)
 
 
@@ -505,7 +516,7 @@ def test_solve_ocp_straight_line_off_axis_is_warning_free():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = solve_ocp(start, speed=250.0, t_f=20.0)
-    assert sol.oracle.params.alpha == 0.0
+    assert sol.oracle.params == AdjointParams(1.0, 0.0)
     assert np.all(sol.u == 0.0) and sol.effort == 0.0 and sol.miss == 0.0
     # flown straight down the line of sight at constant heading
     assert np.allclose(sol.r, 250.0 * (20.0 - sol.t), rtol=0.0, atol=1e-6)
@@ -519,14 +530,13 @@ def _held_command_flight(initial, speed, t_f, sol, dt=0.01):
     midpoint time-to-go and held over the step, so the flight carries the
     interpolation and hold errors that the closed form does not.
     """
-    sign = -1.0 if sol.mirrored else 1.0
     t_go = sol.normalized_t_go
     traj = propagate_param(sol.params, t_go, min(0.01, max(0.0025, t_go / 4000.0)))
     xs, ys, us = [initial.x], [initial.y], []
     state, t = initial, 0.0
     for _ in range(int(math.ceil(t_f / dt - 1e-9))):
         h = min(dt, t_f - t)
-        u = sign * float(np.interp(max(t_f - t - 0.5 * h, 0.0), traj.t, traj.U))
+        u = float(np.interp(max(t_f - t - 0.5 * h, 0.0), traj.t, traj.U))
         us.append(u)
         state = step_cartesian(state, u, h, speed)
         t += h

@@ -222,6 +222,29 @@ def test_load_rejects_bad_files(tmp_path, model):
         load_model(p)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t_bar", "nan"),
+        ("t_bar", "-4"),
+        ("t_bar", "0"),
+        ("input_scale", "nan nan nan"),
+        ("output_scale", "nan"),
+        ("output_mean", "nan"),
+        ("input_mean", "inf 0 0"),
+        ("input_scale", "1.5"),  # one value would broadcast over three inputs
+    ],
+)
+def test_load_rejects_normalization_that_spoils_every_command(tmp_path, model, field, value):
+    path = tmp_path / "m.txt"
+    save_model(model, path)
+    text = path.read_text(encoding="utf-8")
+    lines = [f"{field}: {value}" if ln.startswith(f"{field}:") else ln for ln in text.splitlines()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=field):
+        load_model(path)
+
+
 def test_model_validate_catches_inconsistency(model):
     broken = CommandModel(
         layer_sizes=model.layer_sizes,

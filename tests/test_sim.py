@@ -176,8 +176,8 @@ def _watch_resolve_nodes(monkeypatch, force_miss=0):
     real_check, real_oracle = sim_module.warm_check, sim_module.command_oracle
     forced = [force_miss]
 
-    def check(solution, r_norm, sigma_abs, t_query, *args, **kwargs):
-        hit, *rest = real_check(solution, r_norm, sigma_abs, t_query, *args, **kwargs)
+    def check(solution, r_norm, sigma, t_query, *args, **kwargs):
+        hit, *rest = real_check(solution, r_norm, sigma, t_query, *args, **kwargs)
         if forced[0]:
             forced[0] -= 1
             hit = np.concatenate(([False], hit[1:]))
@@ -339,8 +339,7 @@ def test_oracle_plan_flight_matches_resolving_at_every_node(monkeypatch, dt, pos
 
         def recorded(query):
             last = plan[0]
-            hit = last is not None and (query.sigma < 0.0) == last.mirrored
-            hit = hit and scalar_warm_rule(last, query.r / query.speed, abs(query.sigma), query.t_go)[0]
+            hit = last is not None and scalar_warm_rule(last, query.r / query.speed, query.sigma, query.t_go)[0]
             ref_calls.append((query.t_go, hit))
             if not hit:
                 plan[0] = real(query)
@@ -360,8 +359,19 @@ def test_oracle_plan_flight_matches_resolving_at_every_node(monkeypatch, dt, pos
         assert res.effort == pytest.approx(ref.effort, rel=1e-10)
 
 
-def test_plan_age_counts_from_the_solve_that_made_the_plan(monkeypatch):
-    sc = Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle")
+@pytest.mark.parametrize(
+    "start, t_f",
+    [
+        (CASE_A_START, 25.0),
+        # the straight line is a plan too; off the axis, rounding gives the
+        # flown look angle a sign (about -1e-15), which the line must accept
+        (CartesianState(-10000.0, 0.0, 0.0), 20.0),
+        (CartesianState(10000.0 * math.cos(2.0), 10000.0 * math.sin(2.0), 2.0 + math.pi), 20.0),
+    ],
+    ids=["case-A", "head-on", "head-on-off-axis"],
+)
+def test_plan_age_counts_from_the_solve_that_made_the_plan(monkeypatch, start, t_f):
+    sc = Scenario(start, 500.0, t_f, guidance="oracle")
     with monkeypatch.context() as m:
         _, calls = _watch_resolve_nodes(m)
         res = simulate(sc)
