@@ -154,11 +154,8 @@ def _cmd_salvo(args) -> int:
 def _cmd_verify(args) -> int:
     from .verification import run_acceptance
 
-    results = run_acceptance(
-        model_path=args.model,
-        full_grid=not args.no_full_grid,
-        dt=args.dt,
-    )
+    model = load_model(args.model) if args.model else None
+    results = run_acceptance(model=model, full_grid=not args.no_full_grid)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -223,10 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_salvo)
 
     a = sub.add_parser("verify", help="run the acceptance checks")
-    a.add_argument("--model", help="trained reduced-grid model; trained on the fly if omitted")
+    a.add_argument("--model", help="model file to check instead of the one trained on the fly")
     a.add_argument("--no-full-grid", action="store_true",
                    help="skip the full-grid dataset-size check (saves about a minute)")
-    a.add_argument("--dt", type=float, default=0.01)
     a.set_defaults(func=_cmd_verify)
     return p
 

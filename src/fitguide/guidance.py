@@ -134,11 +134,21 @@ class OracleSolution:
     roots: tuple = ()
 
 
+def _on_collision_course(query: GuidanceQuery) -> bool:
+    """Head-on and exactly reachable by t_go: the straight line, u = 0."""
+    r_norm = query.r / query.speed
+    return abs(query.sigma) <= 1e-12 and abs(r_norm - query.t_go) <= NEWTON_TOL * (1.0 + r_norm)
+
+
 def command_nn(model, query: GuidanceQuery) -> float:
-    """Network-backed turn-rate command for an arbitrary-speed query."""
-    if query.sigma == 0.0:
+    """Network-backed turn-rate command for an arbitrary-speed query.
+
+    Zero on the collision course; elsewhere odd in sigma, with sigma = 0
+    turning to the oracle's side, that of a positive look angle.
+    """
+    if _on_collision_course(query):
         return 0.0
-    sign = 1.0 if query.sigma > 0.0 else -1.0
+    sign = -1.0 if query.sigma < 0.0 else 1.0
     g = min(query.t_go, DEFAULT_KAPPA * model.t_bar)
     r_net = query.r * g / (query.speed * query.t_go)
     # looked up per call, so a wrapper patched onto mlp.forward sees every command
@@ -326,7 +336,7 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
     r_norm = query.r / query.speed
     t_go = query.t_go
 
-    if sigma_abs <= 1e-12 and abs(r_norm - t_go) <= NEWTON_TOL * (1.0 + r_norm):
+    if _on_collision_course(query):
         return _degenerate_solution(query)
 
     found = []  # distinct roots in seed order: (alpha, beta, residual, admissible)

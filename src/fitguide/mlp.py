@@ -231,22 +231,17 @@ def train(dataset: np.ndarray, config: TrainConfig | None = None) -> tuple[Comma
     Xv = (val[:, :3] - in_mean) / in_scale
     Yv = (val[:, 3:4] - out_mean) / out_scale
 
-    m_w = [np.zeros_like(W) for W in model.weights]
-    v_w = [np.zeros_like(W) for W in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases  # the model's arrays, stepped in place
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     lr = config.learning_rate
     best_val = math.inf
     plateau = 0
     history = []
-    train_mse = val_mse = math.inf
-    reached = False
-    epochs_run = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        epochs_run = epoch
         order = rng.permutation(len(Xtr))
         total = 0.0
         batches = 0
@@ -260,13 +255,10 @@ def train(dataset: np.ndarray, config: TrainConfig | None = None) -> tuple[Comma
             step += 1
             c1 = 1.0 - beta1 ** step
             c2 = 1.0 - beta2 ** step
-            for layer in range(len(model.weights)):
-                m_w[layer] = beta1 * m_w[layer] + (1 - beta1) * g_w[layer]
-                v_w[layer] = beta2 * v_w[layer] + (1 - beta2) * g_w[layer] ** 2
-                m_b[layer] = beta1 * m_b[layer] + (1 - beta1) * g_b[layer]
-                v_b[layer] = beta2 * v_b[layer] + (1 - beta2) * g_b[layer] ** 2
-                model.weights[layer] -= lr * (m_w[layer] / c1) / (np.sqrt(v_w[layer] / c2) + eps)
-                model.biases[layer] -= lr * (m_b[layer] / c1) / (np.sqrt(v_b[layer] / c2) + eps)
+            for i, g in enumerate(g_w + g_b):
+                m[i] = beta1 * m[i] + (1 - beta1) * g
+                v[i] = beta2 * v[i] + (1 - beta2) * g ** 2
+                params[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
         train_mse = total / batches
         val_mse = float(np.mean(((_forward_standardized(model.weights, model.biases, Xv)[0]) - Yv) ** 2))
         if not math.isfinite(val_mse):
@@ -282,18 +274,17 @@ def train(dataset: np.ndarray, config: TrainConfig | None = None) -> tuple[Comma
                 lr = max(lr * 0.5, config.lr_min)  # halved on a plateau
                 plateau = 0
         if train_mse <= config.target_mse:
-            reached = True
             break
 
     scale2 = model.output_scale ** 2
     report = TrainReport(
-        epochs_run=epochs_run,
+        epochs_run=epoch,
         final_train_mse=train_mse,
         final_val_mse=val_mse,
         best_val_mse=best_val,
         final_train_mse_raw=train_mse * scale2,
         final_val_mse_raw=val_mse * scale2,
-        reached_target=reached,
+        reached_target=train_mse <= config.target_mse,
         history=history,
     )
     return model, report

@@ -1,9 +1,12 @@
 """Acceptance checks: benchmark reproduction and property suites.
 
-Each numbered check returns a CheckResult and prints one PASS/FAIL line;
-``run_acceptance`` runs them all.  The same functions back the CLI
+Each numbered check returns a CheckResult; ``run_acceptance`` runs them
+all and prints one PASS/FAIL line each.  The same functions back the CLI
 ``verify`` subcommand and the test suite, so the shipped package can
-re-verify itself end to end.
+re-verify itself end to end.  The checks have one configuration: the
+engagements fly at the 0.01 s step of ``Scenario`` and ``solve_ocp``,
+the property draws are fixed, and the files written go to temporary
+directories that are removed when the check returns.
 
 Reference values asserted here (efforts in m^2/s^3, times in s):
 
@@ -94,14 +97,14 @@ def _report(result: CheckResult) -> CheckResult:
     return result
 
 
-def _case_a_efforts(guidance, model, dt, tol, miss_max, impact_tol):
+def _case_a_efforts(guidance, model, tol, miss_max, impact_tol):
     """Case A at the four impact times: (every run within the bounds, detail)."""
     parts = []
     ok = True
     for t_f, j_ref in CASE_A_EFFORT.items():
         res = simulate(Scenario(
             CartesianState(CASE_A_START["x0"], CASE_A_START["y0"], CASE_A_START["theta0"]),
-            CASE_A_START["speed"], t_f, guidance=guidance, dt=dt,
+            CASE_A_START["speed"], t_f, guidance=guidance,
         ), model=model)
         rel = (res.effort - j_ref) / j_ref
         ok &= abs(rel) <= tol and res.miss <= miss_max and abs(res.impact_time - t_f) <= impact_tol
@@ -109,30 +112,30 @@ def _case_a_efforts(guidance, model, dt, tol, miss_max, impact_tol):
     return ok, "; ".join(parts)
 
 
-def check_table1_oracle(dt: float = 0.01) -> CheckResult:
+def check_table1_oracle() -> CheckResult:
     t0 = time.perf_counter()
-    ok, detail = _case_a_efforts("oracle", None, dt, 0.01, 5.0, 0.05)
+    ok, detail = _case_a_efforts("oracle", None, 0.01, 5.0, 0.05)
     runtime = time.perf_counter() - t0
     ok &= runtime <= 10.0
     return CheckResult("1 impact-time efforts, oracle", ok, detail + f"; runtime {runtime:.1f}s")
 
 
-def check_table1_network(model, dt: float = 0.01) -> CheckResult:
-    return CheckResult("2 impact-time efforts, network", *_case_a_efforts("nn", model, dt, 0.03, 20.0, math.inf))
+def check_table1_network(model) -> CheckResult:
+    return CheckResult("2 impact-time efforts, network", *_case_a_efforts("nn", model, 0.03, 20.0, math.inf))
 
 
-def check_salvo(dt: float = 0.01) -> CheckResult:
+def check_salvo() -> CheckResult:
     oracle_parts, pn_parts = [], []
     oracle_ok = True
     pn_time_ok = True
     pn_effort_ok = True
     for (x0, y0, th0, v), j_ref in zip(SALVO_STARTS, SALVO_EFFORT):
-        res = simulate(Scenario(CartesianState(x0, y0, th0), v, SALVO_TF, guidance="oracle", dt=dt))
+        res = simulate(Scenario(CartesianState(x0, y0, th0), v, SALVO_TF, guidance="oracle"))
         rel = (res.effort - j_ref) / j_ref
         oracle_ok &= abs(rel) <= 0.01
         oracle_parts.append(f"{rel * 100:+.2f}%")
     for (x0, y0, th0, v), j_ref, t_ref in zip(SALVO_STARTS, SALVO_PN_EFFORT, SALVO_PN_IMPACT):
-        res = simulate(Scenario(CartesianState(x0, y0, th0), v, SALVO_TF, guidance="pn", dt=dt))
+        res = simulate(Scenario(CartesianState(x0, y0, th0), v, SALVO_TF, guidance="pn"))
         rel_j = (res.effort - j_ref) / j_ref
         rel_t = (res.impact_time - t_ref) / t_ref
         pn_effort_ok &= abs(rel_j) <= 0.01
@@ -148,10 +151,10 @@ def check_salvo(dt: float = 0.01) -> CheckResult:
                        known_gap=f"PN efforts vs the published column: {PN_EFFORT_GAP}")
 
 
-def check_case_c(dt: float = 0.01) -> CheckResult:
+def check_case_c() -> CheckResult:
     res = simulate(Scenario(
         CartesianState(CASE_C_START["x0"], CASE_C_START["y0"], CASE_C_START["theta0"]),
-        CASE_C_START["speed"], CASE_C_TF, guidance="oracle", dt=dt,
+        CASE_C_START["speed"], CASE_C_TF, guidance="oracle",
     ))
     rel = (res.effort - CASE_C_EFFORT) / CASE_C_EFFORT
     # look angle must stay strictly inside (0, pi) in magnitude on (0, t_f)
@@ -165,17 +168,16 @@ def check_case_c(dt: float = 0.01) -> CheckResult:
     )
 
 
-def check_dataset(full_grid: bool = True, tmpdir=None) -> CheckResult:
-    tmpdir = Path(tmpdir) if tmpdir else Path(tempfile.mkdtemp(prefix="fitguide-verify-"))
+def check_dataset(full_grid: bool = True) -> CheckResult:
     t0 = time.perf_counter()
     reduced = generate_dataset(REDUCED_CONFIG)
     reduced_time = time.perf_counter() - t0
-    path_a = tmpdir / "reduced_a.csv"
-    path_b = tmpdir / "reduced_b.csv"
-    write_dataset(reduced, path_a)
-    write_dataset(generate_dataset(REDUCED_CONFIG), path_b)
-    byte_identical = path_a.read_bytes() == path_b.read_bytes()
-    round_trip = np.array_equal(read_dataset(path_a), reduced)
+    with tempfile.TemporaryDirectory(prefix="fitguide-verify-") as tmp:
+        path_a, path_b = Path(tmp, "reduced_a.csv"), Path(tmp, "reduced_b.csv")
+        write_dataset(reduced, path_a)
+        write_dataset(generate_dataset(REDUCED_CONFIG), path_b)
+        byte_identical = path_a.read_bytes() == path_b.read_bytes()
+        round_trip = np.array_equal(read_dataset(path_a), reduced)
     ok = reduced_time <= 60.0 and byte_identical and round_trip
     detail = (f"reduced: {len(reduced)} rows in {reduced_time:.1f}s, re-run byte-identical={byte_identical}, "
               f"round-trip exact={round_trip}")
@@ -192,17 +194,17 @@ def check_dataset(full_grid: bool = True, tmpdir=None) -> CheckResult:
     return CheckResult("5 dataset size and determinism", ok, detail)
 
 
-def _check_hamiltonian(n_draws=500, seed=7) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
+def _check_hamiltonian() -> tuple[bool, str]:
+    rng = np.random.default_rng(7)
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(500):
         alpha = rng.uniform(0.02, 10.0)
         beta = rng.uniform(1e-3, math.pi)
         traj = propagate_param(AdjointParams(alpha, beta), t_end=rng.uniform(0.2, 3.0), dt=0.005)
         h_ref = alpha * math.cos(beta)
         h_val = hamiltonian(traj.X, traj.Y, traj.Theta, traj.params)
         worst = max(worst, float(np.max(np.abs(h_val - h_ref))) / (1.0 + abs(h_ref)))
-    return worst <= 1e-6, f"Hamiltonian drift {worst:.2e} over {n_draws} draws (<=1e-6)"
+    return worst <= 1e-6, f"Hamiltonian drift {worst:.2e} over 500 draws (<=1e-6)"
 
 
 def _check_mirror(model) -> tuple[bool, str]:
@@ -227,14 +229,14 @@ def _check_mirror(model) -> tuple[bool, str]:
     return ok, f"network mirror exact={exact}, oracle mirror dev {worst_oracle:.2e}"
 
 
-def _check_rescaling(dt=0.01) -> tuple[bool, str]:
+def _check_rescaling() -> tuple[bool, str]:
     # solve the unit-speed problem, then the speed-scaled problem; paths must
     # coincide pointwise after scaling lengths by the speed
     from .guidance import solve_ocp
 
-    base = solve_ocp(CartesianState(-8.0, 3.0, 0.6), 1.0, 12.0, dt=dt)
+    base = solve_ocp(CartesianState(-8.0, 3.0, 0.6), 1.0, 12.0)
     speed = 500.0
-    scaled = solve_ocp(CartesianState(-8.0 * speed, 3.0 * speed, 0.6), speed, 12.0, dt=dt)
+    scaled = solve_ocp(CartesianState(-8.0 * speed, 3.0 * speed, 0.6), speed, 12.0)
     scale_err = max(
         float(np.max(np.abs(scaled.x - speed * base.x))),
         float(np.max(np.abs(scaled.y - speed * base.y))),
@@ -244,7 +246,7 @@ def _check_rescaling(dt=0.01) -> tuple[bool, str]:
     return ok, f"rescaled-path rel dev {scale_err:.2e}, heading dev {theta_err:.2e} (<=1e-6)"
 
 
-def _check_extremal_structure(n_cells=120, seed=3) -> tuple[bool, str]:
+def _check_extremal_structure() -> tuple[bool, str]:
     """Look-angle interiority and command sign structure on random cells.
 
     Interiority is asserted in its crossing-free form: the folded look
@@ -255,10 +257,10 @@ def _check_extremal_structure(n_cells=120, seed=3) -> tuple[bool, str]:
     at the terminal crossing, so samples adjacent to either end sit
     inside any fixed band without any interior collinearity.)
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     ok = True
     smallest_sigma = math.inf
-    for _ in range(n_cells):
+    for _ in range(120):
         alpha = rng.uniform(0.05, 10.0)
         beta = rng.uniform(0.02, math.pi - 0.02)
         traj = propagate_param(AdjointParams(alpha, beta), t_end=10.0, dt=0.005)
@@ -276,7 +278,7 @@ def _check_extremal_structure(n_cells=120, seed=3) -> tuple[bool, str]:
         ok &= int(np.count_nonzero(np.diff(signs) != 0)) <= 1
         # transversality: the command vanishes exactly at the initial instant
         ok &= traj.U[0] == 0.0
-    return ok, (f"interiority+sign-structure over {n_cells} cells ok={ok} "
+    return ok, (f"interiority+sign-structure over 120 cells ok={ok} "
                 f"(min interior look angle {smallest_sigma:.1e} rad)")
 
 
@@ -309,15 +311,14 @@ def _check_gradients(model) -> tuple[bool, str]:
     return worst <= 1e-5, f"max relative gradient error {worst:.2e} (<=1e-5)"
 
 
-def _check_round_trips(model, tmpdir=None) -> tuple[bool, str]:
-    tmpdir = Path(tmpdir) if tmpdir else Path(tempfile.mkdtemp(prefix="fitguide-rt-"))
+def _check_round_trips(model) -> tuple[bool, str]:
     small = generate_dataset(DatagenConfig(alpha_bar=10.0, n_i=5, n_j=5, t_bar=2.0, h=0.01))
-    path = tmpdir / "rt.csv"
-    write_dataset(small, path)
-    csv_ok = np.array_equal(read_dataset(path), small)
-    mpath = tmpdir / "rt.model"
-    save_model(model, mpath)
-    loaded = load_model(mpath)
+    with tempfile.TemporaryDirectory(prefix="fitguide-rt-") as tmp:
+        path, mpath = Path(tmp, "rt.csv"), Path(tmp, "rt.model")
+        write_dataset(small, path)
+        csv_ok = np.array_equal(read_dataset(path), small)
+        save_model(model, mpath)
+        loaded = load_model(mpath)
     rng = np.random.default_rng(9)
     probe = np.column_stack([
         rng.uniform(0.05, 3.0, 100), rng.uniform(0.01, math.pi, 100), rng.uniform(0.05, 3.5, 100),
@@ -347,25 +348,22 @@ def check_training(report) -> CheckResult:
     )
 
 
-def run_acceptance(model_path=None, full_grid: bool = True, dt: float = 0.01,
-                   model=None, report=None) -> list[CheckResult]:
+def run_acceptance(model=None, report=None, full_grid: bool = True) -> list[CheckResult]:
     """Run every acceptance check, printing one line per criterion.
 
-    A reduced-grid model is trained on the fly unless both ``model`` and
-    ``report`` are supplied (or ``model_path`` points to a saved model,
-    in which case training still runs once for the training criterion).
+    Without a ``report``, a reduced-grid model is trained once for the
+    training criterion, and it is the model checked unless ``model`` is
+    given.  ``full_grid=False`` skips the full-grid dataset sweep.
     """
     results = []
     if report is None:
         trained_model, report = train(generate_dataset(REDUCED_CONFIG), TrainConfig())
         if model is None:
             model = trained_model
-    if model_path is not None:
-        model = load_model(model_path)
-    results.append(_report(check_table1_oracle(dt=dt)))
-    results.append(_report(check_table1_network(model, dt=dt)))
-    results.append(_report(check_salvo(dt=dt)))
-    results.append(_report(check_case_c(dt=dt)))
+    results.append(_report(check_table1_oracle()))
+    results.append(_report(check_table1_network(model)))
+    results.append(_report(check_salvo()))
+    results.append(_report(check_case_c()))
     results.append(_report(check_dataset(full_grid=full_grid)))
     results.append(_report(check_properties(model)))
     results.append(_report(check_training(report)))

@@ -10,6 +10,7 @@ the stated law (see fitguide.verification for the analysis).
 """
 
 import math
+import tempfile
 
 import pytest
 
@@ -119,10 +120,17 @@ def test_criterion_6_gradient_check(model):
     assert ok, detail
 
 
-def test_criterion_6_round_trips(model, tmp_path):
-    ok, detail = _check_round_trips(model, tmp_path)
+def test_criterion_6_round_trips(model):
+    ok, detail = _check_round_trips(model)
     print(detail)
     assert ok, detail
+
+
+def test_checks_remove_the_files_they_write(model, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert check_dataset(full_grid=False).passed
+    assert _check_round_trips(model)[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_criterion_7_training(train_report):

@@ -167,7 +167,7 @@ def test_salvo_from_config(tmp_path, capsys):
     assert "salvo #1" in out and "salvo #2" in out and "impact spread" in out
 
 
-def test_verify_wiring(monkeypatch, capsys):
+def test_verify_wiring(monkeypatch, capsys, tmp_path, model):
     import fitguide.verification as verification
 
     calls = {}
@@ -175,15 +175,25 @@ def test_verify_wiring(monkeypatch, capsys):
     class FakeResult:
         passed = True
 
-    def fake_run(model_path=None, full_grid=True, dt=0.01):
-        calls["args"] = (model_path, full_grid, dt)
+    def fake_run(model=None, report=None, full_grid=True):
+        calls["args"] = (model, report, full_grid)
         return [FakeResult()]
 
     monkeypatch.setattr(verification, "run_acceptance", fake_run)
-    assert main(["verify", "--dt", "0.02"]) == 0
-    assert calls["args"] == (None, True, 0.02)
+    assert main(["verify"]) == 0
+    assert calls.pop("args") == (None, None, True)
     assert main(["verify", "--no-full-grid"]) == 0
-    assert calls["args"][1] is False
+    assert calls.pop("args") == (None, None, False)
+    saved = tmp_path / "m.txt"
+    save_model(model, saved)
+    assert main(["verify", "--model", str(saved)]) == 0
+    loaded, report, full_grid = calls.pop("args")
+    assert report is None and full_grid is True
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights, strict=True))
+    # a bad --model fails before any check, or training, runs
+    assert main(["verify", "--model", str(tmp_path / "missing.txt")]) == 1
+    assert "args" not in calls
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_bad_flags_exit_2():

@@ -40,6 +40,14 @@ def test_straight_line_all_laws(model):
         assert (res.resolves > 0) == (law == "oracle")
 
 
+def test_nn_turns_a_head_on_start_short_of_the_collision_course(model):
+    # look angle 0 but r = 10 km < V t_f = 12.5 km: flying straight would hit 5 s early
+    res = simulate(Scenario(CartesianState(-10000.0, 0.0, 0.0), 500.0, 25.0, guidance="nn"), model=model)
+    assert abs(res.impact_time - 25.0) <= 0.05
+    assert res.miss <= 20.0
+    assert res.effort > 0.0
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(CASE_A_START, 500.0, 25.0, guidance="magic")
