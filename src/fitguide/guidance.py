@@ -6,16 +6,17 @@ acceleration = speed * turn rate):
 * ``command_nn``       — trained network, mirrored for negative look
   angles and rescaled to arbitrary speed / time-to-go.
 * ``command_oracle``   — independent ground truth: solves the two-point
-  boundary problem over the costate parameters (alpha, beta) so that the
-  parameterized extremal matches the queried range and look angle at the
-  queried time-to-go, keeping only solutions that stay collinearity-free
-  (first-collinearity time >= time-to-go) and, among admissible roots,
-  returning the one of least effort.
+  boundary problem over the costate parameters (q, beta), q = alpha *
+  t_go**2, so that the parameterized extremal matches the queried range
+  and look angle at unit time-to-go, keeping only solutions that stay
+  collinearity-free (first-collinearity time >= time-to-go) and, among
+  admissible roots, returning the one of least effort.
 * ``pn_command``       — proportional navigation baseline, turn rate =
   3 * line-of-sight rate.
 
-Normalization: the oracle rescales lengths by 1/speed (time unchanged),
-so the parameterized system's command is already a physical turn rate.
+Normalization: the oracle solves the scale-free problem at rho =
+r / (speed * t_go) and unit time-to-go; t_go only scales its answer
+(alpha = q / t_go**2, effort / t_go), and its command is a physical turn rate.
 The network path additionally compresses time-to-go to a horizon g
 inside the training domain; the command returned is
 ``(g / t_go) * C(r*g/(speed*t_go), |sigma|, g)`` with the sign restored
@@ -32,8 +33,8 @@ same closed form instead of integrating it.
 Newton is seeded from a chart of every admissible extremal at unit
 time-to-go, made on first use and cached for the life of the process
 (``_seed_table``); each chart cell around which the query's endpoint
-residual winds seeds it.  Each seed runs its own damped Newton, one
-``evaluate`` call per trial point with the Jacobian's alpha column in
+residual winds seeds it.  Each seed runs its own damped Newton in (q, beta),
+one ``evaluate`` call per trial point with the Jacobian's q column in
 closed form, and every distinct root the seeds reach is reported in
 ``OracleSolution.roots`` with its effort and whether it is admissible.
 
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,11 +85,8 @@ __all__ = [
 # querying near the horizon edge.
 DEFAULT_KAPPA = 0.35
 
-# Degenerate straight-line threshold for the costate magnitude.
-ALPHA_DEGENERATE = 1e-6
-
-# Newton stops once |dR| <= NEWTON_TOL * (1 + r) and |dSigma| <= NEWTON_TOL
-# (normalized units), and gives up after NEWTON_MAX_ITER steps.  A solved
+# Newton stops once |R1 - rho| <= NEWTON_TOL * rho and |dSigma| <= NEWTON_TOL
+# at unit time-to-go, and gives up after NEWTON_MAX_ITER steps.  A solved
 # extremal still passes through a state within the looser WARM_TOL band: far
 # below any effort or miss tolerance.
 NEWTON_TOL = 1e-9
@@ -136,8 +134,8 @@ class OracleSolution:
 
 def _on_collision_course(query: GuidanceQuery) -> bool:
     """Head-on and exactly reachable by t_go: the straight line, u = 0."""
-    r_norm = query.r / query.speed
-    return abs(query.sigma) <= 1e-12 and abs(r_norm - query.t_go) <= NEWTON_TOL * (1.0 + r_norm)
+    rho = query.r / (query.speed * query.t_go)
+    return abs(query.sigma) <= 1e-12 and abs(rho - 1.0) <= NEWTON_TOL
 
 
 def command_nn(model, query: GuidanceQuery) -> float:
@@ -176,16 +174,6 @@ def _endpoint(alpha, beta, t_go):
     return range_look_angle(X, Y, Theta)
 
 
-def _degenerate_solution(query: GuidanceQuery) -> OracleSolution:
-    return OracleSolution(
-        params=AdjointParams(1.0, 0.0),
-        residual=(query.r / query.speed - query.t_go, 0.0),
-        normalized_t_go=query.t_go,
-        command=0.0,
-        effort=0.0,
-    )
-
-
 @functools.cache
 def _seed_table():
     """Endpoints of a 64x64 chart of the admissible extremals at unit time-to-go.
@@ -214,17 +202,15 @@ def _seed_table():
     return table
 
 
-def _seed_candidates(r_norm, sigma_abs, t_go):
-    """(alpha, beta) seeds for a query, from the chart cells that bracket a root.
+def _seed_candidates(rho, sigma_abs):
+    """(q, beta) seeds for a scale-free query, from the chart cells that bracket a root.
 
-    The residual F = ((R1 - rho) / rho, Sigma1 - |sigma|), rho = r_norm / t_go,
-    is invariant under the rescaling like the chart itself.  Every cell
-    around whose corners F winds once holds a root and seeds Newton from
-    its corner of least |F|; so does the chart's best cell.  Seeds come in
-    order of |F|.
+    The residual is F = ((R1 - rho) / rho, Sigma1 - |sigma|) at unit
+    time-to-go.  Every cell around whose corners F winds once holds a root
+    and seeds Newton from its corner of least |F|; so does the chart's best
+    cell.  Seeds come in order of |F|.
     """
     Q, B, R1, S1 = _seed_table()
-    rho = r_norm / t_go
     fr, fs = (R1 - rho) / rho, S1 - sigma_abs
     phase = np.arctan2(fs, fr)
     ring = [np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:]]  # each cell's corners, in turn
@@ -236,65 +222,65 @@ def _seed_candidates(r_norm, sigma_abs, t_go):
     picks = cells[np.argmin(res[cells], axis=0), np.arange(cells.shape[1])]
     picks = np.append(picks, np.argmin(res))
     picks = picks[np.argsort(res[picks], kind="stable")]
-    return [(float(Q.flat[k]) / t_go**2, float(B.flat[k])) for k in dict.fromkeys(picks.tolist())]
+    return [(float(Q.flat[k]), float(B.flat[k])) for k in dict.fromkeys(picks.tolist())]
 
 
-def _endpoint_jacobian(alpha, beta, t_go):
-    """R and Sigma of the extremal (alpha, beta) at t_go, and their Jacobian in (alpha, beta).
+def _endpoint_jacobian(q, beta):
+    """R1 and Sigma1 of the extremal (q, beta) at unit time, and their Jacobian in (q, beta).
 
     One ``evaluate`` call of the extremal and its beta step, min(1e-6, 1e-3 beta)
     (small beside small betas), gives the beta column as a forward difference.
-    The alpha column is exact: the family is scale-invariant,
-    R = R1(beta, sqrt(alpha) t) / sqrt(alpha) and Sigma = Sigma1(beta, sqrt(alpha) t),
-    so dR/dalpha = (t cos Sigma - R) / (2 alpha) and dSigma/dalpha = t Sigma' / (2 alpha),
-    where Sigma' = -sgn(c) U - sin(Sigma) / R is the look angle's rate along the
-    extremal and c the cross product of line of sight and heading.
+    The q column is exact: the family is scale-invariant,
+    R1 = R(beta, sqrt(q)) / sqrt(q) and Sigma1 = Sigma(beta, sqrt(q)) of the
+    unit-alpha extremal, so dR1/dq = (cos Sigma - R1) / (2 q) and
+    dSigma1/dq = Sigma' / (2 q), where Sigma' = -sgn(c) U - sin(Sigma) / R1 is
+    the look angle's rate along the extremal and c the cross product of line
+    of sight and heading.
     """
     db = min(1e-6, 1e-3 * beta)
-    X, Y, Theta, U = evaluate(alpha, np.array([beta, beta + db]), t_go)
+    X, Y, Theta, U = evaluate(q, np.array([beta, beta + db]), 1.0)
     (r, r_b), (s, s_b) = range_look_angle(X, Y, Theta)
     turn = math.copysign(1.0, Y[0] * math.cos(Theta[0]) - X[0] * math.sin(Theta[0]))  # sgn(c)
     rate = -turn * U[0] - math.sin(s) / r  # Sigma'
-    return r, s, np.array([[(t_go * math.cos(s) - r) / (2.0 * alpha), (r_b - r) / db],
-                           [t_go * rate / (2.0 * alpha), (s_b - s) / db]])
+    return r, s, np.array([[(math.cos(s) - r) / (2.0 * q), (r_b - r) / db],
+                           [rate / (2.0 * q), (s_b - s) / db]])
 
 
-def _newton(r_norm, sigma_abs, t_go, alpha, beta):
-    """Damped Newton on the closed-form endpoint residual, from one seed.
+def _newton(rho, sigma_abs, q, beta):
+    """Damped Newton on the unit-horizon endpoint residual, from one seed (q, beta).
 
     Each trial point costs one ``_endpoint_jacobian`` call, which also gives
     the Jacobian of the next step.  A step is tried at 1, 1/2, ..., 1/32 of
     its length until the residual shrinks, measured with its range part
-    relative to the queried range: like the family, that merit is
-    scale-invariant, so a seed takes the same steps at every time-to-go.
-    Returns (alpha, beta, residual), or None when the seed does not converge
+    relative to rho, the same measure as the convergence test.
+    Returns (q, beta, residual), or None when the seed does not converge
     within NEWTON_MAX_ITER steps or meets a singular Jacobian.
     """
 
-    def trial(a, b):
-        r, s, jac = _endpoint_jacobian(a, b, t_go)
-        f = np.array([r - r_norm, s - sigma_abs])
-        return a, b, f, float(np.hypot(f[0] / r_norm, f[1])), jac
+    def trial(q, b):
+        r, s, jac = _endpoint_jacobian(q, b)
+        f = np.array([r - rho, s - sigma_abs])
+        return q, b, f, float(np.hypot(f[0] / rho, f[1])), jac
 
     def converged(f):
-        return abs(f[0]) <= NEWTON_TOL * (1.0 + r_norm) and abs(f[1]) <= NEWTON_TOL
+        return abs(f[0]) <= NEWTON_TOL * rho and abs(f[1]) <= NEWTON_TOL
 
-    a, b, f, size, jac = trial(alpha, beta)
+    q, b, f, size, jac = trial(q, beta)
     for _ in range(NEWTON_MAX_ITER):
         if converged(f):
-            return a, b, f
+            return q, b, f
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
             return None
         for lam in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-            point = trial(max(a + lam * step[0], 1e-12), min(max(b + lam * step[1], 1e-9), math.pi))
+            point = trial(max(q + lam * step[0], 1e-12), min(max(b + lam * step[1], 1e-9), math.pi))
             if point[3] < size:
                 break
         else:
             return None
-        a, b, f, size, jac = point
-    return (a, b, f) if converged(f) else None
+        q, b, f, size, jac = point
+    return (q, b, f) if converged(f) else None
 
 
 def warm_check(solution: OracleSolution, r_norm, sigma, t_go):
@@ -319,48 +305,42 @@ def warm_check(solution: OracleSolution, r_norm, sigma, t_go):
 def command_oracle(query: GuidanceQuery) -> OracleSolution:
     """Solve the boundary problem for the optimal command at the query.
 
-    The answer depends on the query alone.  Newton runs from every cell of
-    the admissible chart that brackets a root (``_seed_candidates``), one
-    seed after another.  Converged roots are merged in seed order, and each
-    distinct root gets one exact collinearity check (admissible when
-    collinearity-free up to the time-to-go) and its closed-form effort.  The
-    least-effort admissible root wins, and ``roots`` lists them all, with
-    beta negated for a negative look angle: ``params`` is the winning entry,
-    or (1, 0) for the straight line.  Its command is the closed form's U at
-    the time-to-go, as ``simulate`` flies it and ``warm_check`` returns it;
-    nothing is sampled.
+    The answer depends on the query alone: the solve runs on rho and |sigma|
+    at unit time-to-go, and t_go only rescales it.  Newton runs from every
+    cell of the admissible chart that brackets a root (``_seed_candidates``),
+    one seed after another.  Converged roots are merged in seed order, and
+    each distinct root gets one exact collinearity check (admissible when
+    collinearity-free up to unit time) and its closed-form effort.  The
+    least-effort admissible root wins, and ``roots`` lists them all, with beta
+    negated for a negative look angle: ``params`` is the winning entry, or
+    (1, 0) on the collision course.  Its command is the closed form's U at
+    the time-to-go, as ``simulate`` flies it and ``warm_check`` returns it.
     Raises GuidanceError when no admissible extremal matches the query
     within tolerance.
     """
-    sigma_abs = abs(query.sigma)
     r_norm = query.r / query.speed
     t_go = query.t_go
-
     if _on_collision_course(query):
-        return _degenerate_solution(query)
+        return OracleSolution(AdjointParams(1.0, 0.0), (r_norm - t_go, 0.0), t_go, 0.0, 0.0)
 
-    found = []  # distinct roots in seed order: (alpha, beta, residual, admissible)
-    seeds = _seed_candidates(r_norm, sigma_abs, t_go)
-    for a, b, f in filter(None, (_newton(r_norm, sigma_abs, t_go, *seed) for seed in seeds)):
-        if any(abs(a - a0) <= 1e-6 + 1e-3 * a0 and abs(b - b0) <= 1e-3 for a0, b0, *_ in found):
+    rho, sigma_abs = r_norm / t_go, abs(query.sigma)
+    found = []  # distinct roots in seed order: (q, beta, residual, admissible)
+    for q, b, f in filter(None, (_newton(rho, sigma_abs, *seed) for seed in _seed_candidates(rho, sigma_abs))):
+        if any(abs(q - q0) <= 1e-3 * q0 and abs(b - b0) <= 1e-3 for q0, b0, *_ in found):
             continue
-        # below ALPHA_DEGENERATE a root is effectively the straight line
-        ok = a < ALPHA_DEGENERATE or not terminal_time(AdjointParams(a, b), t_bar=t_go) < t_go
-        found.append((a, b, f, ok))
+        found.append((q, b, f, not terminal_time(AdjointParams(q, b), t_bar=1.0) < 1.0))
     if not any(ok for *_, ok in found):
         raise GuidanceError("no admissible extremal found")
 
-    alphas = np.array([a for a, *_ in found])
-    efforts = np.where(alphas < ALPHA_DEGENERATE, 0.0, effort(alphas, [b for _, b, *_ in found], t_go))
+    efforts = effort([q for q, *_ in found], [b for _, b, *_ in found], 1.0) / t_go
     side = -1.0 if query.sigma < 0.0 else 1.0  # a negative look angle mirrors the extremal
-    roots = tuple((float(a), side * float(b), float(j), ok) for (a, b, _, ok), j in zip(found, efforts))
+    roots = tuple((float(q) / t_go**2, side * float(b), float(j), ok) for (q, b, _, ok), j in zip(found, efforts))
     best = min((k for k, root in enumerate(roots) if root[3]), key=lambda k: roots[k][2])
     a, b, j, _ = roots[best]
-    if a < ALPHA_DEGENERATE:
-        return replace(_degenerate_solution(query), roots=roots)
+    f = found[best][2]
     return OracleSolution(
         params=AdjointParams(a, b),
-        residual=tuple(map(float, found[best][2])),
+        residual=(float(f[0]) * t_go, float(f[1])),
         normalized_t_go=t_go,
         command=float(evaluate(a, b, t_go)[3]),
         effort=j,

@@ -194,9 +194,10 @@ def test_oracle_lists_every_root_case_c():
     assert sol.effort == min(j for *_, j, ok in sol.roots if ok)
     # the paper's locally-optimal branch is a root too, but it is collinear
     # at 46.85 s, before the impact time, so it is not admissible
-    a, b, _ = _newton(query.r / speed, abs(query.sigma), query.t_go, 0.0106, 2.04)
-    assert float(effort(a, b, query.t_go)) * speed**2 == pytest.approx(5.0572e4, rel=0.01)
-    assert terminal_time(AdjointParams(a, b), t_bar=query.t_go) == pytest.approx(46.85, abs=0.05)
+    t_go = query.t_go
+    q, b, _ = _newton(query.r / (speed * t_go), abs(query.sigma), 0.0106 * t_go**2, 2.04)
+    assert float(effort(q, b, 1.0)) / t_go * speed**2 == pytest.approx(5.0572e4, rel=0.01)
+    assert terminal_time(AdjointParams(q / t_go**2, b), t_bar=t_go) == pytest.approx(46.85, abs=0.05)
 
 
 def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
@@ -230,20 +231,20 @@ def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
     assert sol.params == AdjointParams(1.0, 0.0) and sol.roots == ()
 
 
-def _sequential_newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma, max_iter=40):
-    """The damped Newton with a forward-difference Jacobian in both columns, as a reference."""
+def _sequential_newton(rho, sigma_abs, q0, beta0, tol_r, tol_sigma, max_iter=40):
+    """The damped Newton at unit time-to-go with a forward-difference Jacobian in both columns, as a reference."""
 
     def residual(a, b):
-        r, s = _endpoint(a, b, t_go)
-        return np.array([r - r_norm, s - sigma_abs])
+        r, s = _endpoint(a, b, 1.0)
+        return np.array([r - rho, s - sigma_abs])
 
     def size(f):
-        return float(np.hypot(f[0] / r_norm, f[1]))
+        return float(np.hypot(f[0] / rho, f[1]))
 
     def converged(f):
-        return abs(f[0]) <= tol_r * (1.0 + r_norm) and abs(f[1]) <= tol_sigma
+        return abs(f[0]) <= tol_r * rho and abs(f[1]) <= tol_sigma
 
-    a, b = alpha0, beta0
+    a, b = q0, beta0
     f = residual(a, b)
     for _ in range(max_iter):
         if converged(f):
@@ -283,18 +284,19 @@ def _sequential_newton(r_norm, sigma_abs, t_go, alpha0, beta0, tol_r, tol_sigma,
 @example(log_alpha=math.log10(1.4463678787556693), beta=0.8553418598915584, t=34.78740627591285)
 @example(log_alpha=math.log10(8.093951276339098), beta=1.510202555799848e-08, t=49.4565283674443)
 @example(log_alpha=math.log10(0.0007608442216573759), beta=3.141592652306007, t=37.94122663581753)
-def test_exact_alpha_column_matches_central_difference(log_alpha, beta, t):
-    alpha = 10.0**log_alpha
-    h = 1e-5 * alpha
-    X, Y, Theta, _ = evaluate(alpha + np.array([-2.0, -1.0, 1.0, 2.0]) * h, beta, t)
+def test_exact_q_column_matches_central_difference(log_alpha, beta, t):
+    # the extremal (alpha, beta) at time t is (q, beta) at unit time, rescaled
+    q = 10.0**log_alpha * t**2
+    h = 1e-5 * q
+    X, Y, Theta, _ = evaluate(q + np.array([-2.0, -1.0, 1.0, 2.0]) * h, beta, 1.0)
     cross = Y * np.cos(Theta) - X * np.sin(Theta)
     assume(np.sign(cross[0]) == np.sign(cross[-1]))  # the folded look angle has a kink where cross = 0
     R, S = range_look_angle(X, Y, Theta)
-    r, _, jac = _endpoint_jacobian(alpha, beta, t)
+    r, _, jac = _endpoint_jacobian(q, beta)
     # the difference's own error: its truncation, gauged by the difference in
-    # step 2h, and its rounding.  evaluate sums terms of size t + 2/sqrt(alpha),
+    # step 2h, and its rounding.  evaluate sums terms of size 1 + 2/sqrt(q),
     # and over this domain its endpoints are good to about 2**-40 of them
-    rounding = 2.0**-38 * (t + 2.0 / math.sqrt(alpha)) / h
+    rounding = 2.0**-38 * (1.0 + 2.0 / math.sqrt(q)) / h
     for F, exact, floor in ((R, jac[0, 0], rounding), (S, jac[1, 0], rounding / r)):
         diff, diff_2h = (F[2] - F[1]) / (2.0 * h), (F[3] - F[0]) / (4.0 * h)
         assert abs(exact - diff) <= abs(diff - diff_2h) + floor
@@ -302,16 +304,14 @@ def test_exact_alpha_column_matches_central_difference(log_alpha, beta, t):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    t_go=st.floats(15.0, 50.0),
     ratio=st.floats(0.45, 0.8),
     look=st.floats(0.3, 1.1),
 )
-def test_newton_matches_finite_difference_reference_over_engage_domain(t_go, ratio, look):
-    # the benchmark's engagement draw domain, in normalized units
-    r_norm = ratio * t_go
-    seeds = _seed_candidates(r_norm, look, t_go)
-    got = [_newton(r_norm, look, t_go, a, b) for a, b in seeds]
-    want = [_sequential_newton(r_norm, look, t_go, a, b, 1e-9, 1e-9) for a, b in seeds]
+def test_newton_matches_finite_difference_reference_over_engage_domain(ratio, look):
+    # the benchmark's engagement draw domain, scale-free: rho = r / (speed t_go)
+    seeds = _seed_candidates(ratio, look)
+    got = [_newton(ratio, look, q, b) for q, b in seeds]
+    want = [_sequential_newton(ratio, look, q, b, 1e-9, 1e-9) for q, b in seeds]
     assert [g is None for g in got] == [w is None for w in want]
     for g, w in zip(got, want):
         if w is not None:
@@ -459,11 +459,11 @@ def _brute_force_efforts(r_norm, sigma_abs, t_go):
     turn = sum(np.mod(c1 - c0 + math.pi, 2.0 * math.pi) - math.pi for c0, c1 in zip(corners, corners[1:] + corners[:1]))
     seeds[:-1, :-1] |= np.abs(turn) > math.pi
     idx = np.flatnonzero(seeds)
-    hits = [_newton(r_norm, sigma_abs, t_go, q.flat[k] / t_go**2, b.flat[k]) for k in idx]
+    hits = [_newton(rho, sigma_abs, q.flat[k], b.flat[k]) for k in idx]
     return [
-        float(effort(a, beta, t_go))
-        for a, beta, _ in filter(None, hits)
-        if terminal_time(AdjointParams(a, beta), t_bar=t_go) == t_go
+        float(effort(q1, beta, 1.0)) / t_go
+        for q1, beta, _ in filter(None, hits)
+        if terminal_time(AdjointParams(q1, beta), t_bar=1.0) == 1.0
     ]
 
 
@@ -625,17 +625,33 @@ def test_network_tracks_oracle_over_domain(model):
     assert np.percentile(rel, 95) <= 0.10
 
 
-def test_seed_candidates_scale_invariant():
-    from fitguide.guidance import _seed_candidates
-
-    r_norm, sigma, t_go = 14.0, 0.9, 25.0
-    base = _seed_candidates(r_norm, sigma, t_go)
-    assert base
-    # powers of two keep every rescaling exact in floating point
-    for lam in (0.25, 2.0, 8.0):
-        scaled = _seed_candidates(lam * r_norm, sigma, lam * t_go)
-        assert [b for _, b in scaled] == [b for _, b in base]
-        assert [a for a, _ in scaled] == [a / lam**2 for a, _ in base]
+@settings(max_examples=50, deadline=None)
+@given(
+    t_go=st.floats(15.0, 50.0),
+    ratio=st.floats(0.45, 0.8),
+    look=st.floats(0.3, 1.1),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_oracle_is_scale_invariant(t_go, ratio, look, sign):
+    # the oracle solves at unit time-to-go and t_go only scales its answer;
+    # powers of two keep every rescaling exact in floating point, so the
+    # scaled answers agree to the bit, out to hours of time-to-go
+    r = ratio * t_go
+    try:
+        base = command_oracle(GuidanceQuery(r, sign * look, t_go, 1.0))
+    except GuidanceError:
+        base = None
+    for lam in (0.25, 4.0, 256.0, 1024.0):
+        query = GuidanceQuery(lam * r, sign * look, lam * t_go, 1.0)
+        if base is None:
+            with pytest.raises(GuidanceError, match="no admissible extremal"):
+                command_oracle(query)
+            continue
+        sol = command_oracle(query)
+        assert (sol.params.alpha * lam**2, sol.params.beta) == (base.params.alpha, base.params.beta)
+        assert tuple((a * lam**2, b, j * lam, ok) for a, b, j, ok in sol.roots) == base.roots
+        assert (sol.command * lam, sol.effort * lam) == (base.command, base.effort)
+        assert sol.residual == (lam * base.residual[0], base.residual[1])
 
 
 def test_import_builds_no_seed_table():
