@@ -9,8 +9,8 @@ acceleration = speed * turn rate):
   boundary problem over the costate parameters (q, beta), q = alpha *
   t_go**2, so that the parameterized extremal matches the queried range
   and look angle at unit time-to-go, keeping only solutions that stay
-  collinearity-free (first-collinearity time >= time-to-go) and, among
-  admissible roots, returning the one of least effort.
+  collinearity-free (first-collinearity time >= time-to-go, to Newton's
+  tolerance) and, among admissible roots, returning the least-effort one.
 * ``pn_command``       — proportional navigation baseline, turn rate =
   3 * line-of-sight rate.
 
@@ -283,6 +283,11 @@ def _newton(rho, sigma_abs, q, beta):
     return (q, b, f) if converged(f) else None
 
 
+def _admissible(q, beta) -> bool:
+    """Collinearity-free before unit time-to-go (a head-on root is collinear at it), to NEWTON_TOL."""
+    return terminal_time(AdjointParams(q, beta), t_bar=1.0) >= 1.0 - NEWTON_TOL
+
+
 def warm_check(solution: OracleSolution, r_norm, sigma, t_go):
     """Whether the solved extremal still passes through each queried state.
 
@@ -309,12 +314,12 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
     at unit time-to-go, and t_go only rescales it.  Newton runs from every
     cell of the admissible chart that brackets a root (``_seed_candidates``),
     one seed after another.  Converged roots are merged in seed order, and
-    each distinct root gets one exact collinearity check (admissible when
-    collinearity-free up to unit time) and its closed-form effort.  The
-    least-effort admissible root wins, and ``roots`` lists them all, with beta
-    negated for a negative look angle: ``params`` is the winning entry, or
-    (1, 0) on the collision course.  Its command is the closed form's U at
-    the time-to-go, as ``simulate`` flies it and ``warm_check`` returns it.
+    each distinct root gets one exact collinearity check (``_admissible``)
+    and its closed-form effort.  The least-effort admissible root wins, and
+    ``roots`` lists them all, with beta negated for a negative look angle:
+    ``params`` is the winning entry, or (1, 0) on the collision course.  Its
+    command is the closed form's U at the time-to-go, as ``simulate`` flies
+    it and ``warm_check`` returns it.
     Raises GuidanceError when no admissible extremal matches the query
     within tolerance.
     """
@@ -328,7 +333,7 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
     for q, b, f in filter(None, (_newton(rho, sigma_abs, *seed) for seed in _seed_candidates(rho, sigma_abs))):
         if any(abs(q - q0) <= 1e-3 * q0 and abs(b - b0) <= 1e-3 for q0, b0, *_ in found):
             continue
-        found.append((q, b, f, not terminal_time(AdjointParams(q, b), t_bar=1.0) < 1.0))
+        found.append((q, b, f, _admissible(q, b)))
     if not any(ok for *_, ok in found):
         raise GuidanceError("no admissible extremal found")
 

@@ -1,25 +1,26 @@
 """Closed-loop engagement simulation and effort/miss metrics.
 
 The simulator flies the Cartesian kinematics exactly (constant turn rate
-over each step of fixed length), and each law has one flight path.  The
-network and the proportional-navigation (gain 3) laws measure range and
-look angle and evaluate their command every step.  The boundary-value
-oracle re-solves once a second, and its command depends on time alone:
-it is the plan's, the latest solved extremal's, in closed form at each
-step's midpoint time-to-go.  So each plan is flown to the end in one
-vectorized pass (``kinematics.fly_arcs``) and tested at all its coming
-re-solve nodes in one ``guidance.warm_check`` call; the first node where
-the flown state has drifted off it is re-solved and flown again from.
-``command_oracle`` is called only for the first plan and at those nodes,
-and each call solves its query afresh, with no memory of the plan.
-Once the range is too short to measure (two steps' flight), every law
-holds its last command; the oracle flies that hold in one more pass.
+over each step), and every law flies one step clock (``_node_times``):
+nodes 0, dt, 2 dt, ... summed in sequence, the last step shortened to end
+on t_f, or for PN on max(4 t_f, 60 s).  The network and the
+proportional-navigation (gain 3) laws measure range and look angle and
+evaluate their command every step.  The boundary-value oracle re-solves at
+nodes set once per engagement (node 0, then the first node each second
+after the last), and its command depends on time alone: it is the plan's,
+the latest solved extremal's, in closed form at each step's midpoint
+time-to-go.  So each plan is flown to the end in one vectorized pass
+(``kinematics.fly_arcs``) and tested at all its coming re-solve nodes in
+one ``guidance.warm_check`` call; the first node where the flown state has
+drifted off it is re-solved and flown again from.  ``command_oracle`` is
+called only there and at node 0, and solves each query afresh.  Once the
+range is too short to measure (two steps' flight), every law holds its
+last command; the oracle flies that hold in one more pass.
 
-Termination: network/oracle runs stop at the prescribed impact time
-(or on an early target crossing); proportional navigation ignores the
-impact time and flies until intercept or max(4 t_f, 60 s).  Miss distance
-and impact time are refined by fitting a parabola to the squared range
-over the final integration nodes.
+Termination: network/oracle runs stop at the prescribed impact time (or on
+an early target crossing); PN ignores it and flies until intercept, or gives
+up exactly at max(4 t_f, 60 s).  Miss distance and impact time are refined
+by fitting a parabola to the squared range over the final integration nodes.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class SimResult:
     effort: float           # J, m^2/s^3
     miss: float
     impact_time: float
-    resolves: int = 0           # oracle re-solve nodes: the first solve, each warm check that passed, each re-solve
+    resolves: int = 0           # oracle re-solve nodes before measuring stopped, each warm-checked or solved at
     resolve_failures: int = 0   # oracle re-solves that raised; the last plan was replayed
     # longest time, s, from the solve that made an oracle plan to the last step it
     # commanded; a node whose warm check passes, or whose re-solve fails, keeps the plan and its age
@@ -138,18 +139,18 @@ def _refine_miss(t_nodes, r_nodes, dt):
     return t_end + s_v, math.sqrt(max(q_min, 0.0))
 
 
-def _node_times(t_f: float, dt: float) -> np.ndarray:
-    """Every node of ``t += min(dt, t_f - t)`` from 0 until t >= t_f - 1e-12, to the bit.
+def _node_times(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every node of ``t += min(dt, t_end - t)`` from 0 until t >= t_end - 1e-12, and each step's length.
 
-    ``np.cumsum`` adds in sequence, so its nodes are the loop's until the
-    one step that is shortened to end on t_f.
+    ``np.cumsum`` adds in sequence, so its nodes are the loop's to the bit
+    until the one step that is shortened to end on t_end.
     """
-    t = np.cumsum(np.concatenate(([0.0], np.full(int(t_f / dt) + 2, dt))))
-    last = int(np.argmax((t >= t_f - 1e-12) | (t_f - t < dt)))
+    t = np.cumsum(np.concatenate(([0.0], np.full(int(t_end / dt) + 2, dt))))
+    last = int(np.argmax((t >= t_end - 1e-12) | (t_end - t < dt)))
     t = t[: last + 1]
-    if t[-1] < t_f - 1e-12:
-        t = np.append(t, t[-1] + (t_f - t[-1]))
-    return t
+    if t[-1] < t_end - 1e-12:
+        t = np.append(t, t[-1] + (t_end - t[-1]))
+    return t, np.minimum(dt, t_end - t[:-1])
 
 
 def _fly_oracle(scenario: Scenario):
@@ -159,24 +160,28 @@ def _fly_oracle(scenario: Scenario):
     # collision course where the solve is ill conditioned, while the
     # replayed extremal is already exact
     t_lock = max(RESOLVE_PERIOD, 0.1 * t_f)
-    nodes = _node_times(t_f, dt)
-    last = len(nodes) - 1
-    t_go = t_f - nodes[:-1]
-    h = np.minimum(dt, t_go)
+    nodes, h = _node_times(t_f, dt)
+    last = len(h)
+    # the re-solve nodes: node 0, then each the first a period after the
+    # last, before the lock; node times accumulate rounding, so a node within
+    # a hair of the due time is due, else that re-solve lands a step late
+    before_lock = int(np.count_nonzero(t_f - nodes > t_lock))
+    due, j = [0], 0
+    while (j := max(int(np.searchsorted(nodes, nodes[j] + RESOLVE_PERIOD * (1.0 - 1e-9))), j + 1)) < before_lock:
+        due.append(j)
     # midpoint sampling of the held command halves the hold bias
-    t_eval = np.maximum(t_go - 0.5 * h, 0.0)
+    t_eval = np.maximum(t_f - nodes[:-1] - 0.5 * h, 0.0)
     u = np.empty(last)  # from the node a plan was solved at on, that plan's commands
     path = np.empty((3, last + 1))  # x, y, theta at each node
     path[:, 0] = scenario.initial.x, scenario.initial.y, scenario.initial.theta
     sol = None
-    resolves = resolve_failures = 0
+    resolve_failures = 0
     plan_age_max = 0.0
     k = 0
     # from the first node too close to measure, the last command is held
     while k < last and (r := math.hypot(*path[:2, k])) >= 2.0 * speed * dt:
         # the first node, or the first re-solve node whose warm check failed
         polar = cartesian_to_polar(CartesianState(*path[:, k]))
-        resolves += 1
         try:
             new = command_oracle(GuidanceQuery(r, polar.sigma, max(t_f - nodes[k], r / speed), speed))
         except GuidanceError as err:
@@ -193,27 +198,20 @@ def _fly_oracle(scenario: Scenario):
         rr = np.hypot(xs, ys)
         near = np.flatnonzero(rr[1:] < 2.0 * speed * dt)
         n = int(near[0]) + 1 if len(near) else last - k
-        # the re-solve nodes on the way, each the first a period after the
-        # last; node times accumulate rounding, so a node within a hair of
-        # the due time is due, else that re-solve lands a step late
-        d, j = [], k
-        next_solve = nodes[k] + RESOLVE_PERIOD * (1.0 - 1e-9)
-        while (j := max(int(np.searchsorted(nodes, next_solve)), j + 1)) < k + n and t_f - nodes[j] > t_lock:
-            d.append(j - k)
-            next_solve = nodes[j] + RESOLVE_PERIOD * (1.0 - 1e-9)
-        # test the plan at all of them at once; the first that drifts off
-        # it, or whose look angle changes side, ends the flight and re-solves
-        if d:
-            d = np.array(d)
+        # test the plan at all the re-solve nodes on the way at once; the first
+        # that drifts off it, or whose look angle changes side, ends the flight
+        # and re-solves
+        d = np.array([j - k for j in due if k < j < k + n])
+        if len(d):
             r_d = rr[d] / speed
             ok = warm_check(sol, r_d, look_angles(xs[d], ys[d], ths[d]), np.maximum(t_f - nodes[k + d], r_d))[0]
             cut = int(np.argmin(np.append(ok, False)))
-            resolves += cut
             if cut < len(d):
                 n = int(d[cut])
         path[:, k + 1 : k + n + 1] = [a[1 : n + 1] for a in flown]
         plan_age_max = max(plan_age_max, nodes[k + n - 1] - plan_t0)
         k += n
+    resolves = sum(j < k for j in due)  # the re-solve nodes before measuring stopped
     if k < last:
         # hold until the first node within half a step's flight, or t_f
         u[k:] = u[k - 1] if k else 0.0
@@ -229,13 +227,13 @@ def _fly_oracle(scenario: Scenario):
 def _fly_steps(scenario: Scenario, model):
     """Node arrays ``(t, x, y, theta, u)`` of a network or PN engagement, one step at a time."""
     law, speed, dt, t_f = scenario.guidance, scenario.speed, scenario.dt, scenario.t_f
-    t_end = max(4.0 * t_f, 60.0) if law == "pn" else t_f - 1e-12
-    state = scenario.initial
-    t = 0.0
-    ts, xs, ys, ths = [0.0], [state.x], [state.y], [state.theta]
+    nodes, h = _node_times(max(4.0 * t_f, 60.0) if law == "pn" else t_f, dt)
+    states = [state := scenario.initial]
     u_hist: list[float] = []
     u = 0.0
-    while (r := math.hypot(state.x, state.y)) >= speed * dt / 2.0 and t < t_end:
+    for t, hstep in zip(nodes.tolist(), h.tolist()):
+        if (r := math.hypot(state.x, state.y)) < speed * dt / 2.0:
+            break
         # else the range is too short to measure the look angle reliably: hold u
         if r >= 2.0 * speed * dt:
             polar = cartesian_to_polar(state)
@@ -245,14 +243,9 @@ def _fly_steps(scenario: Scenario, model):
                 # clamp marginal terminal-phase infeasibility from command noise
                 u = command_nn(model, GuidanceQuery(r, polar.sigma, max(t_f - t, r / speed), speed))
         u_hist.append(u)
-        hstep = dt if law == "pn" else min(dt, t_f - t)
-        state = step_cartesian(state, u, hstep, speed)
-        t += hstep
-        ts.append(t)
-        xs.append(state.x)
-        ys.append(state.y)
-        ths.append(state.theta)
-    return (np.array(ts), np.array(xs), np.array(ys), np.array(ths), np.array(u_hist)), {}
+        states.append(state := step_cartesian(state, u, hstep, speed))
+    path = np.array([(s.x, s.y, s.theta) for s in states]).T
+    return (nodes[: len(states)], *path, np.array(u_hist)), {}
 
 
 def simulate(scenario: Scenario, model=None) -> SimResult:

@@ -27,6 +27,7 @@ from fitguide import (
 )
 from fitguide.extremals import AdjointParams, effort, evaluate, propagate_param, range_look_angle, sweep_cells
 from fitguide.guidance import (
+    _admissible,
     _endpoint,
     _endpoint_jacobian,
     _newton,
@@ -460,11 +461,7 @@ def _brute_force_efforts(r_norm, sigma_abs, t_go):
     seeds[:-1, :-1] |= np.abs(turn) > math.pi
     idx = np.flatnonzero(seeds)
     hits = [_newton(rho, sigma_abs, q.flat[k], b.flat[k]) for k in idx]
-    return [
-        float(effort(q1, beta, 1.0)) / t_go
-        for q1, beta, _ in filter(None, hits)
-        if terminal_time(AdjointParams(q1, beta), t_bar=1.0) == 1.0
-    ]
+    return [float(effort(q1, beta, 1.0)) / t_go for q1, beta, _ in filter(None, hits) if _admissible(q1, beta)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -494,6 +491,37 @@ def test_oracle_picks_least_effort_of_brute_force_roots(t_go, ratio, look, sign)
         return
     if efforts:
         assert sol.effort <= (1.0 + 1e-7) * min(efforts)
+
+
+# the rho of np.linspace(0.05, 0.95, 19) that the oracle may still refuse at
+# unit time-to-go and speed, by |sigma|: at small look angles the root sits
+# next to the collinearity fold, and not every one is seeded
+SMALL_LOOK_REFUSALS = {
+    0.0: {0.05},
+    1e-9: {0.05},
+    1e-3: {0.05, 0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.85},
+    3e-3: {0.05, 0.1},
+    1e-2: {0.05, 0.1},
+    3e-2: set(),
+}
+
+
+@pytest.mark.parametrize("look", SMALL_LOOK_REFUSALS)
+def test_oracle_small_look_angle_map(look):
+    refused = set()
+    for rho in np.linspace(0.05, 0.95, 19).tolist():
+        try:
+            sol = command_oracle(GuidanceQuery(rho, look, 1.0, 1.0))
+        except GuidanceError:
+            refused.add(round(rho, 2))
+            continue
+        # a head-on root is collinear at the time-to-go itself, and one that is
+        # collinear a hair before it is admitted within Newton's tolerance:
+        # it must be the brute force's least-effort root
+        if look <= 1e-9 and terminal_time(sol.params, t_bar=1.0) < 1.0:
+            efforts = _brute_force_efforts(rho, look, 1.0)
+            assert efforts and sol.effort <= (1.0 + 1e-7) * min(efforts), rho
+    assert refused <= SMALL_LOOK_REFUSALS[look]
 
 
 def test_pn_command_conventions():

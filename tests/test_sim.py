@@ -268,16 +268,36 @@ def test_oracle_first_second_matches_open_loop_extremal():
     assert np.max(np.abs(res.u[first] - ref.u[first])) <= 1e-12
 
 
-@pytest.mark.parametrize("t_f, dt", [(25.347, 0.01), (25.0, 0.03), (31.1, 0.2)])
-def test_oracle_node_times_are_the_sequential_sum(t_f, dt):
-    res = simulate(Scenario(CASE_A_START, 500.0, t_f, guidance="oracle", dt=dt))
+@pytest.mark.parametrize(
+    "law, t_f, dt",
+    [
+        # the oracle cases keep their bare ids
+        pytest.param(law, t_f, dt, id=f"{t_f}-{dt}" if law == "oracle" else f"{law}-{t_f}-{dt}")
+        for law in ("oracle", "nn", "pn")
+        for t_f, dt in ((25.347, 0.01), (25.0, 0.03), (31.1, 0.2))
+    ],
+)
+def test_oracle_node_times_are_the_sequential_sum(model, law, t_f, dt):
+    # every law flies the same clock, to t_f or, for PN, to max(4 t_f, 60 s)
+    res = simulate(Scenario(CASE_A_START, 500.0, t_f, guidance=law, dt=dt), model=model)
+    t_end = max(4.0 * t_f, 60.0) if law == "pn" else t_f
     t, expected = 0.0, [0.0]
-    while t < t_f - 1e-12:
-        t += min(dt, t_f - t)
+    while t < t_end - 1e-12:
+        t += min(dt, t_end - t)
         expected.append(t)
-    # a run may stop a node or two early, within half a step of the target
-    assert len(expected) - 2 <= len(res.t) <= len(expected)
     assert res.t.tolist() == expected[: len(res.t)]
+    if law != "pn":
+        # a run may stop a node or two early, within half a step of the target
+        assert len(expected) - 2 <= len(res.t) <= len(expected)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.03, 0.07])
+def test_pn_gives_up_at_its_time_out(dt):
+    # flying straight away from the target, PN sees no line-of-sight rate and
+    # never turns; it flies to max(4 t_f, 60 s) and no further, as the last
+    # step is shortened to end on it
+    res = simulate(Scenario(CartesianState(1000.0, 0.0, 0.0), 100.0, 10.0, guidance="pn", dt=dt))
+    assert res.t[-1] == 60.0
 
 
 @pytest.mark.parametrize("miss", [0.0, 1e-3, 0.05])
