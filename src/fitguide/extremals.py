@@ -242,18 +242,15 @@ def range_look_angle(X, Y, Theta):
 # The first bracket spans [K/2, 3K]: for every beta in (0, pi), c < 0 from
 # departure until the first collinearity, which lies between 1.0 K (beta -> 0)
 # and 2.87 K (beta -> pi).  Each rescan narrows the bracket 63-fold, so nine
-# reach the spacing of doubles.
+# reach the spacing of doubles.  hi is the first scanned phase where c >= 0.
+# The brackets nest: lo never falls, as lo + (hi - lo)*f >= lo, and hi rises
+# by at most an ulp a level.
 _FRACTIONS = np.linspace(0.0, 1.0, 64)
 _LEVELS = 9
 
 
-def _collinear_phase(beta):
-    """Phase tau* = sqrt(alpha) * t of the first collinearity, per beta.
-
-    inf for degenerate beta in {0, pi}, whose straight-line extremal never
-    leaves the collinear set.  Returns the first scanned phase at which the
-    cross product is no longer negative, within a few ulps of the crossing.
-    """
+def _collinear_brackets(beta):
+    """Yield the brackets (degenerate, lo, hi) of tau* per beta, one per rescan; degenerate: beta in {0, pi}."""
     beta = np.abs(np.asarray(beta, dtype=float))
     degenerate = (beta == 0.0) | (beta >= math.pi)
     b = np.where(degenerate, 0.5 * math.pi, beta)[..., None]
@@ -267,7 +264,13 @@ def _collinear_phase(beta):
         first = np.argmax(flipped[..., 1:], axis=-1)[..., None] + 1
         lo = np.take_along_axis(tau, first - 1, axis=-1)
         hi = np.take_along_axis(tau, first, axis=-1)
-    return np.where(degenerate, np.inf, hi[..., 0])
+        yield degenerate, lo[..., 0], hi[..., 0]
+
+
+def _collinear_phase(beta):
+    """Phase tau* = sqrt(alpha) * t of the first collinearity per beta, within a few ulps; inf if degenerate."""
+    *_, (degenerate, _, hi) = _collinear_brackets(beta)
+    return np.where(degenerate, np.inf, hi)
 
 
 def _require_finite_positive(**values):

@@ -56,12 +56,13 @@ import numpy as np
 from . import mlp
 from .extremals import (
     AdjointParams,
+    _collinear_brackets,
     effort,
     evaluate,
     propagate_param,  # not called here; benchmarks/metrics.py traces it under this name
     range_look_angle,
     sweep_cells,
-    terminal_time,
+    terminal_time,  # not called here; benchmarks/metrics.py traces it under this name
 )
 from .kinematics import CartesianState, PolarState, cartesian_to_polar, look_angles
 
@@ -284,8 +285,17 @@ def _newton(rho, sigma_abs, q, beta):
 
 
 def _admissible(q, beta) -> bool:
-    """Collinearity-free before unit time-to-go (a head-on root is collinear at it), to NEWTON_TOL."""
-    return terminal_time(AdjointParams(q, beta), t_bar=1.0) >= 1.0 - NEWTON_TOL
+    """Collinearity-free before unit time-to-go (a head-on root is collinear at it), to NEWTON_TOL.
+
+    The first bracket of tau*(beta) clear of sqrt(q) decides: they nest, and hi is padded for the ulps it may yet rise.
+    """
+    s = math.sqrt(q)
+    for degenerate, lo, hi in _collinear_brackets(beta):
+        if degenerate or hi * (1.0 + 1e-12) / s < 1.0 - NEWTON_TOL:
+            return False
+        if lo / s >= 1.0 - NEWTON_TOL:
+            return True
+    return bool(hi / s >= 1.0 - NEWTON_TOL)
 
 
 def warm_check(solution: OracleSolution, r_norm, sigma, t_go):

@@ -16,6 +16,8 @@ from scipy import special
 from fitguide.extremals import (
     AdjointParams,
     _agm,
+    _collinear_brackets,
+    _collinear_phase,
     _descend,
     effort,
     ellipk,
@@ -244,6 +246,24 @@ def cross_at_phase(beta, tau):
     """Cross product of line of sight and heading at phase tau = sqrt(alpha) t, times sqrt(alpha)."""
     X, Y, Theta, _ = evaluate(1.0, beta, tau)
     return Y * np.cos(Theta) - X * np.sin(Theta)
+
+
+def test_collinear_brackets_nest():
+    """Each rescan's bracket lies in the last one's, to a rounding of hi: what lets _admissible stop early."""
+    rng = np.random.default_rng(11)
+    beta = np.concatenate([rng.uniform(1e-9, math.pi - 1e-9, 200), np.exp(rng.uniform(math.log(1e-9), 0.0, 200)), [0.86027439]])
+    his = []
+    for k, (degenerate, lo, hi) in enumerate(_collinear_brackets(beta)):
+        assert not degenerate.any() and (lo <= hi).all()
+        if k:
+            assert (lo >= last_lo).all()
+            assert (hi <= np.min(his, axis=0) * (1.0 + 1e-12)).all()
+        last_lo = lo
+        his.append(hi)
+    assert len(his) == 9
+    assert np.array_equal(his[-1], _collinear_phase(beta))
+    # one beta at a time scans the same brackets
+    assert [float(_collinear_phase(b)) for b in beta[::40]] == his[-1][::40].tolist()
 
 
 @settings(max_examples=100, deadline=None)

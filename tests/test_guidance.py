@@ -25,8 +25,9 @@ from fitguide import (
     step_cartesian,
     terminal_time,
 )
-from fitguide.extremals import AdjointParams, effort, evaluate, propagate_param, range_look_angle, sweep_cells
+from fitguide.extremals import AdjointParams, _collinear_phase, effort, evaluate, propagate_param, range_look_angle, sweep_cells
 from fitguide.guidance import (
+    NEWTON_TOL,
     _admissible,
     _endpoint,
     _endpoint_jacobian,
@@ -205,7 +206,7 @@ def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
     import fitguide.extremals
 
     _seed_table()  # the table's sweep has its own collinearity scan
-    calls = {"phase": 0, "terminal_time": 0, "sampled": 0}
+    calls = {"scan": 0, "sampled": 0}
 
     def counting(module, name, key):
         original = getattr(module, name)
@@ -216,20 +217,60 @@ def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(fitguide.extremals, "_collinear_phase", "phase")
-    # the tracer attributes the collinearity solves through this attribute
-    counting(fitguide.guidance, "terminal_time", "terminal_time")
+    def entering(module):
+        original = module._collinear_brackets
+
+        def scan(*args, **kwargs):
+            calls["scan"] += 1  # on entry: a scan that yields no bracket is not counted
+            yield from original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "_collinear_brackets", scan)
+
+    # every collinearity scan, the early-stopping check and tau* alike, runs this one loop
+    entering(fitguide.extremals)
+    entering(fitguide.guidance)
     # a solve returns its extremal and samples nothing, under either name
     counting(fitguide.guidance, "propagate_param", "sampled")
     counting(fitguide.extremals, "propagate_param", "sampled")
     case_c = cartesian_to_polar(CartesianState(-20000.0, -10000.0, math.pi / 4))
     straight = GuidanceQuery(9000.0, 0.0, 20.0, 450.0)  # met head-on: the degenerate solution
     for query in (GuidanceQuery(9000.0, 0.9, 22.0, 450.0), GuidanceQuery(case_c.r, case_c.sigma, 50.0, 600.0), straight):
-        calls.update(phase=0, terminal_time=0, sampled=0)
+        calls.update(scan=0, sampled=0)
         sol = command_oracle(query)
-        assert len(sol.roots) == calls["phase"] == calls["terminal_time"]
+        assert len(sol.roots) == calls["scan"]
         assert calls["sampled"] == 0
     assert sol.params == AdjointParams(1.0, 0.0) and sol.roots == ()
+
+
+ADMISSIBLE_DELTAS = (0.0, 1e-15, 1e-12, NEWTON_TOL, 2 * NEWTON_TOL, 1e-3, 0.3)
+
+
+def _admissible_agrees_with_terminal_time(beta, delta):
+    """_admissible at q = (tau*(1 + delta))^2 against the full scan's tau*/sqrt(q) >= 1 - NEWTON_TOL."""
+    q = (float(_collinear_phase(beta)) * (1.0 + delta)) ** 2
+    assert _admissible(q, beta) == (terminal_time(AdjointParams(q, beta), t_bar=1.0) >= 1.0 - NEWTON_TOL)
+
+
+def test_admissible_decides_as_the_full_scan():
+    betas = np.concatenate([np.geomspace(1e-9, 1.0, 24), np.linspace(1e-9, math.pi - 1e-9, 24), [0.86027439]])
+    for beta in betas:
+        for delta in ADMISSIBLE_DELTAS:
+            _admissible_agrees_with_terminal_time(beta, delta)
+            _admissible_agrees_with_terminal_time(beta, -delta)
+    # beta = pi is the straight line, collinear throughout
+    for q in (1e-12, 1.0, 100.0):
+        assert terminal_time(AdjointParams(q, math.pi), t_bar=1.0) == 0.0
+        assert _admissible(q, math.pi) is False
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    beta=st.one_of(st.floats(1e-9, math.pi - 1e-9), st.floats(math.log(1e-9), 0.0).map(math.exp)),
+    delta=st.one_of(st.floats(-0.3, 0.3), st.floats(-1e-8, 1e-8), st.sampled_from(ADMISSIBLE_DELTAS)),
+)
+@example(beta=0.86027439, delta=-NEWTON_TOL)
+def test_admissible_decides_as_the_full_scan_everywhere(beta, delta):
+    _admissible_agrees_with_terminal_time(beta, delta)
 
 
 def _sequential_newton(rho, sigma_abs, q0, beta0, tol_r, tol_sigma, max_iter=40):
