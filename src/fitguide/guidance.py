@@ -8,9 +8,9 @@ acceleration = speed * turn rate):
 * ``command_oracle``   — independent ground truth: solves the two-point
   boundary problem over the costate parameters (q, beta), q = alpha *
   t_go**2, so that the parameterized extremal matches the queried range
-  and look angle at unit time-to-go, keeping only solutions that stay
+  and look angle at unit time-to-go, and returning the first root that is
   collinearity-free (first-collinearity time >= time-to-go, to Newton's
-  tolerance) and, among admissible roots, returning the least-effort one.
+  tolerance): the admissible chart is one-to-one, so there is no other.
 * ``pn_command``       — proportional navigation baseline, turn rate =
   3 * line-of-sight rate.
 
@@ -35,7 +35,7 @@ time-to-go, made on first use and cached for the life of the process
 (``_seed_table``); each chart cell around which the query's endpoint
 residual winds seeds it.  Each seed runs its own damped Newton in (q, beta),
 one ``evaluate`` call per trial point with the Jacobian's q column in
-closed form, and every distinct root the seeds reach is reported in
+closed form, until a root is admissible; every root reached is reported in
 ``OracleSolution.roots`` with its effort and whether it is admissible.
 
 A closed loop keeps flying a solved extremal while its state stays on it:
@@ -128,8 +128,8 @@ class OracleSolution:
     normalized_t_go: float       # the time-to-go solved for: the extremal's horizon
     command: float               # the extremal's U at normalized_t_go, rad/s
     effort: float                # normalized effort integral U^2/2 over [0, t_go]
-    # every distinct root the solve reached, in seed order, as signed
-    # (alpha, beta, effort, admissible); () for the straight line met head-on
+    # every root the solve reached, in seed order, as signed (alpha, beta,
+    # effort, admissible), ending with the answer; () for the straight line met head-on
     roots: tuple = ()
 
 
@@ -321,17 +321,17 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
     """Solve the boundary problem for the optimal command at the query.
 
     The answer depends on the query alone: the solve runs on rho and |sigma|
-    at unit time-to-go, and t_go only rescales it.  Newton runs from every
-    cell of the admissible chart that brackets a root (``_seed_candidates``),
-    one seed after another.  Converged roots are merged in seed order, and
-    each distinct root gets one exact collinearity check (``_admissible``)
-    and its closed-form effort.  The least-effort admissible root wins, and
-    ``roots`` lists them all, with beta negated for a negative look angle:
-    ``params`` is the winning entry, or (1, 0) on the collision course.  Its
-    command is the closed form's U at the time-to-go, as ``simulate`` flies
-    it and ``warm_check`` returns it.
-    Raises GuidanceError when no admissible extremal matches the query
-    within tolerance.
+    at unit time-to-go, and t_go only rescales it.  Newton runs from the
+    chart cells that bracket a root (``_seed_candidates``), one seed after
+    another, and each root it reaches gets one exact collinearity check
+    (``_admissible``).  The first admissible root is the answer: the chart's
+    Jacobian keeps one sign and its edges map to the reachable set's, so it
+    is one-to-one (``test_admissible_chart_jacobian_keeps_one_sign``).
+    ``roots`` lists the roots reached, with their efforts and beta negated
+    for a negative look angle, and ends with ``params``; (1, 0) on the
+    collision course.  The command is the closed form's U at the time-to-go,
+    as ``simulate`` flies it and ``warm_check`` returns it.  Raises
+    GuidanceError, saying how many roots Newton reached, when none is admissible.
     """
     r_norm = query.r / query.speed
     t_go = query.t_go
@@ -339,20 +339,18 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
         return OracleSolution(AdjointParams(1.0, 0.0), (r_norm - t_go, 0.0), t_go, 0.0, 0.0)
 
     rho, sigma_abs = r_norm / t_go, abs(query.sigma)
-    found = []  # distinct roots in seed order: (q, beta, residual, admissible)
+    found = []  # (q, beta, residual, admissible) of each root reached, in seed order
     for q, b, f in filter(None, (_newton(rho, sigma_abs, *seed) for seed in _seed_candidates(rho, sigma_abs))):
-        if any(abs(q - q0) <= 1e-3 * q0 and abs(b - b0) <= 1e-3 for q0, b0, *_ in found):
-            continue
         found.append((q, b, f, _admissible(q, b)))
-    if not any(ok for *_, ok in found):
-        raise GuidanceError("no admissible extremal found")
+        if found[-1][3]:
+            break
+    else:
+        raise GuidanceError(f"no admissible extremal found: Newton reached {len(found)} root(s), none collinearity-free")
 
     efforts = effort([q for q, *_ in found], [b for _, b, *_ in found], 1.0) / t_go
     side = -1.0 if query.sigma < 0.0 else 1.0  # a negative look angle mirrors the extremal
     roots = tuple((float(q) / t_go**2, side * float(b), float(j), ok) for (q, b, _, ok), j in zip(found, efforts))
-    best = min((k for k, root in enumerate(roots) if root[3]), key=lambda k: roots[k][2])
-    a, b, j, _ = roots[best]
-    f = found[best][2]
+    a, b, j, _ = roots[-1]
     return OracleSolution(
         params=AdjointParams(a, b),
         residual=(float(f[0]) * t_go, float(f[1])),

@@ -185,17 +185,17 @@ def test_warm_check_reads_the_extremal_command():
     assert np.allclose(U, traj.U[grid], rtol=1e-9, atol=0.0)
 
 
-def test_oracle_lists_every_root_case_c():
+def test_oracle_roots_end_with_the_one_admissible_root_case_c():
     # case C: t_f = 50 s at 600 m/s from (-20 km, -10 km), heading 45 degrees
     speed = 600.0
     polar = cartesian_to_polar(CartesianState(-20000.0, -10000.0, math.pi / 4))
     query = GuidanceQuery(polar.r, polar.sigma, 50.0, speed)
     sol = command_oracle(query)
     assert sol.effort * speed**2 == pytest.approx(2.9158e4, rel=0.01)
-    assert (sol.params.alpha, sol.params.beta, sol.effort, True) in sol.roots
-    assert sol.effort == min(j for *_, j, ok in sol.roots if ok)
-    # the paper's locally-optimal branch is a root too, but it is collinear
-    # at 46.85 s, before the impact time, so it is not admissible
+    assert sol.roots[-1] == (sol.params.alpha, sol.params.beta, sol.effort, True)
+    assert [ok for *_, ok in sol.roots].count(True) == 1
+    # the paper's locally-optimal branch is a Newton root from its own seed,
+    # but it is collinear at 46.85 s, before the impact time, so it is not admissible
     t_go = query.t_go
     q, b, _ = _newton(query.r / (speed * t_go), abs(query.sigma), 0.0106 * t_go**2, 2.04)
     assert float(effort(q, b, 1.0)) / t_go * speed**2 == pytest.approx(5.0572e4, rel=0.01)
@@ -206,7 +206,7 @@ def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
     import fitguide.extremals
 
     _seed_table()  # the table's sweep has its own collinearity scan
-    calls = {"scan": 0, "sampled": 0}
+    calls = {"scan": 0, "sampled": 0, "newton": 0}
 
     def counting(module, name, key):
         original = getattr(module, name)
@@ -232,12 +232,17 @@ def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
     # a solve returns its extremal and samples nothing, under either name
     counting(fitguide.guidance, "propagate_param", "sampled")
     counting(fitguide.extremals, "propagate_param", "sampled")
+    counting(fitguide.guidance, "_newton", "newton")
     case_c = cartesian_to_polar(CartesianState(-20000.0, -10000.0, math.pi / 4))
     straight = GuidanceQuery(9000.0, 0.0, 20.0, 450.0)  # met head-on: the degenerate solution
-    for query in (GuidanceQuery(9000.0, 0.9, 22.0, 450.0), GuidanceQuery(case_c.r, case_c.sigma, 50.0, 600.0), straight):
-        calls.update(scan=0, sampled=0)
+    two_seeds = GuidanceQuery(9000.0, 0.9, 22.0, 450.0)
+    assert len(_seed_candidates(two_seeds.r / (two_seeds.speed * two_seeds.t_go), two_seeds.sigma)) == 2
+    for query in (two_seeds, GuidanceQuery(case_c.r, case_c.sigma, 50.0, 600.0), straight):
+        calls.update(scan=0, sampled=0, newton=0)
         sol = command_oracle(query)
-        assert len(sol.roots) == calls["scan"]
+        # one scan per root reached, and no seed is tried after the admissible one
+        assert len(sol.roots) == calls["scan"] == calls["newton"]
+        assert [ok for *_, ok in sol.roots] == [False] * (len(sol.roots) - 1) + [True] * bool(sol.roots)
         assert calls["sampled"] == 0
     assert sol.params == AdjointParams(1.0, 0.0) and sol.roots == ()
 
@@ -420,7 +425,7 @@ def test_oracle_roots_collinearity_free_in_closed_loop(monkeypatch):
     ],
 )
 def test_oracle_solves_small_beta_queries(ratio, look, t_go, j_ref):
-    # the least-effort roots lie below beta = pi/48, where a (q, beta) seed
+    # the admissible roots lie below beta = pi/48, where a (q, beta) seed
     # grid that starts there finds none; efforts from a dense brute-force polish
     sol = command_oracle(GuidanceQuery(ratio * t_go, look, t_go, 1.0))
     assert sol.effort == pytest.approx(j_ref, rel=1e-7)
@@ -523,15 +528,106 @@ def _brute_force_efforts(r_norm, sigma_abs, t_go):
 @example(t_go=1.0, ratio=0.849609375, look=2.71875, sign=1.0)
 @example(t_go=1.0, ratio=0.85, look=2.7997, sign=-1.0)
 @example(t_go=1.5, ratio=0.85, look=2.7997, sign=1.0)
-def test_oracle_picks_least_effort_of_brute_force_roots(t_go, ratio, look, sign):
-    efforts = _brute_force_efforts(ratio * t_go, look, t_go)
+def test_oracle_returns_the_one_admissible_root_of_the_brute_force(t_go, ratio, look, sign):
+    # the admissible chart maps one-to-one (test_admissible_chart_jacobian_keeps_one_sign),
+    # so no search finds a second admissible root, and the oracle stops at the first
+    efforts = _distinct(_brute_force_efforts(ratio * t_go, look, t_go))
+    assert len(efforts) <= 1, efforts
+    rho = ratio * t_go / t_go  # as the oracle forms it
+    reached = filter(None, (_newton(rho, look, *seed) for seed in _seed_candidates(rho, look)))
+    assert len(_distinct([float(effort(q, b, 1.0)) for q, b, _ in reached if _admissible(q, b)])) <= 1
     try:
         sol = command_oracle(GuidanceQuery(ratio * t_go, sign * look, t_go, 1.0))
     except GuidanceError:
         assert not efforts, "the brute force finds an admissible root"
         return
     if efforts:
-        assert sol.effort <= (1.0 + 1e-7) * min(efforts)
+        assert sol.effort == pytest.approx(efforts[0], rel=1e-7)
+
+
+def _distinct(efforts):
+    """The distinct roots among efforts: two that agree to 1e-7 relative are one root."""
+    out = []
+    for j in sorted(efforts):
+        if not out or j > (1.0 + 1e-7) * out[-1]:
+            out.append(j)
+    return out
+
+
+def _chart_jacobian(rho_c, beta, eps=1e-4):
+    """R1, Sigma1 and det d(R1, Sigma1)/d(log q, log beta), with its error bound, on a chart at unit time-to-go.
+
+    The chart is rho_c (rows) by beta (columns), q = (rho_c tau*(beta))**2.
+    The q column is exact (``_endpoint_jacobian``).  The beta column is a
+    central difference in log beta at steps eps and 2 eps, Richardson
+    extrapolated; its error is bounded by the two differences' gap plus a
+    rounding floor (evaluate's endpoints are good to about 2**-40 of its
+    terms, of size 1 + 2/sqrt(q)).
+    """
+    q = (rho_c[:, None] * _collinear_phase(beta)) ** 2
+    X, Y, Theta, U = evaluate(q, beta, 1.0)
+    r, s = range_look_angle(X, Y, Theta)
+    rate = -np.sign(Y * np.cos(Theta) - X * np.sin(Theta)) * U - np.sin(s) / r
+    q_col = ((np.cos(s) - r) / 2.0, rate / 2.0)
+    far_m, near_m, near_p, far_p = (range_look_angle(*evaluate(q, beta * math.exp(k * eps), 1.0)[:3]) for k in (-2, -1, 1, 2))
+    floor = 2.0**-40 * (1.0 + 2.0 / np.sqrt(q)) / eps
+    beta_col = []
+    for i, scale in ((0, 1.0), (1, r)):
+        near = (near_p[i] - near_m[i]) / (2.0 * eps)
+        far = (far_p[i] - far_m[i]) / (4.0 * eps)
+        beta_col.append(((4.0 * near - far) / 3.0, np.abs(near - far) + floor / scale))
+    (r_b, r_err), (s_b, s_err) = beta_col
+    det = q_col[0] * s_b - q_col[1] * r_b
+    return r, s, det, np.abs(q_col[0]) * s_err + np.abs(q_col[1]) * r_err + r_err * s_err
+
+
+# rho_c in (0, 1) by beta; the betas run geometrically to pi/16, then linearly to pi(1 - 1/256)
+CERTIFIED_CHARTS = {
+    "whole": (np.linspace(0.01, 0.995, 300), np.concatenate([
+        np.geomspace(1e-30, math.pi / 16.0, 150), np.linspace(math.pi / 16.0, math.pi * (1.0 - 1.0 / 256.0), 151)[1:]])),
+    "figure-eight": (np.linspace(0.01, 0.995, 400), np.linspace(0.84, 0.88, 400)),  # around beta* = 0.86027439
+    "small-beta": (np.linspace(0.01, 0.995, 300), np.geomspace(1e-300, 1e-9, 300)),
+}
+
+
+@pytest.mark.parametrize("chart", CERTIFIED_CHARTS)
+def test_admissible_chart_jacobian_keeps_one_sign(chart):
+    # the endpoint map (rho_c, beta) -> (R1, Sigma1) is a local diffeomorphism
+    # wherever this determinant keeps its sign, and with the edges of
+    # test_admissible_chart_edges_map_to_the_boundary it is one-to-one
+    # (Hadamard's global inverse function theorem): one admissible root per query
+    r, s, det, err = _chart_jacobian(*CERTIFIED_CHARTS[chart])
+    resolved = np.abs(det) > err
+    print(f"{chart}: {resolved.sum()} cells resolved, {(det[resolved] < 0).sum()} of them negative, {(~resolved).sum()} not")
+    if not resolved.all():
+        gap, look = 1.0 - r[~resolved], s[~resolved]
+        print(f"  unresolved: 1 - R1 in [{gap.min():.3g}, {gap.max():.3g}], Sigma1 in [{look.min():.3g}, {look.max():.3g}]")
+    assert np.all(det[resolved] > 0.0)
+    # only cells next to the (1, 0) corner or the rho = 1 edge lie below resolution
+    inner = (1.0 - r > 1e-4) & (s > 1e-4) & (s < math.pi - 1e-4)
+    assert np.all(resolved[inner])
+
+
+def test_admissible_chart_edges_map_to_the_boundary():
+    # the chart's edges map onto the edges of the reachable set {0 < rho < 1, 0 < sigma < pi}
+    beta = np.concatenate([np.geomspace(1e-300, 1e-9, 50), np.linspace(1e-9, math.pi * (1.0 - 1.0 / 256.0), 200)])
+    tau = _collinear_phase(beta)
+    # rho_c -> 0: the point (1, 0)
+    r, s = _endpoint((1e-6 * tau) ** 2, beta, 1.0)
+    assert np.all(1.0 - r <= 2e-10) and np.all(s <= 1e-10)
+    # rho_c -> 1: the collinear edges sigma = 0 and sigma = pi, both reached
+    r, s = _endpoint(((1.0 - 1e-12) * tau) ** 2, beta, 1.0)
+    assert np.all(np.minimum(s, math.pi - s) <= 2e-9)
+    assert np.any(s < 1.0) and np.any(s > 2.0)
+    rho_c = np.linspace(0.001, 0.999, 999)
+    # beta -> pi: the point (1, 0) again, linearly in pi - beta
+    for gap in (1e-6, 1e-9, 1e-12):
+        r, s = _endpoint((rho_c * _collinear_phase(math.pi - gap)) ** 2, math.pi - gap, 1.0)
+        assert np.all(1.0 - r <= 3e-12) and np.all(s <= 1.1 * gap)
+    # beta -> 0: the column's nearest point to the target approaches rho = 1
+    nearest = [_endpoint((rho_c * _collinear_phase(b)) ** 2, b, 1.0)[0].min() for b in (1e-9, 1e-30, 1e-100, 1e-300)]
+    assert nearest == sorted(nearest)
+    assert nearest == pytest.approx([0.9144, 0.9739, 0.9934, 0.9988], abs=1e-4)
 
 
 # the rho of np.linspace(0.05, 0.95, 19) that the oracle may still refuse at
@@ -558,11 +654,20 @@ def test_oracle_small_look_angle_map(look):
             continue
         # a head-on root is collinear at the time-to-go itself, and one that is
         # collinear a hair before it is admitted within Newton's tolerance:
-        # it must be the brute force's least-effort root
+        # it must be the brute force's admissible root
         if look <= 1e-9 and terminal_time(sol.params, t_bar=1.0) < 1.0:
             efforts = _brute_force_efforts(rho, look, 1.0)
             assert efforts and sol.effort <= (1.0 + 1e-7) * min(efforts), rho
     assert refused <= SMALL_LOOK_REFUSALS[look]
+
+
+@pytest.mark.parametrize("rho, look, reached", [(0.05, 0.0, 0), (0.3, 1e-3, 1)])
+def test_oracle_refusal_says_which_kind(rho, look, reached):
+    # no seed converges, or Newton converges only past the collinearity fold
+    message = f"no admissible extremal found: Newton reached {reached} root(s), none collinearity-free"
+    with pytest.raises(GuidanceError) as refusal:
+        command_oracle(GuidanceQuery(rho, look, 1.0, 1.0))
+    assert str(refusal.value) == message
 
 
 def test_pn_command_conventions():
