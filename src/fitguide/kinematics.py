@@ -97,14 +97,15 @@ def step_cartesian(state: CartesianState, u: float, dt: float, speed: float) -> 
         raise ValueError("invalid state: speed must be positive")
     if not (math.isfinite(u) and math.isfinite(dt) and math.isfinite(speed)):
         raise ValueError("invalid state: non-finite step input")
-    half = 0.5 * u * dt
-    chord = speed * dt if half == 0.0 else speed * dt * (math.sin(half) / half)
-    mid = state.theta + half
-    return CartesianState(
-        state.x + chord * math.cos(mid),
-        state.y + chord * math.sin(mid),
-        wrap_angle(state.theta + u * dt),
-    )
+    return CartesianState(*_arc(state.x, state.y, state.theta, u, dt, speed))
+
+
+def _arc(x: float, y: float, theta: float, u: float, h: float, speed: float):
+    """``step_cartesian``'s exact arc on floats, unchecked: the pose ``(x, y, theta)`` after h."""
+    half = 0.5 * u * h
+    chord = speed * h if half == 0.0 else speed * h * (math.sin(half) / half)
+    mid = theta + half
+    return x + chord * math.cos(mid), y + chord * math.sin(mid), wrap_angle(theta + u * h)
 
 
 def fly_arcs(x0: float, y0: float, theta0: float, u, h, speed: float):
@@ -151,10 +152,13 @@ def cartesian_to_polar(state: CartesianState) -> PolarState:
     r = math.hypot(state.x, state.y)
     if r == 0.0:
         raise ValueError("look angle undefined at target")
-    # numpy's arctan2, as in look_angles: math.atan2 may differ from it in
-    # the last bit, and an unwrapped heading magnifies that bit in the sum
-    sigma = wrap_angle(math.pi + float(np.arctan2(state.y, state.x)) - state.theta)
-    return PolarState(r, sigma)
+    return PolarState(r, _look_angle(state.x, state.y, state.theta))
+
+
+def _look_angle(x: float, y: float, theta: float) -> float:
+    """``cartesian_to_polar``'s look angle on floats, unchecked."""
+    # numpy's arctan2, as in look_angles: math.atan2 may differ in the last bit, which an unwrapped heading magnifies
+    return wrap_angle(math.pi + float(np.arctan2(y, x)) - theta)
 
 
 def look_angles(x, y, theta) -> np.ndarray:

@@ -151,10 +151,12 @@ def forward(model: CommandModel, inputs) -> float:
     r, sigma, t_go = inputs
     if not (math.isfinite(r) and math.isfinite(sigma) and math.isfinite(t_go)):
         raise ValueError("non-finite network input")
-    a = (np.array((r, sigma, t_go), dtype=float) - model.input_mean) / model.input_scale
+    (m0, m1, m2), (s0, s1, s2) = model.input_mean.tolist(), model.input_scale.tolist()
+    a = np.array(((r - m0) / s0, (sigma - m1) / s1, (t_go - m2) / s2))
+    # ndarray.dot: the same BLAS product as @ on a 1-D vector, to the bit, at under half the call overhead
     for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.tanh(a @ W + b)
-    return float((a @ model.weights[-1] + model.biases[-1])[0]) * model.output_scale + model.output_mean
+        a = np.tanh(a.dot(W) + b)
+    return float((a.dot(model.weights[-1]) + model.biases[-1])[0]) * model.output_scale + model.output_mean
 
 
 def _forward_standardized(weights, biases, X):

@@ -5,7 +5,8 @@ over each step), and every law flies one step clock (``_node_times``):
 nodes 0, dt, 2 dt, ... summed in sequence, the last step shortened to end
 on t_f, or for PN on max(4 t_f, 60 s).  The network and the
 proportional-navigation (gain 3) laws measure range and look angle and
-evaluate their command every step.  The boundary-value oracle re-solves at
+evaluate their command every step, on a pose of three floats flown with
+``step_cartesian``'s one arc formula.  The boundary-value oracle re-solves at
 nodes set once per engagement (node 0, then the first node each second
 after the last), and its command depends on time alone: it is the plan's,
 the latest solved extremal's, in closed form at each step's midpoint
@@ -40,7 +41,8 @@ from .guidance import (
     pn_command,
     warm_check,
 )
-from .kinematics import CartesianState, cartesian_to_polar, fly_arcs, look_angles, step_cartesian
+from .kinematics import CartesianState, PolarState, _arc, _look_angle, cartesian_to_polar, fly_arcs, look_angles
+from .kinematics import step_cartesian  # not called here: the benchmark tracer and the tests look it up in sim
 
 __all__ = [
     "Scenario",
@@ -225,27 +227,35 @@ def _fly_oracle(scenario: Scenario):
 
 
 def _fly_steps(scenario: Scenario, model):
-    """Node arrays ``(t, x, y, theta, u)`` of a network or PN engagement, one step at a time."""
+    """Node arrays ``(t, x, y, theta, u)`` of a network or PN engagement, one step at a time.
+
+    The pose is three floats, flown with ``step_cartesian``'s arc formula (``kinematics._arc``);
+    each measured step calls ``command_nn`` or ``pn_command`` through this module.
+    """
     law, speed, dt, t_f = scenario.guidance, scenario.speed, scenario.dt, scenario.t_f
     nodes, h = _node_times(max(4.0 * t_f, 60.0) if law == "pn" else t_f, dt)
-    states = [state := scenario.initial]
+    poses = [pose := (scenario.initial.x, scenario.initial.y, scenario.initial.theta)]
     u_hist: list[float] = []
     u = 0.0
     for t, hstep in zip(nodes.tolist(), h.tolist()):
-        if (r := math.hypot(state.x, state.y)) < speed * dt / 2.0:
+        x, y, theta = pose
+        if (r := math.hypot(x, y)) < speed * dt / 2.0:
             break
         # else the range is too short to measure the look angle reliably: hold u
         if r >= 2.0 * speed * dt:
-            polar = cartesian_to_polar(state)
+            sigma = _look_angle(x, y, theta)
             if law == "pn":
-                u = pn_command(polar, speed)
+                u = pn_command(PolarState(r, sigma), speed)
             else:
                 # clamp marginal terminal-phase infeasibility from command noise
-                u = command_nn(model, GuidanceQuery(r, polar.sigma, max(t_f - t, r / speed), speed))
+                u = command_nn(model, GuidanceQuery(r, sigma, max(t_f - t, r / speed), speed))
+            if not math.isfinite(u):
+                raise ValueError("invalid state: non-finite step input")
         u_hist.append(u)
-        states.append(state := step_cartesian(state, u, hstep, speed))
-    path = np.array([(s.x, s.y, s.theta) for s in states]).T
-    return (nodes[: len(states)], *path, np.array(u_hist)), {}
+        poses.append(pose := _arc(x, y, theta, u, hstep, speed))
+    if not all(map(math.isfinite, pose)):
+        raise ValueError("invalid state: non-finite Cartesian component")
+    return (nodes[: len(poses)], *np.array(poses).T, np.array(u_hist)), {}
 
 
 def simulate(scenario: Scenario, model=None) -> SimResult:

@@ -1,7 +1,9 @@
 import functools
+import importlib
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +89,19 @@ def test_command_nn_reaches_forward_at_call_time(model, monkeypatch):
     simulate(Scenario(CartesianState(-10000.0, 0.0, math.pi / 3), 500.0, 25.0, guidance="nn"), model)
     assert counts["command_nn"] > 2000
     assert counts["forward"] == counts["command_nn"]
+
+
+def test_benchmark_trace_targets_resolve_on_the_package(monkeypatch):
+    # the benchmark's tracer patches these attributes by name; one that the
+    # package drops (an unused import, say) must fail here, not only in a
+    # traced benchmark run
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    monkeypatch.syspath_prepend(str(benchmarks))
+    metrics = importlib.import_module("metrics")
+    assert Path(metrics.__file__).resolve().parent == benchmarks
+    missing = [f"{module}.{attr}" for module, attr, *_ in metrics.TRACE_TARGETS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
 
 
 def test_command_nn_close_to_oracle_case_a(model):

@@ -14,6 +14,7 @@ from fitguide import (
     salvo_summary,
     simulate,
     solve_ocp,
+    step_cartesian,
 )
 
 CASE_A_START = CartesianState(-10000.0, 0.0, math.pi / 3)
@@ -298,6 +299,61 @@ def test_pn_gives_up_at_its_time_out(dt):
     # step is shortened to end on it
     res = simulate(Scenario(CartesianState(1000.0, 0.0, 0.0), 100.0, 10.0, guidance="pn", dt=dt))
     assert res.t[-1] == 60.0
+
+
+@pytest.mark.parametrize(
+    "sc, shows",
+    [
+        pytest.param(Scenario(CASE_A_START, 500.0, 25.347, guidance="nn", dt=0.03),
+                     "short last step", id="nn-short-last-step"),
+        pytest.param(Scenario(CartesianState(-22000.0, -10000.0, -11 * math.pi / 18), 350.0, 10.0,
+                              guidance="pn", dt=0.07),
+                     "gives up", id="pn-gives-up"),
+        pytest.param(Scenario(CartesianState(-15000.0, 15000.0, -math.pi / 2), 300.0, 100.0, guidance="pn", dt=0.03),
+                     "holds", id="pn-holds"),
+    ],
+)
+def test_step_loop_flies_the_public_step_to_the_bit(model, sc, shows):
+    # the network and PN loop steps floats with step_cartesian's own arc, so
+    # re-flying its commands with step_cartesian over the same step lengths
+    # gives back every node to the bit
+    res = simulate(sc, model=model)
+    t_end = max(4.0 * sc.t_f, 60.0) if sc.guidance == "pn" else sc.t_f
+    h = np.minimum(sc.dt, t_end - res.t[:-1])
+    states = [state := sc.initial]
+    for u, step in zip(res.u.tolist(), h.tolist()):
+        states.append(state := step_cartesian(state, u, step, sc.speed))
+    assert res.x.tolist() == [s.x for s in states]
+    assert res.y.tolist() == [s.y for s in states]
+    assert res.theta.tolist() == [s.theta for s in states]
+    features = {
+        "short last step": res.t[-1] == sc.t_f and h[-1] < sc.dt,
+        "gives up": res.t[-1] == 60.0,
+        "holds": bool(np.any(res.r[: len(res.u)] < 2.0 * sc.speed * sc.dt)),
+    }
+    assert features[shows]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("law", ["nn", "pn"])
+def test_non_finite_command_raises_before_it_is_flown(model, monkeypatch, law, bad):
+    import fitguide.sim as sim_module
+
+    monkeypatch.setattr(sim_module, "command_nn" if law == "nn" else "pn_command", lambda *args: bad)
+    sc = Scenario(CASE_A_START, 500.0, 25.0, guidance=law)
+    with pytest.raises(ValueError, match="non-finite step input"):
+        simulate(sc, model=model)
+    other = Scenario(CASE_A_START, 500.0, 25.0, guidance="pn" if law == "nn" else "nn")
+    results = salvo([sc, other], model=model)
+    assert isinstance(results[0], ValueError)
+    assert isinstance(results[1], SimResult)
+
+
+def test_step_that_overflows_the_pose_raises():
+    # one 60 s PN step of 6e307 m, flown away from the target from 1.79e308 m
+    sc = Scenario(CartesianState(-1.79e308, 0.0, math.pi), 1e306, 1.0, guidance="pn", dt=60.0)
+    with pytest.raises(ValueError, match="non-finite Cartesian component"):
+        simulate(sc)
 
 
 @pytest.mark.parametrize("miss", [0.0, 1e-3, 0.05])
