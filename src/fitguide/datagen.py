@@ -25,6 +25,8 @@ degenerate straight line) contribute no samples.  Output ordering is
 from __future__ import annotations
 
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -98,9 +100,28 @@ def generate_dataset(config: DatagenConfig) -> np.ndarray:
 
 
 def write_csv(path, header: str, rows) -> None:
-    """Write a 2-D array as UTF-8 CSV under ``header``, 17 significant digits per value."""
+    """Write a 2-D array as UTF-8 CSV under ``header``, 17 significant digits per value.
+
+    ``rows`` must be 2-D with one column per header field, else ValueError
+    is raised before ``path`` is touched.  An existing regular file at
+    ``path`` is unlinked and a new file created in its place, because a
+    truncating reopen of a freshly written file waits for its writeback
+    (ext4 ``auto_da_alloc``).  So hard links to the old file keep the old
+    bytes, the new file gets the umask's mode, and a read-only file in a
+    writable directory is replaced, as ``os.replace`` would do.  Any other
+    path (missing, a symlink, which is written through, a device) is
+    opened as it is.
+    """
     rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    width = header.count(",") + 1
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"rows of shape {rows.shape} do not fit the {width} fields of {header!r}")
+    line = ",".join(["%.17g"] * width) + "\n"
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
         for start in range(0, len(rows), 65536):

@@ -42,6 +42,17 @@ def test_solve_case_a(tmp_path, capsys):
     assert header == "t,x,y,theta,r,sigma,u,a"
 
 
+def test_solve_over_a_longer_file_equals_a_fresh_write(tmp_path, capsys):
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    args = ["solve", "--x0", "-10000", "--y0", "0", "--theta0", str(math.pi / 3), "--speed", "500"]
+    assert main(args + ["--tf", "40", "--out", str(reused)]) == 0
+    longer = reused.stat().st_size
+    assert main(args + ["--tf", "25", "--out", str(reused)]) == 0
+    assert main(args + ["--tf", "25", "--out", str(fresh)]) == 0
+    assert reused.stat().st_size < longer
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
 @pytest.mark.parametrize("dt", ["0", "-0.01", "inf", "nan"])
 def test_solve_refuses_a_non_finite_or_non_positive_dt(capsys, dt):
     code = main(["solve", "--x0", "-10000", "--y0", "0", "--theta0", "1", "--speed", "500",
@@ -208,3 +219,8 @@ def test_idempotent_outputs(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # gen-data over an existing, longer file gives the fresh bytes every time
+    assert main(["gen-data", "--ni", "6", "--nj", "6", "--t-bar", "1.5", "--step", "0.01", "--out", str(b)]) == 0
+    for _ in range(2):
+        assert main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()

@@ -12,6 +12,7 @@ from fitguide import (
     read_dataset,
     write_dataset,
 )
+from fitguide.datagen import write_csv
 
 SMALL = DatagenConfig(alpha_bar=10.0, n_i=4, n_j=6, t_bar=3.0, h=0.01)
 
@@ -98,6 +99,56 @@ def test_determinism_byte_identical(tmp_path):
     write_dataset(generate_dataset(SMALL), a)
     write_dataset(generate_dataset(SMALL), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_rewrites_of_one_path_equal_a_fresh_write(tmp_path):
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    data = generate_dataset(SMALL)
+    write_dataset(data, fresh)
+    # the first write is longer, so a stale tail would show
+    write_dataset(np.vstack([data, data]), reused)
+    for _ in range(3):
+        write_dataset(data, reused)
+        assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_write_replaces_a_regular_file_but_writes_through_a_symlink(tmp_path):
+    target, link, other = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "other.csv"
+    target.write_text("old\n", encoding="utf-8")
+    link.symlink_to(target)
+    other.hardlink_to(target)
+    write_csv(link, "a,b", [[1.0, 2.0]])
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text(encoding="utf-8") == "a,b\n1,2\n"
+    # the link is written through, so the hard link still shares the inode
+    assert other.read_text(encoding="utf-8") == "a,b\n1,2\n"
+    write_csv(target, "a,b", [[3.0, 4.0]])
+    # a regular file is replaced: the hard link keeps the old bytes
+    assert link.read_text(encoding="utf-8") == "a,b\n3,4\n"
+    assert other.read_text(encoding="utf-8") == "a,b\n1,2\n"
+
+
+def test_write_to_a_directory_or_under_a_missing_parent_raises(tmp_path):
+    with pytest.raises(IsADirectoryError):
+        write_csv(tmp_path, "a,b", [[1.0, 2.0]])
+    assert tmp_path.is_dir()
+    with pytest.raises(FileNotFoundError):
+        write_csv(tmp_path / "missing" / "d.csv", "a,b", [[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("header, rows", [
+    ("a,b", np.zeros((2, 2, 2))),
+    ("a,b", np.zeros(2)),
+    ("a,b,c", np.zeros((2, 2))),
+    ("a,b", np.zeros((0, 3))),
+])
+def test_refused_write_leaves_the_old_file_intact(tmp_path, header, rows):
+    path = tmp_path / "d.csv"
+    write_dataset(generate_dataset(SMALL), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="do not fit"):
+        write_csv(path, header, rows)
+    assert path.read_bytes() == before
 
 
 def test_reader_reports_line_numbers(tmp_path):

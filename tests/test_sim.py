@@ -145,6 +145,16 @@ def test_export_trajectory(tmp_path):
     assert float(row[6]) == res.u[0]
 
 
+def test_export_trajectory_over_a_longer_file_equals_a_fresh_export(tmp_path):
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    export_trajectory(simulate(Scenario(CASE_A_START, 500.0, 40.0, guidance="pn")), reused)
+    res = simulate(Scenario(CASE_A_START, 500.0, 25.0, guidance="oracle"))
+    for _ in range(3):
+        export_trajectory(res, reused)
+    export_trajectory(res, fresh)
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
 def test_case_b_heading_sweep_30_to_170(model):
     # regression guard for the densely-covered headings; the full-range form
     # including 10 deg is below, desk-scale limited
