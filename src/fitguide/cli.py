@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_salvo)
 
     a = sub.add_parser("verify", help="run the acceptance checks")
-    a.add_argument("--model", help="model file for criteria 2 and 6 (default: the one criterion 7 always trains, about 30 s)")
+    a.add_argument("--model", help="model file for criteria 2 and 6 (default: the one criterion 7 always trains, about 20 s)")
     a.add_argument("--no-full-grid", action="store_true",
                    help="skip the full-grid dataset-size check (saves about a minute)")
     a.set_defaults(func=_cmd_verify)

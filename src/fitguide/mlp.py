@@ -8,6 +8,14 @@ mini-batch gradient descent with adaptive moment estimates on the mean
 squared error of the standardized output, fully deterministic for a
 given seed.
 
+``train`` keeps every parameter in one flat float64 vector, laid out
+W1..WL then b1..bL; a trained model's ``weights`` and ``biases`` are
+reshaped views of it, and the moment estimates are flat vectors stepped
+in place.  ``loss_and_gradients`` runs on a ``Workspace`` of preallocated
+buffers that ``train`` allocates once; the gradients it returns are views
+of the workspace's flat gradient vector, valid until the next call on
+that workspace.
+
 ``forward`` evaluates one (r, sigma, t_go) triple (a tuple, list or 1-D
 array), the per-step guidance command, on 1-D vectors; it equals
 ``forward_batch`` on that one row to the bit.  Over many rows a matrix
@@ -21,6 +29,7 @@ round trip reproduces forward outputs bit for bit.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +40,7 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "TrainingDivergedError",
+    "Workspace",
     "init_model",
     "forward",
     "forward_batch",
@@ -116,6 +126,7 @@ class TrainReport:
     final_val_mse_raw: float
     reached_target: bool
     history: list = field(default_factory=list)  # (epoch, train_mse, val_mse)
+    epoch_seconds: list = field(default_factory=list)  # wall time of each epoch, validation included
 
 
 def init_model(seed: int = 0, layer_sizes: tuple = LAYER_SIZES) -> CommandModel:
@@ -142,7 +153,7 @@ def forward_batch(model: CommandModel, inputs: np.ndarray) -> np.ndarray:
     x = np.asarray(inputs, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite network input")
-    out, _ = _forward_standardized(model.weights, model.biases, (x - model.input_mean) / model.input_scale)
+    out = _forward_standardized(model.weights, model.biases, (x - model.input_mean) / model.input_scale)
     return out[:, 0] * model.output_scale + model.output_mean
 
 
@@ -160,37 +171,92 @@ def forward(model: CommandModel, inputs) -> float:
 
 
 def _forward_standardized(weights, biases, X):
-    """Forward pass on already-standardized inputs, keeping activations."""
-    acts = [X]
+    """Forward pass on already-standardized inputs; returns the (n, 1) output."""
     a = X
     for W, b in zip(weights[:-1], biases[:-1]):
         a = np.tanh(a @ W + b)
-        acts.append(a)
-    out = a @ weights[-1] + biases[-1]
-    return out, acts
+    return a @ weights[-1] + biases[-1]
 
 
-def loss_and_gradients(model: CommandModel, X: np.ndarray, Y: np.ndarray):
+def _param_views(flat: np.ndarray, layer_sizes: tuple) -> tuple[list, list]:
+    """Per-layer weight (n_in, n_out) and bias (n_out,) views of a flat W1..WL, b1..bL vector."""
+    weights, biases, at = [], [], 0
+    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[at : at + n_in * n_out].reshape(n_in, n_out))
+        at += n_in * n_out
+    for n_out in layer_sizes[1:]:
+        biases.append(flat[at : at + n_out])
+        at += n_out
+    return weights, biases
+
+
+class Workspace:
+    """Buffers for ``loss_and_gradients`` on batches of up to ``rows`` rows.
+
+    ``grad`` is the flat gradient vector in the parameter layout of
+    ``train``; ``g_w`` and ``g_b`` are its per-layer views.
+    """
+
+    def __init__(self, layer_sizes: tuple, rows: int):
+        sizes = tuple(layer_sizes)
+        if sizes[-1] != 1:
+            raise ValueError("the network has one output")
+        self.acts = [np.empty((rows, k)) for k in sizes[1:]]    # every layer's output
+        self.deltas = [np.empty((rows, k)) for k in sizes[1:-1]]
+        self.sq = np.empty((rows, 1))
+        self.grad = np.empty(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:])))
+        self.g_w, self.g_b = _param_views(self.grad, sizes)
+        # contiguous copies of the hidden-to-hidden W^T, for the back products
+        self.wt = [np.empty((n_out, n_in)) for n_in, n_out in zip(sizes[1:-2], sizes[2:-1])]
+
+
+def loss_and_gradients(model: CommandModel, X: np.ndarray, Y: np.ndarray, workspace: Workspace | None = None):
     """Mean squared error and its analytic parameter gradients.
 
     X and Y are standardized inputs/targets (shape (n, 3) and (n, 1)).
     Returns (loss, grad_weights, grad_biases) with gradients matching the
-    parameter layout of the model.
+    parameter layout of the model.  Without a workspace the call
+    allocates its own; with one, the gradients are views of
+    ``workspace.grad``, overwritten by the next call.
     """
-    out, acts = _forward_standardized(model.weights, model.biases, X)
-    n = X.shape[0]
-    diff = out - Y
-    loss = float(np.mean(diff ** 2))
-    delta = 2.0 * diff / (n * Y.shape[1])
-    g_w = [None] * len(model.weights)
-    g_b = [None] * len(model.biases)
-    g_w[-1] = acts[-1].T @ delta
-    g_b[-1] = delta.sum(axis=0)
-    for layer in range(len(model.weights) - 2, -1, -1):
-        delta = (delta @ model.weights[layer + 1].T) * (1.0 - acts[layer + 1] ** 2)
-        g_w[layer] = acts[layer].T @ delta
-        g_b[layer] = delta.sum(axis=0)
-    return loss, g_w, g_b
+    n = len(X)
+    ws = Workspace(model.layer_sizes, n) if workspace is None else workspace
+    weights, biases = model.weights, model.biases
+    acts = [X] + [a[:n] for a in ws.acts]
+    for k, (W, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(acts[k], W, out=acts[k + 1])
+        z += b
+        if k < len(weights) - 1:
+            np.tanh(z, out=z)
+    diff = acts[-1]
+    diff -= Y
+    loss = float(np.mean(np.square(diff, out=ws.sq[:n])))
+    delta = diff
+    delta *= 2.0
+    delta /= n * Y.shape[1]
+    np.matmul(acts[-2].T, delta, out=ws.g_w[-1])
+    np.sum(delta, axis=0, out=ws.g_b[-1])
+    for layer in range(len(weights) - 2, -1, -1):
+        back = ws.deltas[layer][:n]
+        if layer == len(weights) - 2:
+            # K = 1: one product per element, so the broadcast equals the matrix product exactly
+            np.multiply(delta, weights[-1][:, 0], out=back)
+        else:
+            wt = weights[layer + 1].T
+            if n > 1:
+                # gemm packs W^T alike from either layout, so the contiguous copy gives the same
+                # bits, faster; a one-row product is a gemv, whose summation order follows the layout
+                np.copyto(ws.wt[layer], wt)
+                wt = ws.wt[layer]
+            np.matmul(delta, wt, out=back)
+        a = acts[layer + 1]  # used for the last time above, so it becomes 1 - a^2 in place
+        np.square(a, out=a)
+        np.subtract(1.0, a, out=a)
+        back *= a
+        delta = back
+        np.matmul(acts[layer].T, delta, out=ws.g_w[layer])
+        np.sum(delta, axis=0, out=ws.g_b[layer])
+    return loss, ws.g_w, ws.g_b
 
 
 def train(dataset: np.ndarray, config: TrainConfig | None = None) -> tuple[CommandModel, TrainReport]:
@@ -222,34 +288,42 @@ def train(dataset: np.ndarray, config: TrainConfig | None = None) -> tuple[Comma
     out_scale = float(tr[:, 3].std()) or 1.0
 
     model = init_model(seed=config.seed)
+    params = np.concatenate([W.ravel() for W in model.weights] + model.biases)
+    model.weights, model.biases = _param_views(params, model.layer_sizes)
     model.input_mean = in_mean
     model.input_scale = in_scale
     model.output_mean = out_mean
     model.output_scale = out_scale
     model.t_bar = float(np.max(data[:, 2]))
 
-    Xtr = (tr[:, :3] - in_mean) / in_scale
-    Ytr = (tr[:, 3:4] - out_mean) / out_scale
-    Xv = (val[:, :3] - in_mean) / in_scale
-    Yv = (val[:, 3:4] - out_mean) / out_scale
+    # standardized in place: the permuted copy is the only copy of the rows
+    data -= np.append(in_mean, out_mean)
+    data /= np.append(in_scale, out_scale)
 
-    params = model.weights + model.biases  # the model's arrays, stepped in place
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    batch_rows = min(config.batch_size, len(tr))
+    ws = Workspace(model.layer_sizes, batch_rows)
+    batch = np.empty((batch_rows, 4))
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    num, den = np.empty_like(params), np.empty_like(params)
+    g = ws.grad
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     lr = config.learning_rate
     best_val = math.inf
     plateau = 0
     history = []
+    epoch_seconds = []
 
     for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(len(Xtr))
+        t0 = time.perf_counter()
+        order = rng.permutation(len(tr))
         total = 0.0
         batches = 0
-        for s in range(0, len(Xtr), config.batch_size):
+        for s in range(0, len(tr), config.batch_size):
             idx = order[s : s + config.batch_size]
-            loss, g_w, g_b = loss_and_gradients(model, Xtr[idx], Ytr[idx])
+            rows = np.take(tr, idx, axis=0, out=batch[: len(idx)])
+            loss, _, _ = loss_and_gradients(model, rows[:, :3], rows[:, 3:], ws)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             total += loss
@@ -257,15 +331,27 @@ def train(dataset: np.ndarray, config: TrainConfig | None = None) -> tuple[Comma
             step += 1
             c1 = 1.0 - beta1 ** step
             c2 = 1.0 - beta2 ** step
-            for i, g in enumerate(g_w + g_b):
-                m[i] = beta1 * m[i] + (1 - beta1) * g
-                v[i] = beta2 * v[i] + (1 - beta2) * g ** 2
-                params[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+            # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g^2;  p -= lr (m/c1) / (sqrt(v/c2) + eps),
+            # each product, sum and quotient rounded in the order written
+            m *= beta1
+            m += np.multiply(g, 1 - beta1, out=num)
+            v *= beta2
+            np.square(g, out=den)
+            den *= 1 - beta2
+            v += den
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            np.divide(m, c1, out=num)
+            num *= lr
+            num /= den
+            params -= num
         train_mse = total / batches
-        val_mse = float(np.mean(((_forward_standardized(model.weights, model.biases, Xv)[0]) - Yv) ** 2))
+        val_mse = float(np.mean((_forward_standardized(model.weights, model.biases, val[:, :3]) - val[:, 3:]) ** 2))
         if not math.isfinite(val_mse):
             raise TrainingDivergedError(epoch)
         history.append((epoch, train_mse, val_mse))
+        epoch_seconds.append(time.perf_counter() - t0)
         if val_mse < best_val * 0.997:
             best_val = val_mse
             plateau = 0
@@ -288,6 +374,7 @@ def train(dataset: np.ndarray, config: TrainConfig | None = None) -> tuple[Comma
         final_val_mse_raw=val_mse * scale2,
         reached_target=train_mse <= config.target_mse,
         history=history,
+        epoch_seconds=epoch_seconds,
     )
     return model, report
 

@@ -353,7 +353,7 @@ def run_acceptance(model=None, report=None, full_grid: bool = True) -> list[Chec
 
     Criteria 2 and 6 check ``model``.  Criterion 7 checks the package's
     training procedure, so without a ``report`` a reduced-grid model is
-    trained (about 30 s) even when ``model`` is given; with no ``model``,
+    trained (about 20 s) even when ``model`` is given; with no ``model``,
     that trained model is the one criteria 2 and 6 check.
     ``full_grid=False`` skips the full-grid dataset sweep.
     """

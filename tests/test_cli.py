@@ -27,6 +27,7 @@ def test_gen_data_then_train_round_trip(tmp_path, capsys):
                  "--report", str(report_path), "--epochs", "3", "--batch", "256"]) == 0
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["epochs_run"] == 3
+    assert len(report["epoch_seconds"]) == 3 and all(t > 0.0 for t in report["epoch_seconds"])
     assert model_path.exists()
 
 

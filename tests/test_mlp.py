@@ -9,6 +9,7 @@ from fitguide.mlp import (
     CommandModel,
     TrainConfig,
     TrainingDivergedError,
+    Workspace,
     forward,
     forward_batch,
     init_model,
@@ -113,6 +114,116 @@ def test_gradients_match_finite_differences():
                 fd = (up - down) / (2 * step)
                 worst = max(worst, abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8))
     assert worst <= 1e-5
+
+
+def _reference_forward(model, X):
+    acts = [X]
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        acts.append(np.tanh(acts[-1] @ W + b))
+    return acts[-1] @ model.weights[-1] + model.biases[-1], acts
+
+
+def _reference_loss_and_gradients(model, X, Y):
+    """Textbook backpropagation on fresh arrays, one product and sum per layer."""
+    out, acts = _reference_forward(model, X)
+    diff = out - Y
+    delta = 2.0 * diff / (len(X) * Y.shape[1])
+    g_w, g_b = [None] * len(model.weights), [None] * len(model.biases)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        if layer < len(model.weights) - 1:
+            delta = (delta @ model.weights[layer + 1].T) * (1.0 - acts[layer + 1] ** 2)
+        g_w[layer] = acts[layer].T @ delta
+        g_b[layer] = delta.sum(axis=0)
+    return float(np.mean(diff ** 2)), g_w, g_b
+
+
+def _reference_train(dataset, config):
+    """``train`` with separate X and Y copies and Adam stepped one array at a time.
+
+    Covers runs that end on the epoch budget without a learning-rate halving.
+    """
+    rng = np.random.default_rng(config.seed)
+    data = dataset[rng.permutation(len(dataset))]
+    n_val = max(1, int(len(data) * config.validation_fraction))
+    val, tr = data[:n_val], data[n_val:]
+    in_mean, in_scale = tr[:, :3].mean(axis=0), tr[:, :3].std(axis=0)
+    out_mean, out_scale = float(tr[:, 3].mean()), float(tr[:, 3].std())
+    Xtr, Ytr = (tr[:, :3] - in_mean) / in_scale, (tr[:, 3:4] - out_mean) / out_scale
+    Xv, Yv = (val[:, :3] - in_mean) / in_scale, (val[:, 3:4] - out_mean) / out_scale
+    model = init_model(seed=config.seed)
+    params = model.weights + model.biases
+    m, v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
+    step, history = 0, []
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(len(Xtr))
+        total, batches = 0.0, 0
+        for s in range(0, len(Xtr), config.batch_size):
+            idx = order[s : s + config.batch_size]
+            loss, g_w, g_b = _reference_loss_and_gradients(model, Xtr[idx], Ytr[idx])
+            total, batches, step = total + loss, batches + 1, step + 1
+            c1, c2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
+            for i, g in enumerate(g_w + g_b):
+                m[i] = 0.9 * m[i] + (1 - 0.9) * g
+                v[i] = 0.999 * v[i] + (1 - 0.999) * g ** 2
+                params[i] -= config.learning_rate * (m[i] / c1) / (np.sqrt(v[i] / c2) + 1e-8)
+        history.append((epoch, total / batches, float(np.mean((_reference_forward(model, Xv)[0] - Yv) ** 2))))
+    model.input_mean, model.input_scale, model.output_mean, model.output_scale = in_mean, in_scale, out_mean, out_scale
+    return model, history
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_gradients_equal_the_reference_to_the_bit_on_a_reused_workspace():
+    model = init_model(seed=3)
+    rng = np.random.default_rng(6)
+    ws = Workspace(model.layer_sizes, 1024)
+    # shrinking batches on one workspace: rows left over from a larger batch must not leak
+    for n in (1024, 37, 1):
+        rows = rng.normal(size=(n, 4))
+        X, Y = rows[:, :3], rows[:, 3:]
+        want = _reference_loss_and_gradients(model, X, Y)
+        for got in (loss_and_gradients(model, X, Y, ws), loss_and_gradients(model, X, Y)):
+            assert got[0] == want[0]
+            assert all(_same_bits(g, r) for g, r in zip(got[1] + got[2], want[1] + want[2]))
+
+
+@pytest.mark.parametrize("batch_size", [512, 4096])  # a partial last batch; one batch over the training set
+def test_training_equals_the_reference_to_the_bit(batch_size):
+    data = _affine_dataset()
+    config = TrainConfig(max_epochs=3, batch_size=batch_size, seed=5)
+    got, report = train(data, config)
+    want, history = _reference_train(data, config)
+    assert report.epochs_run == 3
+    assert report.history == history
+    for name in ("weights", "biases"):
+        assert all(_same_bits(g, w) for g, w in zip(getattr(got, name), getattr(want, name)))
+    for name in ("input_mean", "input_scale", "output_mean", "output_scale"):
+        assert _same_bits(getattr(got, name), getattr(want, name))
+
+
+def test_trained_models_own_their_parameters(tmp_path):
+    config = TrainConfig(max_epochs=1, batch_size=512, seed=2)
+    m1, _ = train(_affine_dataset(), config)
+    m2, _ = train(_affine_dataset(), config)
+    arrays = lambda m: m.weights + m.biases + [m.input_mean, m.input_scale]
+    flat = m1.weights[0].base  # every parameter array is a view of one flat vector
+    assert flat is not None and all(a.base is flat for a in m1.weights + m1.biases)
+    assert not any(np.shares_memory(a, b) for a in arrays(m1) for b in arrays(m2))
+    before = [a.copy() for a in arrays(m2)]
+    for a in arrays(m1):
+        a += 1.0
+    assert all(_same_bits(a, b) for a, b in zip(arrays(m2), before))
+
+    path = tmp_path / "m.txt"
+    save_model(m2, path)
+    loaded = load_model(path)
+    loaded.validate()
+    assert all(_same_bits(a, b) for a, b in zip(arrays(loaded), arrays(m2)))
+    probe = _affine_dataset(n=50, seed=3)[:, :3]
+    assert _same_bits(forward_batch(loaded, probe), forward_batch(m2, probe))
 
 
 def test_training_diverges_loudly():
