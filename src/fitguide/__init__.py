@@ -51,7 +51,6 @@ from .guidance import (
 from .sim import (
     Scenario,
     SimResult,
-    control_effort,
     export_trajectory,
     salvo,
     salvo_summary,
@@ -95,7 +94,6 @@ __all__ = [
     "solve_ocp",
     "Scenario",
     "SimResult",
-    "control_effort",
     "export_trajectory",
     "salvo",
     "salvo_summary",

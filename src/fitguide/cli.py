@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--report", help="optional JSON training-report path")
     t.add_argument("--target-mse", type=float, default=1e-4)
     t.add_argument("--epochs", type=int, default=200)
-    t.add_argument("--batch", type=int, default=1024)
+    t.add_argument("--batch", type=int, default=1024,
+                   help="rows per batch; above 1024 the model's bits depend on OPENBLAS_NUM_THREADS")
     t.add_argument("--lr", type=float, default=1e-3)
     t.add_argument("--val-fraction", type=float, default=0.1)
     t.add_argument("--seed", type=int, default=0)

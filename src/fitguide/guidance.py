@@ -374,7 +374,6 @@ class OpenLoopSolution:
     theta: np.ndarray
     r: np.ndarray
     sigma: np.ndarray
-    t_control: np.ndarray
     u: np.ndarray            # turn rate held over each step, rad/s
     accel: np.ndarray        # lateral acceleration history
     effort: float            # J = integral of accel^2/2, m^2/s^3
@@ -416,7 +415,6 @@ def solve_ocp(initial: CartesianState, speed: float, t_f: float, dt: float = 0.0
         theta=theta,
         r=np.hypot(x, y),
         sigma=look_angles(x, y, theta),
-        t_control=t[:-1],
         u=u,
         accel=speed * u,
         effort=sol.effort * speed**2,

@@ -98,6 +98,13 @@ class CommandModel:
 
 @dataclass
 class TrainConfig:
+    """Training settings.
+
+    A model's bits depend on the BLAS thread count once ``batch_size``
+    exceeds 1,024 rows: the weight-gradient products sum over the batch,
+    and OpenBLAS splits longer sums across its threads.  At the default 1,024 they do not.
+    """
+
     target_mse: float = 1e-4        # on standardized outputs, training set
     max_epochs: int = 200
     batch_size: int = 1024

@@ -22,6 +22,8 @@ Termination: network/oracle runs stop at the prescribed impact time (or on
 an early target crossing); PN ignores it and flies until intercept, or gives
 up exactly at max(4 t_f, 60 s).  Miss distance and impact time are refined
 by fitting a parabola to the squared range over the final integration nodes.
+The effort is the exact integral of the commands flown: each step holds its
+command u_k for its length h_k, so J = V^2/2 * sum of u_k^2 h_k.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "Scenario",
     "SimResult",
     "simulate",
-    "control_effort",
     "salvo",
     "salvo_summary",
     "export_trajectory",
@@ -94,10 +95,9 @@ class SimResult:
     theta: np.ndarray
     r: np.ndarray
     sigma: np.ndarray
-    t_control: np.ndarray   # one entry per integration step (len(t) - 1)
-    u: np.ndarray           # turn-rate history
+    u: np.ndarray           # turn rate held over each step (len(t) - 1 entries)
     accel: np.ndarray       # lateral acceleration history (speed * u)
-    effort: float           # J, m^2/s^3
+    effort: float           # J = speed^2/2 * sum of u^2 h over the steps, m^2/s^3
     miss: float
     impact_time: float
     resolves: int = 0           # oracle re-solve nodes before measuring stopped, each warm-checked or solved at
@@ -105,15 +105,6 @@ class SimResult:
     # longest time, s, from the solve that made an oracle plan to the last step it
     # commanded; a node whose warm check passes, or whose re-solve fails, keeps the plan and its age
     plan_age_max: float = 0.0
-
-
-def control_effort(times, turn_rates, speed: float) -> float:
-    """Trapezoidal integral of (speed * u)^2 / 2 over the sample times."""
-    t = np.asarray(times, dtype=float)
-    u = np.asarray(turn_rates, dtype=float)
-    if len(t) == 0 or len(t) != len(u):
-        raise ValueError("times and turn_rates must be non-empty and equal length")
-    return float(np.trapezoid(0.5 * (speed * u) ** 2, t))
 
 
 def _refine_miss(t_nodes, r_nodes, dt):
@@ -270,7 +261,7 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
     flight = _fly_oracle(scenario) if law == "oracle" else _fly_steps(scenario, model)
     (t_arr, x_arr, y_arr, th_arr, u_arr), counts = flight
     r_arr = np.hypot(x_arr, y_arr)
-    effort = control_effort(t_arr[:-1], u_arr, speed) if len(u_arr) else 0.0
+    effort = 0.5 * speed**2 * float(np.dot(u_arr * u_arr, np.diff(t_arr)))
     impact_time, miss = _refine_miss(t_arr, r_arr, dt)
     return SimResult(
         scenario=scenario,
@@ -280,7 +271,6 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
         theta=th_arr,
         r=r_arr,
         sigma=look_angles(x_arr, y_arr, th_arr),
-        t_control=t_arr[:-1],
         u=u_arr,
         accel=speed * u_arr,
         effort=effort,

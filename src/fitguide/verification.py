@@ -22,7 +22,7 @@ The proportional-navigation *effort* reference values are asserted as
 published but are not reproducible from the stated law (gain-3 turn
 rate on the line-of-sight rate): the same simulations match all four
 published impact times to 0.12 % or better and the efforts are
-step-size converged to 0.03 %, yet the published effort column differs
+step-size converged to 0.001 %, yet the published effort column differs
 by -6 % to -61 % with no consistent alternative definition (closing
 velocity form, no-half-integrand, coarse steps and late termination all
 tested).  Criterion 3 therefore reports that sub-check as a known gap
@@ -71,7 +71,7 @@ PN_EFFORT_GAP = (
     "published PN effort column is not reproducible from the stated "
     "law (gain-3 turn rate on the LOS rate): identical runs match all four "
     "published impact times to 0.12% and the effort integral is step-size "
-    "converged to 0.03%, yet the published efforts differ by -6% to -61%; "
+    "converged to 0.001%, yet the published efforts differ by -6% to -61%; "
     "closing-velocity PN, unhalved integrands, coarse steps and late "
     "termination were all tested and none fits"
 )
