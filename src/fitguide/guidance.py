@@ -30,19 +30,25 @@ parameters, signed as ``evaluate`` takes them, and samples nothing: a
 negative look angle mirrors the extremal (beta < 0), and the straight line
 is (1, 0).  ``solve_ocp`` and ``simulate`` read the optimal path off the
 same closed form instead of integrating it.
-Newton is seeded from a chart of every admissible extremal at unit
-time-to-go, made on first use and cached for the life of the process
-(``_seed_table``); each chart cell around which the query's endpoint
-residual winds seeds it.  Each seed runs its own damped Newton in (q, beta),
-one ``evaluate`` call per trial point with the Jacobian's q column in
-closed form, until a root is admissible; every root reached is reported in
-``OracleSolution.roots`` with its effort and whether it is admissible.
+Newton is seeded from the committed table of admissible roots (ln q,
+ln beta) at unit time-to-go on a regular (rho, |sigma|) grid (``ROOT_TABLE``,
+read on first use), interpolated bilinearly in the query's cell.  Outside
+the table's box, where a corner of the cell is refused (nan), or where the
+table's seed reaches no admissible root, the seeds come from a 64x64 chart
+of every admissible extremal, made on first use and cached for the life of
+the process (``_seed_table``): each chart cell around which the query's
+endpoint residual winds seeds Newton.  ``python tools/build_root_table.py``
+rebuilds the table from the chart's seeds alone.  Each seed runs its own
+damped Newton in (q, beta), one ``evaluate`` call per trial point with the
+Jacobian's q column in closed form, until a root is admissible; every root
+reached is reported in ``OracleSolution.roots`` with its effort and
+whether it is admissible.
 
 A closed loop keeps flying a solved extremal while its state stays on it:
 ``warm_check`` tests many states against one solution in one call, on the
 extremal's side and within ``WARM_TOL``.  ``command_oracle`` keeps no
-state: every call solves its query from the chart, so its answer depends
-on the query alone.
+state: every call solves its query from the table and the chart, which
+depend on rho and |sigma| alone, so its answer depends on the query alone.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -93,6 +100,14 @@ DEFAULT_KAPPA = 0.35
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 40
 WARM_TOL = 1e-5
+
+# The root table's grid: ROOT_TABLE_N rho nodes over ROOT_TABLE_RHO by
+# ROOT_TABLE_N |sigma| nodes over ROOT_TABLE_SIGMA, both evenly spaced
+# (tools/build_root_table.py writes ROOT_TABLE from it).
+ROOT_TABLE = Path(__file__).with_name("root_table.txt")
+ROOT_TABLE_RHO = (0.02, 0.98)
+ROOT_TABLE_SIGMA = (0.02, math.pi - 0.02)
+ROOT_TABLE_N = 33
 
 
 class GuidanceError(RuntimeError):
@@ -226,6 +241,43 @@ def _seed_candidates(rho, sigma_abs):
     return [(float(Q.flat[k]), float(B.flat[k])) for k in dict.fromkeys(picks.tolist())]
 
 
+@functools.cache
+def _root_table():
+    """The committed root table, read on first use: (ln q, ln beta) as two flat lists.
+
+    Node (i, j), at the i-th rho and j-th |sigma| of the grid, is entry
+    i * ROOT_TABLE_N + j; nan marks a node the chart-seeded oracle refuses.
+    """
+    ln_q, ln_b = np.loadtxt(ROOT_TABLE, unpack=True)
+    return ln_q.tolist(), ln_b.tolist()
+
+
+def _table_seed(rho, sigma_abs):
+    """(q, beta) interpolated bilinearly in (ln q, ln beta) from the root table's cell around the query.
+
+    None outside the table's box, or where a corner of the cell is refused.
+    """
+    n = ROOT_TABLE_N
+    (r0, r1), (s0, s1) = ROOT_TABLE_RHO, ROOT_TABLE_SIGMA
+    x, y = (rho - r0) / (r1 - r0) * (n - 1), (sigma_abs - s0) / (s1 - s0) * (n - 1)
+    if not (0.0 <= x <= n - 1 and 0.0 <= y <= n - 1):
+        return None
+    i, j = min(int(x), n - 2), min(int(y), n - 2)
+    fx, fy = x - i, y - j
+    k = i * n + j
+    w = ((1.0 - fx) * (1.0 - fy), (1.0 - fx) * fy, fx * (1.0 - fy), fx * fy)
+    ln_q, ln_b = (w[0] * v[k] + w[1] * v[k + 1] + w[2] * v[k + n] + w[3] * v[k + n + 1] for v in _root_table())
+    return None if math.isnan(ln_q + ln_b) else (math.exp(ln_q), math.exp(ln_b))  # a nan corner spreads
+
+
+def _seeds(rho, sigma_abs):
+    """Newton's seeds for a scale-free query: the root table's, then the chart's, built only if reached."""
+    seed = _table_seed(rho, sigma_abs)
+    if seed is not None:
+        yield seed
+    yield from _seed_candidates(rho, sigma_abs)
+
+
 def _endpoint_jacobian(q, beta):
     """R1 and Sigma1 of the extremal (q, beta) at unit time, and their Jacobian in (q, beta).
 
@@ -322,11 +374,12 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
 
     The answer depends on the query alone: the solve runs on rho and |sigma|
     at unit time-to-go, and t_go only rescales it.  Newton runs from the
-    chart cells that bracket a root (``_seed_candidates``), one seed after
-    another, and each root it reaches gets one exact collinearity check
-    (``_admissible``).  The first admissible root is the answer: the chart's
-    Jacobian keeps one sign and its edges map to the reachable set's, so it
-    is one-to-one (``test_admissible_chart_jacobian_keeps_one_sign``).
+    root table's seed, then from the chart cells that bracket a root
+    (``_seeds``), one seed after another, and each root it reaches gets one
+    exact collinearity check (``_admissible``).  The first admissible root
+    is the answer: the chart's Jacobian keeps one sign and its edges map to
+    the reachable set's, so it is one-to-one
+    (``test_admissible_chart_jacobian_keeps_one_sign``).
     ``roots`` lists the roots reached, with their efforts and beta negated
     for a negative look angle, and ends with ``params``; (1, 0) on the
     collision course.  The command is the closed form's U at the time-to-go,
@@ -340,7 +393,7 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
 
     rho, sigma_abs = r_norm / t_go, abs(query.sigma)
     found = []  # (q, beta, residual, admissible) of each root reached, in seed order
-    for q, b, f in filter(None, (_newton(rho, sigma_abs, *seed) for seed in _seed_candidates(rho, sigma_abs))):
+    for q, b, f in filter(None, (_newton(rho, sigma_abs, *seed) for seed in _seeds(rho, sigma_abs))):
         found.append((q, b, f, _admissible(q, b)))
         if found[-1][3]:
             break

@@ -1,5 +1,7 @@
 import functools
 import importlib
+import importlib.util
+import io
 import math
 import os
 import warnings
@@ -30,6 +32,10 @@ from fitguide import (
 from fitguide.extremals import AdjointParams, _collinear_phase, effort, evaluate, propagate_param, range_look_angle, sweep_cells
 from fitguide.guidance import (
     NEWTON_TOL,
+    ROOT_TABLE,
+    ROOT_TABLE_N,
+    ROOT_TABLE_RHO,
+    ROOT_TABLE_SIGMA,
     _admissible,
     _endpoint,
     _endpoint_jacobian,
@@ -569,6 +575,79 @@ def _distinct(efforts):
     return out
 
 
+@functools.cache
+def _root_table_builder():
+    """tools/build_root_table.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "build_root_table.py"
+    spec = importlib.util.spec_from_file_location("build_root_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def _rebuilt_root_table():
+    return _root_table_builder().build()
+
+
+# another libm may walk a node's Newton to another point within NEWTON_TOL:
+# seen 1.8e-7 relative between the chart's and the table's seeds
+ROOT_TABLE_REBUILD_TOL = 1e-6  # absolute, in ln q and ln beta
+
+
+def test_root_table_rebuild_matches_the_committed_file():
+    rebuilt, committed = np.loadtxt(io.StringIO(_rebuilt_root_table())), np.loadtxt(ROOT_TABLE)
+    assert rebuilt.shape == committed.shape == (ROOT_TABLE_N**2, 2)
+    refused = np.isnan(committed)
+    assert np.array_equal(refused[:, 0], refused[:, 1])
+    assert np.array_equal(np.isnan(rebuilt), refused)
+    assert np.max(np.abs(rebuilt - committed)[~refused]) <= ROOT_TABLE_REBUILD_TOL
+
+
+@pytest.mark.skipif(
+    not os.environ.get("FITGUIDE_EXACT_TABLE"),
+    reason="the committed table's bytes hold for this build's libm and numpy "
+    "(set FITGUIDE_EXACT_TABLE=1 to run)",
+)
+def test_root_table_rebuild_is_byte_exact():
+    assert _rebuilt_root_table() == ROOT_TABLE.read_text()
+
+
+def _table_query(rho, look):
+    """The oracle's answer at unit time-to-go and speed, or None where it refuses."""
+    try:
+        return command_oracle(GuidanceQuery(rho, look, 1.0, 1.0))
+    except GuidanceError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho=st.floats(*ROOT_TABLE_RHO), look=st.floats(*ROOT_TABLE_SIGMA))
+def test_table_seed_agrees_with_the_chart_seed(rho, look):
+    # the oracle seeds Newton from the root table inside its box; the chart's
+    # first admissible root is the answer without the table
+    chart = _root_table_builder().chart_root(rho, look)
+    sol = _table_query(rho, look)
+    if chart is None:
+        if sol is not None:  # newly solved: the brute force's one admissible root
+            efforts = _distinct(_brute_force_efforts(rho, look, 1.0))
+            assert len(efforts) == 1 and sol.effort == pytest.approx(efforts[0], rel=1e-7)
+        return
+    assert sol is not None, "the table refuses a query the chart solves"
+    assert (sol.params.alpha, sol.params.beta) == pytest.approx(chart, rel=1e-6)
+    assert sol.effort == pytest.approx(float(effort(*chart, 1.0)), rel=1e-7)
+
+
+# the nodes (i, j) of the 60 x 60 grid rho = linspace(0.01, 0.99, 60),
+# |sigma| = linspace(0, pi, 60) that the chart's seeds leave refused and the table's solve
+@pytest.mark.parametrize("i, j", [(1, 1), (1, 56), (2, 1), (53, 49), (54, 42), (56, 35)])
+def test_table_seed_solves_what_the_chart_refuses(i, j):
+    rho, look = np.linspace(0.01, 0.99, 60)[i].item(), np.linspace(0.0, math.pi, 60)[j].item()
+    assert _root_table_builder().chart_root(rho, look) is None
+    efforts = _brute_force_efforts(rho, look, 1.0)
+    assert efforts and _table_query(rho, look).effort == pytest.approx(min(efforts), rel=1e-7)
+
+
 def _chart_jacobian(rho_c, beta, eps=1e-4):
     """R1, Sigma1 and det d(R1, Sigma1)/d(log q, log beta), with its error bound, on a chart at unit time-to-go.
 
@@ -843,18 +922,29 @@ def test_oracle_is_scale_invariant(t_go, ratio, look, sign):
         assert sol.residual == (lam * base.residual[0], base.residual[1])
 
 
-def test_import_builds_no_seed_table():
+def _fresh_process_output(code):
+    """What ``code`` prints, run in a fresh interpreter that imports this fitguide."""
     import subprocess
     import sys
-    from pathlib import Path
 
-    import fitguide
+    src = str(Path(fitguide.guidance.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split()
 
-    src = str(Path(fitguide.__file__).resolve().parents[1])
+
+def test_import_builds_no_seed_table():
     code = (
         "import sys, fitguide, fitguide.guidance as g; "
-        "print(g._seed_table.cache_info().currsize, 'scipy' in sys.modules)"
+        "print(g._seed_table.cache_info().currsize, g._root_table.cache_info().currsize, 'scipy' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "False"]
+    assert _fresh_process_output(code) == ["0", "0", "False"]
+
+
+def test_table_served_solve_builds_no_chart():
+    # case A at 40 s: rho 0.5, inside the root table
+    code = (
+        "import math, fitguide.guidance as g; "
+        "g.command_oracle(g.GuidanceQuery(10000.0, math.pi / 3, 40.0, 500.0)); "
+        "print(g._seed_table.cache_info().currsize, g._root_table.cache_info().currsize)"
+    )
+    assert _fresh_process_output(code) == ["0", "1"]
