@@ -37,8 +37,9 @@ w = s*t + K(k) and Z the Jacobi zeta function:
     X = A cos beta + B sin beta          Y = A sin beta - B cos beta
 
 ``evaluate`` computes these for whole arrays from one arithmetic-geometric
-mean and its descending Landen sequence (numpy only), and ``effort`` the
-effort integral of U**2/2 from the same two.  The stop times are
+mean and its descending Landen sequence (numpy only), ``command`` U alone,
+and ``effort`` the effort integral of U**2/2 from the same two; the AGM of
+the last one-element modulus is kept for the next call.  The stop times are
 exact too: c * s depends only on the phase tau = s*t and on beta, so the
 first collinearity falls at tau*(beta) / s, and the first interior zero
 of the command at 2K / s.
@@ -56,6 +57,7 @@ __all__ = [
     "ParamTrajectory",
     "CellSweep",
     "evaluate",
+    "command",
     "effort",
     "range_look_angle",
     "propagate_param",
@@ -116,23 +118,41 @@ class ParamTrajectory:
 # broadcast over numpy arrays.
 
 
+# (k and kc's bytes, read-only rows a_0..a_N, c_0..c_N, E/K) of the last one-element
+# modulus: a solve reads its root's AGM in _admissible, effort, command and warm_check.
+_last_modulus = (b"", None)
+
+
 def _agm(k, kc):
     """AGM of (1, kc): its rows a_n and c_n, n = 0..N, c_0 = k, and E(k)/K(k).
 
     E/K = 1 - (1/2) sum 2**n c_n**2 (A&S 17.6.4).  The rows run until every
     element has met (c_N <= 2**-53 a_N); an element that meets early goes on
     with c_n at rounding level, which changes nothing the sum and the descent
-    below can see.
+    below can see.  A one-element modulus gets read-only rows, kept until the
+    next one-element modulus that differs; many-element calls pass it by.
     """
-    a, b, c = np.ones_like(k), kc, k
-    rows_a, rows_c, total = [a], [c], k * k
-    # the cap only matters for kc = 0, where K is infinite and the AGM never meets
-    while (c > 2.0**-53 * a).any() and len(rows_a) <= 64:
-        a, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
-        total = total + 2.0 ** len(rows_c) * c * c
-        rows_a.append(a)
-        rows_c.append(c)
-    return rows_a, rows_c, 1.0 - 0.5 * total
+    global _last_modulus
+    one = k.size == 1 and k.shape == kc.shape
+    last_key, rows = _last_modulus  # one read: another thread may replace it
+    if one and last_key == (key := k.tobytes() + kc.tobytes()):
+        rows = rows.reshape(-1, *k.shape)
+    else:
+        a, b, c = np.ones_like(k), kc, k
+        rows_a, rows_c, total = [a], [c], k * k
+        # the cap only matters for kc = 0, where K is infinite and the AGM never meets
+        while (c > 2.0**-53 * a).any() and len(rows_a) <= 64:
+            a, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
+            total = total + 2.0 ** len(rows_c) * c * c
+            rows_a.append(a)
+            rows_c.append(c)
+        if not one:
+            return rows_a, rows_c, 1.0 - 0.5 * total
+        rows = np.array([*rows_a, *rows_c, 1.0 - 0.5 * total])  # a copy: c_0 is the caller's k
+        rows.flags.writeable = False
+        _last_modulus = key, rows
+    n = len(rows) // 2
+    return list(rows[:n]), list(rows[n:-1]), rows[-1]
 
 
 def _descend(u, a, c):
@@ -161,13 +181,10 @@ def ellipk(k, kc):
 # --- the closed-form extremal ---
 
 
-def evaluate(alpha, beta, t):
-    """State (X, Y, Theta, U) of the extremal (alpha, beta) at time t.
+def _closed_form(alpha, beta, t):
+    """The closed form up to U = -2 s k cn(w), w = s*t + K(k), for ``evaluate`` and ``command``.
 
-    The arguments broadcast against each other, and the AGM runs once per
-    element of ``beta``: a column of betas against a row of times shares
-    it.  beta = 0 puts the costate along the path (psi rests on the upright
-    equilibrium), a straight line; negative beta mirrors the extremal.
+    Returns (t, |beta|, sign of beta, k, kc, line (kc = 0: U = 0), s, E/K, am(w), Z(w), cn(w), U).
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -178,17 +195,36 @@ def evaluate(alpha, beta, t):
     a, c, e_over_k = _agm(k, np.where(line, 1.0, kc))
     s = np.sqrt(alpha)
     am, zeta = _descend(s * t + 0.5 * np.pi / a[-1], a, c)
-    sn, cn = np.sin(am), np.cos(am)
+    cn = np.cos(am)
+    sign = np.copysign(1.0, beta)
+    return t, b, sign, k, kc, line, s, e_over_k, am, zeta, cn, np.where(line, 0.0, -2.0 * sign * s * k * cn)
+
+
+def evaluate(alpha, beta, t):
+    """State (X, Y, Theta, U) of the extremal (alpha, beta) at time t.
+
+    The arguments broadcast against each other, and the AGM runs once per
+    element of ``beta``: a column of betas against a row of times shares
+    it, and calls on one beta share the last one (``_agm``).  beta = 0 puts
+    the costate along the path (psi rests on the upright equilibrium), a
+    straight line; negative beta mirrors the extremal.  ``command`` returns
+    U alone, to the bit.
+    """
+    t, b, sign, k, kc, line, s, e_over_k, am, zeta, cn, U = _closed_form(alpha, beta, t)
+    sn = np.sin(am)
     dn = np.hypot(cn, kc * sn)
     big_a = t * (2.0 * e_over_k - 1.0) + 2.0 * zeta / s
     big_b = 2.0 * k * cn / s
     cos_b, sin_b = np.cos(b), np.sin(b)
-    sign = np.copysign(1.0, beta)
     X = np.where(line, -t, big_a * cos_b + big_b * sin_b)
     Y = np.where(line, 0.0, sign * (big_a * sin_b - big_b * cos_b))
     Theta = np.where(line, 0.0, sign * (2.0 * np.arctan2(k * sn, dn) + b - np.pi))
-    U = np.where(line, 0.0, -2.0 * sign * s * k * cn)
     return X, Y, Theta, U
+
+
+def command(alpha, beta, t):
+    """Command U of the extremal (alpha, beta) at time t: ``evaluate(alpha, beta, t)[3]`` to the bit, alone."""
+    return _closed_form(alpha, beta, t)[-1]
 
 
 def effort(alpha, beta, t):

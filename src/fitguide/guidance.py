@@ -64,6 +64,7 @@ from . import mlp
 from .extremals import (
     AdjointParams,
     _collinear_brackets,
+    command,
     effort,
     evaluate,
     propagate_param,  # not called here; benchmarks/metrics.py traces it under this name
@@ -408,7 +409,7 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
         params=AdjointParams(a, b),
         residual=(float(f[0]) * t_go, float(f[1])),
         normalized_t_go=t_go,
-        command=float(evaluate(a, b, t_go)[3]),
+        command=float(command(a, b, t_go)),
         effort=j,
         roots=roots,
     )
@@ -454,8 +455,8 @@ def solve_ocp(initial: CartesianState, speed: float, t_f: float, dt: float = 0.0
     n = int(math.ceil(t_f / dt - 1e-9))
     t = np.minimum(np.arange(n + 1) * dt, t_f)
     mid = 0.5 * (t[:-1] + t[1:])
-    X, Y, Theta, U = evaluate(sol.params.alpha, sol.params.beta, t_f - np.concatenate([t, mid]))
-    X, Y, Theta, u = X[: n + 1], Y[: n + 1], Theta[: n + 1], U[n + 1 :]
+    X, Y, Theta, _ = evaluate(sol.params.alpha, sol.params.beta, t_f - t)
+    u = command(sol.params.alpha, sol.params.beta, t_f - mid)
     phi = math.atan2(initial.y, initial.x) - math.atan2(Y[0], X[0])
     c, s = speed * math.cos(phi), speed * math.sin(phi)
     x, y = c * X - s * Y, s * X + c * Y

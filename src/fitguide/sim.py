@@ -10,7 +10,8 @@ evaluate their command every step, on a pose of three floats flown with
 nodes set once per engagement (node 0, then the first node each second
 after the last), and its command depends on time alone: it is the plan's,
 the latest solved extremal's, in closed form at each step's midpoint
-time-to-go.  So each plan is flown to the end in one vectorized pass
+time-to-go, read with ``extremals.command`` (U alone, not the extremal's
+state).  So each plan is flown to the end in one vectorized pass
 (``kinematics.fly_arcs``) and tested at all its coming re-solve nodes in
 one ``guidance.warm_check`` call; the first node where the flown state has
 drifted off it is re-solved and flown again from.  ``command_oracle`` is
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import write_csv
-from .extremals import evaluate
+from .extremals import command
 from .guidance import (
     GuidanceError,
     GuidanceQuery,
@@ -185,7 +186,7 @@ def _fly_oracle(scenario: Scenario):
             resolve_failures += 1
         else:
             sol, plan_t0 = new, nodes[k]
-            u[k:] = evaluate(sol.params.alpha, sol.params.beta, t_eval[k:])[3]
+            u[k:] = command(sol.params.alpha, sol.params.beta, t_eval[k:])
         # fly the plan to the end, or to the first node too close to measure
         flown = xs, ys, ths = fly_arcs(*path[:, k], u[k:], h[k:], speed)
         rr = np.hypot(xs, ys)

@@ -13,12 +13,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import fitguide.extremals
 from fitguide.extremals import (
     AdjointParams,
     _agm,
     _collinear_brackets,
     _collinear_phase,
     _descend,
+    command,
     effort,
     ellipk,
     evaluate,
@@ -348,3 +350,64 @@ def test_effort_matches_trapezoid_of_the_command(log_alpha, beta, frac):
     if frac >= 0.6:
         assert got == pytest.approx(reference, rel=1e-9, abs=0.0)
     assert effort(alpha, -beta, t_end) == effort(alpha, beta, t_end)
+
+
+def bits(*values):
+    """Shapes and bytes of arrays, so that two results compare equal only to the bit (signed zeros too)."""
+    return [(np.shape(v), np.asarray(v, dtype=float).tobytes()) for v in values]
+
+
+signed_betas = st.one_of(betas, betas.map(lambda b: -b), st.sampled_from([0.0, -0.0, math.pi, -math.pi, 1e-300, -1e-300]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=alphas,
+    beta=st.lists(signed_betas, min_size=1, max_size=4),
+    t=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 60.0)), min_size=1, max_size=5),
+)
+@example(alpha=1.0, beta=[0.0], t=[0.0])
+@example(alpha=2.0, beta=[math.pi], t=[0.0, 1.0])
+@example(alpha=2.0, beta=[-math.pi, 1e-300], t=[0.0, 30.0])
+@example(alpha=0.5, beta=[-1.2, 0.0, math.pi], t=[0.0, 0.3, 9.0])
+def test_command_equals_evaluates_u_to_the_bit(alpha, beta, t):
+    # scalar beta against scalar and row times, then evaluate's documented
+    # broadcast: a column of betas against a row of times
+    for b in beta:
+        assert bits(command(alpha, b, t[0])) == bits(evaluate(alpha, b, t[0])[3])
+        assert bits(command(alpha, b, t)) == bits(evaluate(alpha, b, t)[3])
+    column = np.array(beta)[:, None]
+    assert bits(command(alpha, column, t)) == bits(evaluate(alpha, column, t)[3])
+
+
+def test_agm_memo_changes_no_result(monkeypatch):
+    """A scalar modulus' kept AGM rows give the bits of a fresh AGM: cold, warm, across shapes and after another modulus."""
+    t = np.linspace(0.0, 3.0, 7)
+    calls = [
+        lambda: evaluate(2.0, -0.7, t),
+        lambda: (command(2.0, 0.7, t), command(2.0, 0.7, 1.3)),
+        lambda: evaluate([2.0], [0.7], 1.3),
+        lambda: (effort(2.0, 0.7, 1.3), effort([2.0], [0.7], 1.3)),
+        lambda: (_collinear_phase(0.7), ellipk(*moduli(0.7)), ellipk(*(np.array([m]) for m in moduli(0.7)))),
+        lambda: evaluate(1.0, 2.1, 0.5),  # another modulus
+    ]
+    cold = []
+    for call in calls:
+        monkeypatch.setattr(fitguide.extremals, "_last_modulus", (b"", None))
+        cold.append(bits(*call()))
+    # warm, in both orders, and each call right after the other modulus
+    for order in (calls, calls[::-1], [c for call in calls for c in (calls[-1], call)]):
+        for call in order:
+            assert bits(*call()) == cold[calls.index(call)]
+    # the rows of a one-element modulus are read-only, fresh or kept, and
+    # copies: changing the caller's k afterwards changes no kept row
+    k, kc = np.array([math.cos(0.35)]), np.array([math.sin(0.35)])
+    for _ in range(2):
+        a, c, e_over_k = _agm(k, kc)
+        assert not any(r.flags.writeable for r in (*a, *c, e_over_k))
+    k[0] = 0.5
+    assert _agm(np.array([math.cos(0.35)]), kc)[1][0][0] == math.cos(0.35)
+    # a many-element call leaves them in place
+    kept = fitguide.extremals._last_modulus
+    evaluate(1.0, [0.3, 0.4], 1.0)
+    assert fitguide.extremals._last_modulus is kept

@@ -161,6 +161,23 @@ def test_salvo_matches_single_runs():
     assert batch[0].effort == pytest.approx(single.effort, rel=1e-6)
 
 
+def test_oracle_engagements_do_not_depend_on_the_order_flown():
+    # the AGM of the last scalar modulus is kept between calls; flying case A
+    # at 40 s and case C in either order must give the same bits
+    from fitguide.verification import CASE_C_START, CASE_C_TF
+
+    c = CASE_C_START
+    case_a = Scenario(CASE_A_START, 500.0, 40.0, guidance="oracle")
+    case_c = Scenario(CartesianState(c["x0"], c["y0"], c["theta0"]), c["speed"], CASE_C_TF, guidance="oracle")
+
+    def fields(res):
+        return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in vars(res).values()]
+
+    a_first = [fields(simulate(sc)) for sc in (case_a, case_c)]
+    c_first = [fields(simulate(sc)) for sc in (case_c, case_a)]
+    assert a_first == c_first[::-1]
+
+
 def test_salvo_requires_common_impact_time():
     with pytest.raises(ValueError, match="common impact time"):
         salvo([
