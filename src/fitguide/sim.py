@@ -15,9 +15,10 @@ state).  So each plan is flown to the end in one vectorized pass
 (``kinematics.fly_arcs``) and tested at all its coming re-solve nodes in
 one ``guidance.warm_check`` call; the first node where the flown state has
 drifted off it is re-solved and flown again from.  ``command_oracle`` is
-called only there and at node 0, and solves each query afresh.  Once the
-range is too short to measure (two steps' flight), every law holds its
-last command; the oracle flies that hold in one more pass.
+called only there and at node 0, and solves each query afresh.  While the
+range is too short to measure the look angle (two steps' flight), the
+network and PN laws hold their last command, and the oracle leaves a
+re-solve node out of its warm check; its plan flies on.
 
 Termination: network/oracle runs stop at the prescribed impact time (or on
 an early target crossing); PN ignores it and flies until intercept, or gives
@@ -101,10 +102,10 @@ class SimResult:
     effort: float           # J = speed^2/2 * sum of u^2 h over the steps, m^2/s^3
     miss: float
     impact_time: float
-    resolves: int = 0           # oracle re-solve nodes before measuring stopped, each warm-checked or solved at
+    resolves: int = 0           # oracle re-solve nodes warm-checked or solved at
     resolve_failures: int = 0   # oracle re-solves that raised; the last plan was replayed
-    # longest time, s, from the solve that made an oracle plan to the last step it
-    # commanded; a node whose warm check passes, or whose re-solve fails, keeps the plan and its age
+    # longest time, s, from the solve that made an oracle plan to the start of the last
+    # step it commanded; a node whose warm check passes, or whose re-solve fails, keeps the plan and its age
     plan_age_max: float = 0.0
 
 
@@ -166,15 +167,15 @@ def _fly_oracle(scenario: Scenario):
     # midpoint sampling of the held command halves the hold bias
     t_eval = np.maximum(t_f - nodes[:-1] - 0.5 * h, 0.0)
     u = np.empty(last)  # from the node a plan was solved at on, that plan's commands
+    solved_at = np.empty(last)  # the node time of the solve that made each step's plan
     path = np.empty((3, last + 1))  # x, y, theta at each node
     path[:, 0] = scenario.initial.x, scenario.initial.y, scenario.initial.theta
     sol = None
-    resolve_failures = 0
-    plan_age_max = 0.0
+    resolves, resolve_failures = 1, 0  # node 0 is solved at
     k = 0
-    # from the first node too close to measure, the last command is held
-    while k < last and (r := math.hypot(*path[:2, k])) >= 2.0 * speed * dt:
-        # the first node, or the first re-solve node whose warm check failed
+    while True:
+        # node 0, or the first re-solve node whose warm check failed
+        r = math.hypot(*path[:2, k])
         polar = cartesian_to_polar(CartesianState(*path[:, k]))
         try:
             new = command_oracle(GuidanceQuery(r, polar.sigma, max(t_f - nodes[k], r / speed), speed))
@@ -185,36 +186,33 @@ def _fly_oracle(scenario: Scenario):
             # re-solves are ill-conditioned near collision course
             resolve_failures += 1
         else:
-            sol, plan_t0 = new, nodes[k]
+            sol = new
             u[k:] = command(sol.params.alpha, sol.params.beta, t_eval[k:])
-        # fly the plan to the end, or to the first node too close to measure
+            solved_at[k:] = nodes[k]
+        # fly the plan to t_f, or to the first node within half a step's flight
         flown = xs, ys, ths = fly_arcs(*path[:, k], u[k:], h[k:], speed)
         rr = np.hypot(xs, ys)
-        near = np.flatnonzero(rr[1:] < 2.0 * speed * dt)
-        n = int(near[0]) + 1 if len(near) else last - k
-        # test the plan at all the re-solve nodes on the way at once; the first
-        # that drifts off it, or whose look angle changes side, ends the flight
-        # and re-solves
-        d = np.array([j - k for j in due if k < j < k + n])
+        near = np.flatnonzero(rr < speed * dt / 2.0)
+        n = int(near[0]) if len(near) else last - k
+        # test the plan at all the re-solve nodes on the way at once, but those
+        # within two steps' flight, whose look angle is unreliable; the first
+        # that drifts off the plan, or whose look angle changes side, ends the
+        # flight and re-solves
+        d = np.array([j - k for j in due if k < j < k + n and rr[j - k] >= 2.0 * speed * dt])
+        cut = len(d)
         if len(d):
             r_d = rr[d] / speed
             ok = warm_check(sol, r_d, look_angles(xs[d], ys[d], ths[d]), np.maximum(t_f - nodes[k + d], r_d))[0]
             cut = int(np.argmin(np.append(ok, False)))
-            if cut < len(d):
-                n = int(d[cut])
-        path[:, k + 1 : k + n + 1] = [a[1 : n + 1] for a in flown]
-        plan_age_max = max(plan_age_max, nodes[k + n - 1] - plan_t0)
-        k += n
-    resolves = sum(j < k for j in due)  # the re-solve nodes before measuring stopped
-    if k < last:
-        # hold until the first node within half a step's flight, or t_f
-        u[k:] = u[k - 1] if k else 0.0
-        flown = fly_arcs(*path[:, k], u[k:], h[k:], speed)
-        near = np.flatnonzero(np.hypot(*flown[:2]) < speed * dt / 2.0)
-        n = int(near[0]) if len(near) else last - k
+        resolves += min(cut + 1, len(d))
+        if cut < len(d):
+            n = int(d[cut])
         path[:, k + 1 : k + n + 1] = [a[1 : n + 1] for a in flown]
         k += n
-    counts = {"resolves": resolves, "resolve_failures": resolve_failures, "plan_age_max": float(plan_age_max)}
+        if cut == len(d):
+            break
+    plan_age_max = float(np.max(nodes[:k] - solved_at[:k], initial=0.0))
+    counts = {"resolves": resolves, "resolve_failures": resolve_failures, "plan_age_max": plan_age_max}
     return (nodes[: k + 1], *path[:, : k + 1], u[:k]), counts
 
 
