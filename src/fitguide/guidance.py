@@ -14,6 +14,10 @@ acceleration = speed * turn rate):
 * ``pn_command``       — proportional navigation baseline, turn rate =
   3 * line-of-sight rate.
 
+A closed loop binds the network or PN law once per engagement
+(``bind_law``) and evaluates it on floats every step; ``command_nn`` and
+``pn_command`` validate one query and make one such call.
+
 Normalization: the oracle solves the scale-free problem at rho =
 r / (speed * t_go) and unit time-to-go; t_go only scales its answer
 (alpha = q / t_go**2, effort / t_go), and its command is a physical turn rate.
@@ -79,6 +83,7 @@ __all__ = [
     "GuidanceQuery",
     "OracleSolution",
     "OpenLoopSolution",
+    "bind_law",
     "command_nn",
     "command_oracle",
     "pn_command",
@@ -149,10 +154,34 @@ class OracleSolution:
     roots: tuple = ()
 
 
-def _on_collision_course(query: GuidanceQuery) -> bool:
+def _on_collision_course(r, sigma, t_go, speed) -> bool:
     """Head-on and exactly reachable by t_go: the straight line, u = 0."""
-    rho = query.r / (query.speed * query.t_go)
-    return abs(query.sigma) <= 1e-12 and abs(rho - 1.0) <= NEWTON_TOL
+    return abs(sigma) <= 1e-12 and abs(r / (speed * t_go) - 1.0) <= NEWTON_TOL
+
+
+def bind_law(law: str, model, speed: float):
+    """The network ("nn") or PN ("pn") law bound once: ``f(r, sigma, t_go) -> turn rate``.
+
+    The bound law runs on floats and checks nothing: it takes what
+    ``GuidanceQuery`` admits (PN reads no time-to-go), and a non-finite
+    network input still raises in the network's own check.  ``command_nn``
+    and ``pn_command`` validate one query and call it.
+    """
+    if law == "pn":
+        return lambda r, sigma, t_go: 3.0 * (speed * math.sin(sigma) / r)
+    if law != "nn":
+        raise ValueError(f"no step law {law!r}")
+    net = mlp.bind(model)
+    horizon = DEFAULT_KAPPA * model.t_bar
+
+    def network(r, sigma, t_go):
+        if _on_collision_course(r, sigma, t_go, speed):
+            return 0.0
+        sign = -1.0 if sigma < 0.0 else 1.0
+        g = min(t_go, horizon)
+        return sign * (g / t_go) * net(r * g / (speed * t_go), abs(sigma), g)
+
+    return network
 
 
 def command_nn(model, query: GuidanceQuery) -> float:
@@ -161,21 +190,14 @@ def command_nn(model, query: GuidanceQuery) -> float:
     Zero on the collision course; elsewhere odd in sigma, with sigma = 0
     turning to the oracle's side, that of a positive look angle.
     """
-    if _on_collision_course(query):
-        return 0.0
-    sign = -1.0 if query.sigma < 0.0 else 1.0
-    g = min(query.t_go, DEFAULT_KAPPA * model.t_bar)
-    r_net = query.r * g / (query.speed * query.t_go)
-    # looked up per call, so a wrapper patched onto mlp.forward sees every command
-    c = mlp.forward(model, (r_net, abs(query.sigma), g))
-    return sign * (g / query.t_go) * c
+    return bind_law("nn", model, query.speed)(query.r, query.sigma, query.t_go)
 
 
 def pn_command(state: PolarState, speed: float) -> float:
     """Proportional navigation: turn rate = 3 * LOS rate (navigation gain 3)."""
     if state.r <= 0.0:
         raise ValueError("range must be positive")
-    return 3.0 * (speed * math.sin(state.sigma) / state.r)
+    return bind_law("pn", None, speed)(state.r, state.sigma, math.nan)
 
 
 # --- boundary-value oracle ---
@@ -389,7 +411,7 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
     """
     r_norm = query.r / query.speed
     t_go = query.t_go
-    if _on_collision_course(query):
+    if _on_collision_course(query.r, query.sigma, t_go, query.speed):
         return OracleSolution(AdjointParams(1.0, 0.0), (r_norm - t_go, 0.0), t_go, 0.0, 0.0)
 
     rho, sigma_abs = r_norm / t_go, abs(query.sigma)
@@ -403,7 +425,7 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
 
     efforts = effort([q for q, *_ in found], [b for _, b, *_ in found], 1.0) / t_go
     side = -1.0 if query.sigma < 0.0 else 1.0  # a negative look angle mirrors the extremal
-    roots = tuple((float(q) / t_go**2, side * float(b), float(j), ok) for (q, b, _, ok), j in zip(found, efforts))
+    roots = tuple((float(q) / (t_go * t_go), side * float(b), float(j), ok) for (q, b, _, ok), j in zip(found, efforts))
     a, b, j, _ = roots[-1]
     return OracleSolution(
         params=AdjointParams(a, b),

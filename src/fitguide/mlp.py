@@ -16,8 +16,9 @@ buffers that ``train`` allocates once; the gradients it returns are views
 of the workspace's flat gradient vector, valid until the next call on
 that workspace.
 
-``forward`` evaluates one (r, sigma, t_go) triple (a tuple, list or 1-D
-array), the per-step guidance command, on 1-D vectors; it equals
+``bind`` reads a model once and returns an evaluator of one (r, sigma,
+t_go) triple on 1-D vectors, the per-step guidance command; ``forward``
+binds and evaluates once (a tuple, list or 1-D array).  Both equal
 ``forward_batch`` on that one row to the bit.  Over many rows a matrix
 product may round apart from row-by-row products in the last bit.
 
@@ -42,6 +43,7 @@ __all__ = [
     "TrainingDivergedError",
     "Workspace",
     "init_model",
+    "bind",
     "forward",
     "forward_batch",
     "loss_and_gradients",
@@ -164,17 +166,38 @@ def forward_batch(model: CommandModel, inputs: np.ndarray) -> np.ndarray:
     return out[:, 0] * model.output_scale + model.output_mean
 
 
-def forward(model: CommandModel, inputs) -> float:
-    """Evaluate the network on a single (r, sigma, t_go) triple, as 1-D vectors."""
-    r, sigma, t_go = inputs
-    if not (math.isfinite(r) and math.isfinite(sigma) and math.isfinite(t_go)):
-        raise ValueError("non-finite network input")
+def bind(model: CommandModel):
+    """The network bound once: ``f(r, sigma, t_go) -> float``, ``forward`` on three floats.
+
+    Binding reads the standardization constants and the layers once; every
+    call overwrites one preallocated vector per hidden layer, so an
+    evaluator serves one caller at a time.  It equals ``forward_batch`` on
+    one row to the bit.
+    """
     (m0, m1, m2), (s0, s1, s2) = model.input_mean.tolist(), model.input_scale.tolist()
-    a = np.array(((r - m0) / s0, (sigma - m1) / s1, (t_go - m2) / s2))
-    # ndarray.dot: the same BLAS product as @ on a 1-D vector, to the bit, at under half the call overhead
-    for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.tanh(a.dot(W) + b)
-    return float((a.dot(model.weights[-1]) + model.biases[-1])[0]) * model.output_scale + model.output_mean
+    hidden = [(W, b, np.empty(b.shape)) for W, b in zip(model.weights[:-1], model.biases[:-1])]
+    w_out, b_out = model.weights[-1], model.biases[-1]
+    out_scale, out_mean = model.output_scale, model.output_mean
+    isfinite, add, tanh = math.isfinite, np.add, np.tanh
+
+    def evaluate(r, sigma, t_go):
+        if not (isfinite(r) and isfinite(sigma) and isfinite(t_go)):
+            raise ValueError("non-finite network input")
+        a = np.array(((r - m0) / s0, (sigma - m1) / s1, (t_go - m2) / s2))
+        # ndarray.dot: the same BLAS product as @ on a 1-D vector, to the bit, at under half the call overhead
+        for W, b, z in hidden:
+            a.dot(W, out=z)
+            add(z, b, out=z)
+            a = tanh(z, out=z)
+        return float((a.dot(w_out) + b_out)[0]) * out_scale + out_mean
+
+    return evaluate
+
+
+def forward(model: CommandModel, inputs) -> float:
+    """Evaluate the network once on a single (r, sigma, t_go) triple: ``bind(model)(r, sigma, t_go)``."""
+    r, sigma, t_go = inputs
+    return bind(model)(r, sigma, t_go)
 
 
 def _forward_standardized(weights, biases, X):

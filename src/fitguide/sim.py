@@ -4,21 +4,22 @@ The simulator flies the Cartesian kinematics exactly (constant turn rate
 over each step), and every law flies one step clock (``_node_times``):
 nodes 0, dt, 2 dt, ... summed in sequence, the last step shortened to end
 on t_f, or for PN on max(4 t_f, 60 s).  The network and the
-proportional-navigation (gain 3) laws measure range and look angle and
-evaluate their command every step, on a pose of three floats flown with
-``step_cartesian``'s one arc formula.  The boundary-value oracle re-solves at
-nodes set once per engagement (node 0, then the first node each second
-after the last), and its command depends on time alone: it is the plan's,
-the latest solved extremal's, in closed form at each step's midpoint
-time-to-go, read with ``extremals.command`` (U alone, not the extremal's
-state).  So each plan is flown to the end in one vectorized pass
-(``kinematics.fly_arcs``) and tested at all its coming re-solve nodes in
-one ``guidance.warm_check`` call; the first node where the flown state has
-drifted off it is re-solved and flown again from.  ``command_oracle`` is
-called only there and at node 0, and solves each query afresh.  While the
-range is too short to measure the look angle (two steps' flight), the
-network and PN laws hold their last command, and the oracle leaves a
-re-solve node out of its warm check; its plan flies on.
+proportional-navigation (gain 3) laws are bound once per engagement
+(``guidance.bind_law``), then measure range and look angle and evaluate
+their command every step on floats, with no query object, on a pose of
+three floats flown with ``step_cartesian``'s one arc formula.  The
+boundary-value oracle re-solves at nodes set once per engagement (node 0,
+then the first node each second after the last), and its command depends on
+time alone: it is the plan's, the latest solved extremal's, in closed form
+at each step's midpoint time-to-go, read with ``extremals.command`` (U
+alone, not the extremal's state).  So each plan is flown to the end in one
+vectorized pass (``kinematics.fly_arcs``) and tested at all its coming
+re-solve nodes in one ``guidance.warm_check`` call; the first node where
+the flown state has drifted off it is re-solved and flown again from.
+``command_oracle`` is called only there and at node 0, and solves each
+query afresh.  While the range is too short to measure the look angle (two
+steps' flight), the network and PN laws hold their last command, and the
+oracle leaves a re-solve node out of its warm check; its plan flies on.
 
 Termination: network/oracle runs stop at the prescribed impact time (or on
 an early target crossing); PN ignores it and flies until intercept, or gives
@@ -37,15 +38,9 @@ import numpy as np
 
 from .datagen import write_csv
 from .extremals import command
-from .guidance import (
-    GuidanceError,
-    GuidanceQuery,
-    command_nn,
-    command_oracle,
-    pn_command,
-    warm_check,
-)
-from .kinematics import CartesianState, PolarState, _arc, _look_angle, cartesian_to_polar, fly_arcs, look_angles
+from .guidance import GuidanceError, GuidanceQuery, bind_law, command_oracle, warm_check
+from .guidance import command_nn, pn_command  # not called here: the benchmark tracer looks them up in sim
+from .kinematics import CartesianState, _arc, _look_angle, cartesian_to_polar, fly_arcs, look_angles
 from .kinematics import step_cartesian  # not called here: the benchmark tracer and the tests look it up in sim
 
 __all__ = [
@@ -219,11 +214,13 @@ def _fly_oracle(scenario: Scenario):
 def _fly_steps(scenario: Scenario, model):
     """Node arrays ``(t, x, y, theta, u)`` of a network or PN engagement, one step at a time.
 
-    The pose is three floats, flown with ``step_cartesian``'s arc formula (``kinematics._arc``);
-    each measured step calls ``command_nn`` or ``pn_command`` through this module.
+    The pose is three floats, flown with ``step_cartesian``'s arc formula (``kinematics._arc``).
+    The law is bound once per engagement through this module's ``bind_law``, and each
+    measured step evaluates it on the floats r, sigma and t_go.
     """
     law, speed, dt, t_f = scenario.guidance, scenario.speed, scenario.dt, scenario.t_f
     nodes, h = _node_times(max(4.0 * t_f, 60.0) if law == "pn" else t_f, dt)
+    step_law = bind_law(law, model, speed)
     poses = [pose := (scenario.initial.x, scenario.initial.y, scenario.initial.theta)]
     u_hist: list[float] = []
     u = 0.0
@@ -233,12 +230,12 @@ def _fly_steps(scenario: Scenario, model):
             break
         # else the range is too short to measure the look angle reliably: hold u
         if r >= 2.0 * speed * dt:
-            sigma = _look_angle(x, y, theta)
-            if law == "pn":
-                u = pn_command(PolarState(r, sigma), speed)
-            else:
-                # clamp marginal terminal-phase infeasibility from command noise
-                u = command_nn(model, GuidanceQuery(r, sigma, max(t_f - t, r / speed), speed))
+            # what GuidanceQuery would check holds here: r >= 2 V dt > 0; sigma is
+            # wrap_angle's, in [-pi, pi]; t_go >= r / V is positive and reachable
+            # (clamped, as command noise can make the terminal phase marginally
+            # infeasible); a non-finite pose raises in the network's input check,
+            # as a non-finite u below, or in the final pose check
+            u = step_law(r, _look_angle(x, y, theta), max(t_f - t, r / speed))
             if not math.isfinite(u):
                 raise ValueError("invalid state: non-finite step input")
         u_hist.append(u)

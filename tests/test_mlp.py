@@ -10,6 +10,7 @@ from fitguide.mlp import (
     TrainConfig,
     TrainingDivergedError,
     Workspace,
+    bind,
     forward,
     forward_batch,
     init_model,
@@ -63,6 +64,22 @@ def test_forward_equals_one_row_batch(model, r_frac, sigma, t_frac, scale):
     for m in (_INIT_MODEL, model):
         x = (scale * r_frac * m.t_bar, scale * sigma, scale * t_frac * m.t_bar)
         assert forward(m, x) == float(forward_batch(m, np.array([x]))[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, math.pi), st.floats(0.0, 1.0, exclude_min=True)),
+                     min_size=1, max_size=6))
+def test_bound_network_gives_the_same_bits_in_any_order(model, rows):
+    # one evaluator reuses its buffers, so its answers must not depend on what
+    # it evaluated before: they equal a fresh evaluator's and the one-row batch's
+    for m in (_INIT_MODEL, model):
+        xs = [(a * m.t_bar, sigma, c * m.t_bar) for a, sigma, c in rows]
+        f = bind(m)
+        got = [f(*x) for x in xs]
+        want = [float(forward_batch(m, np.array([x]))[0]) for x in xs]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert np.array([bind(m)(*x) for x in xs]).tobytes() == np.array(want).tobytes()
+        assert np.array([f(*x) for x in xs[::-1]]).tobytes() == np.array(want[::-1]).tobytes()
 
 
 def test_forward_accepts_any_three_value_sequence(model):

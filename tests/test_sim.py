@@ -9,15 +9,21 @@ from hypothesis import strategies as st
 from fitguide import (
     CartesianState,
     GuidanceError,
+    GuidanceQuery,
     Scenario,
     SimResult,
+    cartesian_to_polar,
+    command_nn,
     export_trajectory,
+    pn_command,
     salvo,
     salvo_summary,
     simulate,
     solve_ocp,
     step_cartesian,
 )
+from fitguide.sim import _refine_miss
+from fitguide.verification import SALVO_STARTS, SALVO_TF
 
 CASE_A_START = CartesianState(-10000.0, 0.0, math.pi / 3)
 
@@ -29,12 +35,12 @@ def test_held_command_effort_closed_forms(monkeypatch):
     # flight runs to PN's time-out, and the held command's effort is exactly V^2 u^2 T / 2
     start, speed, u = CartesianState(-10000.0, 0.0, 0.3), 500.0, 0.5
     for t_f, dt in ((25.0, 0.01), (25.347, 0.03), (31.1, 0.2)):
-        monkeypatch.setattr(sim_module, "pn_command", lambda *args: u)
+        monkeypatch.setattr(sim_module, "bind_law", lambda *args: lambda *step: u)
         res = simulate(Scenario(start, speed, t_f, guidance="pn", dt=dt))
         T = max(4.0 * t_f, 60.0)
         assert res.t[-1] == pytest.approx(T, rel=1e-15)
         assert res.effort == pytest.approx(0.5 * (speed * u) ** 2 * T, rel=1e-12)
-        monkeypatch.setattr(sim_module, "pn_command", lambda *args: 0.0)
+        monkeypatch.setattr(sim_module, "bind_law", lambda *args: lambda *step: 0.0)
         assert simulate(Scenario(start, speed, t_f, guidance="pn", dt=dt)).effort == 0.0
 
 
@@ -387,11 +393,48 @@ def test_pn_gives_up_at_its_time_out(dt):
     assert res.t[-1] == 60.0
 
 
+def _public_step_flight(sc, model):
+    """``simulate``'s result fields from a loop that calls the public per-step API every step.
+
+    Each measured step builds a ``GuidanceQuery`` or ``PolarState`` and calls
+    ``command_nn`` or ``pn_command``; each step flies ``step_cartesian``.
+    """
+    t_end = max(4.0 * sc.t_f, 60.0) if sc.guidance == "pn" else sc.t_f
+    t, u, state = 0.0, 0.0, sc.initial
+    ts, states, us = [t], [state], []
+    while t < t_end - 1e-12:
+        r = math.hypot(state.x, state.y)
+        if r < sc.speed * sc.dt / 2.0:
+            break
+        if r >= 2.0 * sc.speed * sc.dt:
+            polar = cartesian_to_polar(state)
+            if sc.guidance == "pn":
+                u = pn_command(polar, sc.speed)
+            else:
+                query = GuidanceQuery(polar.r, polar.sigma, max(sc.t_f - t, polar.r / sc.speed), sc.speed)
+                u = command_nn(model, query)
+        h = min(sc.dt, t_end - t)
+        state = step_cartesian(state, u, h, sc.speed)
+        t += h
+        ts.append(t)
+        states.append(state)
+        us.append(u)
+    t_arr, u_arr = np.array(ts), np.array(us)
+    x, y, theta = (np.array([getattr(s, k) for s in states]) for k in ("x", "y", "theta"))
+    effort = 0.5 * sc.speed**2 * float(np.dot(u_arr * u_arr, np.diff(t_arr)))
+    impact_time, miss = _refine_miss(t_arr, np.hypot(x, y), sc.dt)
+    return {"t": t_arr, "x": x, "y": y, "theta": theta, "u": u_arr, "effort": effort, "miss": miss,
+            "impact_time": impact_time}
+
+
 @pytest.mark.parametrize(
     "sc, shows",
     [
+        pytest.param(Scenario(CASE_A_START, 500.0, 25.0, guidance="nn"), "meets t_f", id="nn-case-a"),
         pytest.param(Scenario(CASE_A_START, 500.0, 25.347, guidance="nn", dt=0.03),
                      "short last step", id="nn-short-last-step"),
+        pytest.param(Scenario(CartesianState(*SALVO_STARTS[2][:3]), SALVO_STARTS[2][3], SALVO_TF, guidance="pn"),
+                     "hits", id="pn-salvo-member"),
         pytest.param(Scenario(CartesianState(-22000.0, -10000.0, -11 * math.pi / 18), 350.0, 10.0,
                               guidance="pn", dt=0.07),
                      "gives up", id="pn-gives-up"),
@@ -400,20 +443,17 @@ def test_pn_gives_up_at_its_time_out(dt):
     ],
 )
 def test_step_loop_flies_the_public_step_to_the_bit(model, sc, shows):
-    # the network and PN loop steps floats with step_cartesian's own arc, so
-    # re-flying its commands with step_cartesian over the same step lengths
-    # gives back every node to the bit
+    # the loop binds its law once and steps floats with step_cartesian's own
+    # arc; a loop that validates a query object, calls the public law and
+    # flies step_cartesian every step gives back every node, command and metric to the bit
     res = simulate(sc, model=model)
+    for key, want in _public_step_flight(sc, model).items():
+        assert np.asarray(getattr(res, key)).tobytes() == np.asarray(want).tobytes(), key
     t_end = max(4.0 * sc.t_f, 60.0) if sc.guidance == "pn" else sc.t_f
-    h = np.minimum(sc.dt, t_end - res.t[:-1])
-    states = [state := sc.initial]
-    for u, step in zip(res.u.tolist(), h.tolist()):
-        states.append(state := step_cartesian(state, u, step, sc.speed))
-    assert res.x.tolist() == [s.x for s in states]
-    assert res.y.tolist() == [s.y for s in states]
-    assert res.theta.tolist() == [s.theta for s in states]
     features = {
-        "short last step": res.t[-1] == sc.t_f and h[-1] < sc.dt,
+        "meets t_f": res.t[-1] == sc.t_f and res.miss <= 20.0,
+        "short last step": res.t[-1] == sc.t_f and res.t[-1] - res.t[-2] < sc.dt,
+        "hits": res.t[-1] < t_end and res.miss <= 5.0,
         "gives up": res.t[-1] == 60.0,
         "holds": bool(np.any(res.r[: len(res.u)] < 2.0 * sc.speed * sc.dt)),
     }
@@ -425,7 +465,9 @@ def test_step_loop_flies_the_public_step_to_the_bit(model, sc, shows):
 def test_non_finite_command_raises_before_it_is_flown(model, monkeypatch, law, bad):
     import fitguide.sim as sim_module
 
-    monkeypatch.setattr(sim_module, "command_nn" if law == "nn" else "pn_command", lambda *args: bad)
+    real_bind = sim_module.bind_law
+    monkeypatch.setattr(sim_module, "bind_law",
+                        lambda name, *args: (lambda *step: bad) if name == law else real_bind(name, *args))
     sc = Scenario(CASE_A_START, 500.0, 25.0, guidance=law)
     with pytest.raises(ValueError, match="non-finite step input"):
         simulate(sc, model=model)
