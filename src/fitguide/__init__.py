@@ -41,12 +41,10 @@ from .mlp import (
 from .guidance import (
     GuidanceError,
     GuidanceQuery,
-    OpenLoopSolution,
     OracleSolution,
     command_nn,
     command_oracle,
     pn_command,
-    solve_ocp,
 )
 from .sim import (
     Scenario,
@@ -55,6 +53,7 @@ from .sim import (
     salvo,
     salvo_summary,
     simulate,
+    solve_ocp,
 )
 
 __version__ = "0.1.0"
@@ -86,17 +85,16 @@ __all__ = [
     "train",
     "GuidanceError",
     "GuidanceQuery",
-    "OpenLoopSolution",
     "OracleSolution",
     "command_nn",
     "command_oracle",
     "pn_command",
-    "solve_ocp",
     "Scenario",
     "SimResult",
     "export_trajectory",
     "salvo",
     "salvo_summary",
     "simulate",
+    "solve_ocp",
     "__version__",
 ]

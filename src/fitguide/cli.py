@@ -24,10 +24,10 @@ from dataclasses import asdict
 
 from . import __version__
 from .datagen import DatagenConfig, generate_dataset, read_dataset, write_dataset
-from .guidance import GuidanceError, GuidanceQuery, command_nn, command_oracle, solve_ocp
+from .guidance import GuidanceError, GuidanceQuery, command_nn, command_oracle
 from .kinematics import CartesianState
 from .mlp import TrainConfig, load_model, save_model, train
-from .sim import Scenario, SimResult, export_trajectory, salvo, salvo_summary, simulate
+from .sim import Scenario, SimResult, export_trajectory, salvo, salvo_summary, simulate, solve_ocp
 
 SCENARIO_KEYS = {
     "x0": float, "y0": float, "theta0": float, "speed": float, "t_f": float,

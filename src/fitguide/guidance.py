@@ -32,8 +32,8 @@ check of each root, each root's effort (``extremals.effort``) and the
 command at the time-to-go.  A solve returns the winning extremal's
 parameters, signed as ``evaluate`` takes them, and samples nothing: a
 negative look angle mirrors the extremal (beta < 0), and the straight line
-is (1, 0).  ``solve_ocp`` and ``simulate`` read the optimal path off the
-same closed form instead of integrating it.
+is (1, 0).  ``sim.solve_ocp`` and ``sim.simulate`` read the optimal path
+off the same closed form instead of integrating it.
 Newton is seeded from the committed table of admissible roots (ln q,
 ln beta) at unit time-to-go on a regular (rho, |sigma|) grid (``ROOT_TABLE``,
 read on first use), interpolated bilinearly in the query's cell.  Outside
@@ -76,18 +76,16 @@ from .extremals import (
     sweep_cells,
     terminal_time,  # not called here; benchmarks/metrics.py traces it under this name
 )
-from .kinematics import CartesianState, PolarState, cartesian_to_polar, look_angles
+from .kinematics import PolarState
 
 __all__ = [
     "GuidanceError",
     "GuidanceQuery",
     "OracleSolution",
-    "OpenLoopSolution",
     "bind_law",
     "command_nn",
     "command_oracle",
     "pn_command",
-    "solve_ocp",
     "warm_check",
     "DEFAULT_KAPPA",
 ]
@@ -434,67 +432,4 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
         command=float(command(a, b, t_go)),
         effort=j,
         roots=roots,
-    )
-
-
-# --- one-shot open-loop solution ---
-
-
-@dataclass
-class OpenLoopSolution:
-    """Open-loop optimal trajectory in physical units."""
-
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    theta: np.ndarray
-    r: np.ndarray
-    sigma: np.ndarray
-    u: np.ndarray            # turn rate held over each step, rad/s
-    accel: np.ndarray        # lateral acceleration history
-    effort: float            # J = integral of accel^2/2, m^2/s^3
-    miss: float
-    impact_time: float
-    oracle: OracleSolution
-
-
-def solve_ocp(initial: CartesianState, speed: float, t_f: float, dt: float = 0.01) -> OpenLoopSolution:
-    """Solve one fixed-impact-time problem and read the optimal path off its extremal.
-
-    The optimal path is the solved extremal flown in reverse time: the state
-    at time t is the extremal's at time-to-go t_f - t, rotated onto the
-    initial line of sight and scaled by the speed, so nothing is integrated.
-    Nodes fall on t_k = min(k dt, t_f), and the last one is the target.  The
-    command held over each step is the extremal's at the step's midpoint,
-    where ``simulate`` samples a replayed plan; the effort is the oracle's.
-    Raises ValueError unless dt is finite and positive.
-    """
-    if not 0.0 < dt < math.inf:
-        raise ValueError("dt must be finite and positive")
-    polar = cartesian_to_polar(initial)
-    query = GuidanceQuery(r=polar.r, sigma=polar.sigma, t_go=t_f, speed=speed)
-    sol = command_oracle(query)
-    n = int(math.ceil(t_f / dt - 1e-9))
-    t = np.minimum(np.arange(n + 1) * dt, t_f)
-    mid = 0.5 * (t[:-1] + t[1:])
-    X, Y, Theta, _ = evaluate(sol.params.alpha, sol.params.beta, t_f - t)
-    u = command(sol.params.alpha, sol.params.beta, t_f - mid)
-    phi = math.atan2(initial.y, initial.x) - math.atan2(Y[0], X[0])
-    c, s = speed * math.cos(phi), speed * math.sin(phi)
-    x, y = c * X - s * Y, s * X + c * Y
-    x[-1] = y[-1] = 0.0  # the target, exactly
-    theta = math.pi - np.mod(math.pi - (Theta + phi), 2.0 * math.pi)  # wrapped into (-pi, pi]
-    return OpenLoopSolution(
-        t=t,
-        x=x,
-        y=y,
-        theta=theta,
-        r=np.hypot(x, y),
-        sigma=look_angles(x, y, theta),
-        u=u,
-        accel=speed * u,
-        effort=sol.effort * speed**2,
-        miss=0.0,
-        impact_time=t_f,
-        oracle=sol,
     )

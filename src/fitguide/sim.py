@@ -1,9 +1,9 @@
-"""Closed-loop engagement simulation and effort/miss metrics.
+"""Closed-loop engagement simulation, the open-loop optimum, and effort/miss metrics.
 
 The simulator flies the Cartesian kinematics exactly (constant turn rate
 over each step), and every law flies one step clock (``_node_times``):
-nodes 0, dt, 2 dt, ... summed in sequence, the last step shortened to end
-on t_f, or for PN on max(4 t_f, 60 s).  The network and the
+nodes k dt, each rounded once, and last t_end itself, where t_end is t_f,
+or for PN max(4 t_f, 60 s).  The network and the
 proportional-navigation (gain 3) laws are bound once per engagement
 (``guidance.bind_law``), then measure range and look angle and evaluate
 their command every step on floats, with no query object, on a pose of
@@ -20,6 +20,8 @@ the flown state has drifted off it is re-solved and flown again from.
 query afresh.  While the range is too short to measure the look angle (two
 steps' flight), the network and PN laws hold their last command, and the
 oracle leaves a re-solve node out of its warm check; its plan flies on.
+``solve_ocp`` is the oracle's first plan on the same clock, its state read
+off the extremal instead of flown.
 
 Termination: network/oracle runs stop at the prescribed impact time (or on
 an early target crossing); PN ignores it and flies until intercept, or gives
@@ -37,16 +39,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import write_csv
-from .extremals import command
-from .guidance import GuidanceError, GuidanceQuery, bind_law, command_oracle, warm_check
+from .extremals import command, evaluate
+from .guidance import GuidanceError, GuidanceQuery, OracleSolution, bind_law, command_oracle, warm_check
 from .guidance import command_nn, pn_command  # not called here: the benchmark tracer looks them up in sim
-from .kinematics import CartesianState, _arc, _look_angle, cartesian_to_polar, fly_arcs, look_angles
+from .kinematics import CartesianState, _arc, _look_angle, _wrap_angles, cartesian_to_polar, fly_arcs, look_angles
 from .kinematics import step_cartesian  # not called here: the benchmark tracer and the tests look it up in sim
 
 __all__ = [
     "Scenario",
     "SimResult",
     "simulate",
+    "solve_ocp",
     "salvo",
     "salvo_summary",
     "export_trajectory",
@@ -102,6 +105,7 @@ class SimResult:
     # longest time, s, from the solve that made an oracle plan to the start of the last
     # step it commanded; a node whose warm check passes, or whose re-solve fails, keeps the plan and its age
     plan_age_max: float = 0.0
+    oracle: OracleSolution | None = None  # the oracle plan that flew the last step; None for the network and PN
 
 
 def _refine_miss(t_nodes, r_nodes, dt):
@@ -129,18 +133,34 @@ def _refine_miss(t_nodes, r_nodes, dt):
     return t_end + s_v, math.sqrt(max(q_min, 0.0))
 
 
-def _node_times(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every node of ``t += min(dt, t_end - t)`` from 0 until t >= t_end - 1e-12, and each step's length.
+def _node_times(t_end: float, dt: float) -> np.ndarray:
+    """The step clock of every law: nodes k dt for k < n and t_end for k = n, n = max(1, ceil(t_end / dt - 1e-9)).
 
-    ``np.cumsum`` adds in sequence, so its nodes are the loop's to the bit
-    until the one step that is shortened to end on t_end.
+    Each node is rounded once, so no rounding accumulates.  The last step
+    ends on t_end: it is shorter than dt, or longer by at most 1e-9 dt where
+    t_end / dt is a hair above a whole number.  Each step's length is
+    ``np.diff`` of the nodes.
     """
-    t = np.cumsum(np.concatenate(([0.0], np.full(int(t_end / dt) + 2, dt))))
-    last = int(np.argmax((t >= t_end - 1e-12) | (t_end - t < dt)))
-    t = t[: last + 1]
-    if t[-1] < t_end - 1e-12:
-        t = np.append(t, t[-1] + (t_end - t[-1]))
-    return t, np.minimum(dt, t_end - t[:-1])
+    t = np.arange(max(1, math.ceil(t_end / dt - 1e-9)) + 1) * dt
+    t[-1] = t_end
+    return t
+
+
+def _oracle_clock(scenario: Scenario):
+    """The oracle's nodes to t_f, each step's length, and each step's midpoint time-to-go.
+
+    A plan's command held over a step is its extremal's at the step's
+    midpoint, which halves the hold bias.
+    """
+    nodes = _node_times(scenario.t_f, scenario.dt)
+    h = np.diff(nodes)
+    return nodes, h, scenario.t_f - nodes[:-1] - 0.5 * h
+
+
+def _solve(state: CartesianState, t_go: float, speed: float):
+    """``command_oracle`` at the state and time-to-go."""
+    polar = cartesian_to_polar(state)
+    return command_oracle(GuidanceQuery(polar.r, polar.sigma, t_go, speed))
 
 
 def _fly_oracle(scenario: Scenario):
@@ -150,17 +170,15 @@ def _fly_oracle(scenario: Scenario):
     # collision course where the solve is ill conditioned, while the
     # replayed extremal is already exact
     t_lock = max(RESOLVE_PERIOD, 0.1 * t_f)
-    nodes, h = _node_times(t_f, dt)
+    nodes, h, t_eval = _oracle_clock(scenario)
     last = len(h)
     # the re-solve nodes: node 0, then each the first a period after the
-    # last, before the lock; node times accumulate rounding, so a node within
-    # a hair of the due time is due, else that re-solve lands a step late
+    # last, before the lock; a node and its due time are rounded apart, so
+    # a node within a hair of the due time is due, else that re-solve lands a step late
     before_lock = int(np.count_nonzero(t_f - nodes > t_lock))
     due, j = [0], 0
     while (j := max(int(np.searchsorted(nodes, nodes[j] + RESOLVE_PERIOD * (1.0 - 1e-9))), j + 1)) < before_lock:
         due.append(j)
-    # midpoint sampling of the held command halves the hold bias
-    t_eval = np.maximum(t_f - nodes[:-1] - 0.5 * h, 0.0)
     u = np.empty(last)  # from the node a plan was solved at on, that plan's commands
     solved_at = np.empty(last)  # the node time of the solve that made each step's plan
     path = np.empty((3, last + 1))  # x, y, theta at each node
@@ -170,10 +188,8 @@ def _fly_oracle(scenario: Scenario):
     k = 0
     while True:
         # node 0, or the first re-solve node whose warm check failed
-        r = math.hypot(*path[:2, k])
-        polar = cartesian_to_polar(CartesianState(*path[:, k]))
         try:
-            new = command_oracle(GuidanceQuery(r, polar.sigma, max(t_f - nodes[k], r / speed), speed))
+            new = _solve(CartesianState(*path[:, k]), max(t_f - nodes[k], math.hypot(*path[:2, k]) / speed), speed)
         except GuidanceError as err:
             if sol is None:
                 raise GuidanceError(f"t={nodes[k]:.3f} s: {err}") from err
@@ -207,7 +223,7 @@ def _fly_oracle(scenario: Scenario):
         if cut == len(d):
             break
     plan_age_max = float(np.max(nodes[:k] - solved_at[:k], initial=0.0))
-    counts = {"resolves": resolves, "resolve_failures": resolve_failures, "plan_age_max": plan_age_max}
+    counts = {"resolves": resolves, "resolve_failures": resolve_failures, "plan_age_max": plan_age_max, "oracle": sol}
     return (nodes[: k + 1], *path[:, : k + 1], u[:k]), counts
 
 
@@ -219,12 +235,12 @@ def _fly_steps(scenario: Scenario, model):
     measured step evaluates it on the floats r, sigma and t_go.
     """
     law, speed, dt, t_f = scenario.guidance, scenario.speed, scenario.dt, scenario.t_f
-    nodes, h = _node_times(max(4.0 * t_f, 60.0) if law == "pn" else t_f, dt)
+    nodes = _node_times(max(4.0 * t_f, 60.0) if law == "pn" else t_f, dt)
     step_law = bind_law(law, model, speed)
     poses = [pose := (scenario.initial.x, scenario.initial.y, scenario.initial.theta)]
     u_hist: list[float] = []
     u = 0.0
-    for t, hstep in zip(nodes.tolist(), h.tolist()):
+    for t, hstep in zip(nodes.tolist(), np.diff(nodes).tolist()):
         x, y, theta = pose
         if (r := math.hypot(x, y)) < speed * dt / 2.0:
             break
@@ -276,6 +292,46 @@ def simulate(scenario: Scenario, model=None) -> SimResult:
     )
 
 
+def solve_ocp(initial: CartesianState, speed: float, t_f: float, dt: float = 0.01) -> SimResult:
+    """Solve one fixed-impact-time problem and read the optimal path off its extremal.
+
+    This is the closed-loop oracle's first plan: the same solve at node 0,
+    the same nodes and the same commands, so up to its first re-solve
+    ``simulate`` flies them to the bit.  The state is read off the
+    extremal, not flown: at time t it is the extremal's at time-to-go
+    t_f - t, rotated onto the initial line of sight and scaled by the
+    speed.  It ends on the target (miss 0, impact t_f), and the effort is
+    the oracle's exact integral.  ``Scenario`` checks speed, t_f and dt.
+    """
+    scenario = Scenario(initial, speed, t_f, dt=dt)
+    t, _, t_go = _oracle_clock(scenario)
+    sol = _solve(initial, t_f, speed)
+    alpha, beta = sol.params.alpha, sol.params.beta
+    X, Y, Theta, _ = evaluate(alpha, beta, t_f - t)
+    u = command(alpha, beta, t_go)
+    phi = math.atan2(initial.y, initial.x) - math.atan2(Y[0], X[0])
+    c, s = speed * math.cos(phi), speed * math.sin(phi)
+    x, y = c * X - s * Y, s * X + c * Y
+    x[-1] = y[-1] = 0.0  # the target, exactly
+    theta = _wrap_angles(Theta + phi)
+    return SimResult(
+        scenario=scenario,
+        t=t,
+        x=x,
+        y=y,
+        theta=theta,
+        r=np.hypot(x, y),
+        sigma=look_angles(x, y, theta),
+        u=u,
+        accel=speed * u,
+        effort=sol.effort * speed**2,
+        miss=0.0,
+        impact_time=t_f,
+        resolves=1,
+        oracle=sol,
+    )
+
+
 def salvo(scenarios, model=None) -> list:
     """Simulate several interceptors against the common target.
 
@@ -314,8 +370,6 @@ def salvo_summary(results) -> dict:
 
 def export_trajectory(result, path) -> None:
     """Write the sampled trajectory as CSV (SI units, 17 digits).
-
-    ``result`` is a SimResult or a guidance.OpenLoopSolution.
 
     The command columns hold the value in effect on the step starting at
     each node; the final node repeats the last held command.

@@ -45,7 +45,7 @@ from .extremals import AdjointParams, hamiltonian, propagate_param
 from .guidance import GuidanceQuery, command_nn, command_oracle
 from .kinematics import CartesianState
 from .mlp import TrainConfig, forward_batch, load_model, loss_and_gradients, save_model, train
-from .sim import Scenario, simulate
+from .sim import Scenario, simulate, solve_ocp
 
 __all__ = ["CheckResult", "run_acceptance"]
 
@@ -232,8 +232,6 @@ def _check_mirror(model) -> tuple[bool, str]:
 def _check_rescaling() -> tuple[bool, str]:
     # solve the unit-speed problem, then the speed-scaled problem; paths must
     # coincide pointwise after scaling lengths by the speed
-    from .guidance import solve_ocp
-
     base = solve_ocp(CartesianState(-8.0, 3.0, 0.6), 1.0, 12.0)
     speed = 500.0
     scaled = solve_ocp(CartesianState(-8.0 * speed, 3.0 * speed, 0.6), speed, 12.0)

@@ -131,6 +131,9 @@ def test_closed_loop_oracle_flies_the_open_loop_optimum(speed, t_f, rho, sigma, 
     assert abs(res.impact_time - t_f) <= 1e-4
     if oracle.call_count == 1:
         assert gap <= 1e-5
+        # one solve: the closed loop flies solve_ocp's nodes and commands to the bit
+        assert np.array_equal(res.t, ref.t[: len(res.t)])
+        assert np.array_equal(res.u, ref.u[: len(res.u)])
     else:
         # recorded: the oracle re-solves in two corners, where the flown state is off
         # the plan by more than the warm check's 1e-5 at a re-solve node.  Near the
@@ -347,8 +350,7 @@ def test_oracle_never_steps_and_flies_its_last_plan_to_the_end(monkeypatch):
     # from its solve node through the last step, each step flies the last plan's
     # command at that step's midpoint time-to-go
     assert res.r[-2] < 2.0 * sc.speed * sc.dt
-    t = res.t[k:-1]
-    t_go = np.maximum(sc.t_f - t - 0.5 * np.minimum(sc.dt, sc.t_f - t), 0.0)
+    t_go = sc.t_f - res.t[k:-1] - 0.5 * np.diff(res.t[k:])
     assert np.array_equal(res.u[k:], command(plans[-1].params.alpha, plans[-1].params.beta, t_go))
 
 
@@ -358,7 +360,9 @@ def test_oracle_first_second_matches_open_loop_extremal():
     ref = solve_ocp(sc.initial, sc.speed, sc.t_f, sc.dt)
     first = res.t[:-1] < 1.0
     assert first.sum() == 100
-    assert np.max(np.abs(res.u[first] - ref.u[first])) <= 1e-12
+    # one clock and one plan: every node, and every command up to the first re-solve, to the bit
+    assert np.array_equal(res.t, ref.t[: len(res.t)])
+    assert np.array_equal(res.u[first], ref.u[first])
 
 
 @pytest.mark.parametrize(
@@ -371,24 +375,56 @@ def test_oracle_first_second_matches_open_loop_extremal():
     ],
 )
 def test_oracle_node_times_are_the_sequential_sum(model, law, t_f, dt):
-    # every law flies the same clock, to t_f or, for PN, to max(4 t_f, 60 s)
+    # every law flies the same clock, to t_f or, for PN, to max(4 t_f, 60 s):
+    # nodes k dt, each rounded once, and last t_end (the name predates that clock)
     res = simulate(Scenario(CASE_A_START, 500.0, t_f, guidance=law, dt=dt), model=model)
     t_end = max(4.0 * t_f, 60.0) if law == "pn" else t_f
-    t, expected = 0.0, [0.0]
-    while t < t_end - 1e-12:
-        t += min(dt, t_end - t)
-        expected.append(t)
+    expected = [k * dt for k in range(max(1, math.ceil(t_end / dt - 1e-9)))] + [t_end]
     assert res.t.tolist() == expected[: len(res.t)]
     if law != "pn":
         # a run may stop a node or two early, within half a step of the target
         assert len(expected) - 2 <= len(res.t) <= len(expected)
 
 
+@settings(max_examples=200, deadline=None)
+@given(t_end=st.floats(0.05, 400.0), dt=st.floats(1e-3, 0.5))
+# each of these flew a sliver step of 1e-12 to 2.2e-10 s on a clock summed in sequence
+@example(t_end=48.5, dt=0.01)
+@example(t_end=49.0, dt=0.01)
+@example(t_end=50.0, dt=0.01)
+@example(t_end=60.0, dt=0.01)
+@example(t_end=400.0, dt=0.01)
+@example(t_end=30.0, dt=0.005)
+@example(t_end=60.0, dt=0.05)
+@example(t_end=0.05000000000000001, dt=0.05)  # a hair past one step: one step, ending on t_end
+def test_step_clock_nodes_are_k_dt_each_rounded_once(t_end, dt):
+    from fitguide.sim import _node_times
+
+    t = _node_times(t_end, dt)
+    n = max(1, math.ceil(t_end / dt - 1e-9))
+    assert len(t) == n + 1
+    assert t[:-1].tolist() == [min(k * dt, t_end) for k in range(n)]
+    assert t[-1] == t_end
+    assert np.all(np.diff(t) > 0.0)
+    # the last step ends on t_end: shortened, or at most 1e-9 dt longer, never a sliver after it
+    assert 0.0 < t[-1] - t[-2] <= dt * (1.0 + 1e-9)
+    if abs(t_end / dt - round(t_end / dt)) <= 1e-9:
+        assert n == round(t_end / dt)
+
+
+def test_pn_gives_up_after_a_whole_number_of_steps():
+    # the pn-gives-up start below, flown at dt 0.01: 60 s is 6,000 steps, with no sliver step after them
+    sc = Scenario(CartesianState(-22000.0, -10000.0, -11 * math.pi / 18), 350.0, 10.0, guidance="pn")
+    res = simulate(sc)
+    assert len(res.u) == 6000
+    assert res.t[-1] == 60.0
+
+
 @pytest.mark.parametrize("dt", [0.01, 0.03, 0.07])
 def test_pn_gives_up_at_its_time_out(dt):
     # flying straight away from the target, PN sees no line-of-sight rate and
     # never turns; it flies to max(4 t_f, 60 s) and no further, as the last
-    # step is shortened to end on it
+    # node is the time-out itself
     res = simulate(Scenario(CartesianState(1000.0, 0.0, 0.0), 100.0, 10.0, guidance="pn", dt=dt))
     assert res.t[-1] == 60.0
 
@@ -400,9 +436,11 @@ def _public_step_flight(sc, model):
     ``command_nn`` or ``pn_command``; each step flies ``step_cartesian``.
     """
     t_end = max(4.0 * sc.t_f, 60.0) if sc.guidance == "pn" else sc.t_f
-    t, u, state = 0.0, 0.0, sc.initial
-    ts, states, us = [t], [state], []
-    while t < t_end - 1e-12:
+    u, state = 0.0, sc.initial
+    ts, states, us = [0.0], [state], []
+    # the nodes k dt, and last t_end
+    n = max(1, math.ceil(t_end / sc.dt - 1e-9))
+    for k in range(1, n + 1):
         r = math.hypot(state.x, state.y)
         if r < sc.speed * sc.dt / 2.0:
             break
@@ -411,11 +449,10 @@ def _public_step_flight(sc, model):
             if sc.guidance == "pn":
                 u = pn_command(polar, sc.speed)
             else:
-                query = GuidanceQuery(polar.r, polar.sigma, max(sc.t_f - t, polar.r / sc.speed), sc.speed)
+                query = GuidanceQuery(polar.r, polar.sigma, max(sc.t_f - ts[-1], polar.r / sc.speed), sc.speed)
                 u = command_nn(model, query)
-        h = min(sc.dt, t_end - t)
-        state = step_cartesian(state, u, h, sc.speed)
-        t += h
+        t = k * sc.dt if k < n else t_end
+        state = step_cartesian(state, u, t - ts[-1], sc.speed)
         ts.append(t)
         states.append(state)
         us.append(u)
