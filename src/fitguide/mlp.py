@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datagen import format_17g
+
 __all__ = [
     "LAYER_SIZES",
     "CommandModel",
@@ -412,8 +414,8 @@ def train(dataset: np.ndarray, config: TrainConfig | None = None) -> tuple[Comma
 # --- serialization ---
 
 
-def _fmt_array(a: np.ndarray) -> str:
-    return " ".join("%.17g" % v for v in np.asarray(a, dtype=float).ravel())
+def _fmt_array(a) -> str:
+    return format_17g(np.reshape(a, (1, -1)), " ")[:-1].decode("ascii")
 
 
 def save_model(model: CommandModel, path) -> None:
@@ -423,11 +425,11 @@ def save_model(model: CommandModel, path) -> None:
         "layer_sizes: " + " ".join(str(s) for s in model.layer_sizes),
         "hidden_activation: tanh",  # the only activations the format knows
         "output_activation: identity",
-        "t_bar: %.17g" % model.t_bar,
+        "t_bar: " + _fmt_array(model.t_bar),
         "input_mean: " + _fmt_array(model.input_mean),
         "input_scale: " + _fmt_array(model.input_scale),
-        "output_mean: %.17g" % model.output_mean,
-        "output_scale: %.17g" % model.output_scale,
+        "output_mean: " + _fmt_array(model.output_mean),
+        "output_scale: " + _fmt_array(model.output_scale),
     ]
     for k, (W, b) in enumerate(zip(model.weights, model.biases), start=1):
         lines.append(f"W{k}: " + _fmt_array(W))

@@ -1,8 +1,13 @@
+import hashlib
 import math
+import struct
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fitguide import (
     AdjointParams,
@@ -12,9 +17,12 @@ from fitguide import (
     read_dataset,
     write_dataset,
 )
-from fitguide.datagen import write_csv
+from fitguide.datagen import format_17g, write_csv
 
 SMALL = DatagenConfig(alpha_bar=10.0, n_i=4, n_j=6, t_bar=3.0, h=0.01)
+
+# write_dataset(generate_dataset(REDUCED_CONFIG)): every byte of the CSV is pinned
+REDUCED_CSV_SHA256 = "3b9f797817a881ad35a29e5628834bbb757aa62e1b2013d0734cd212be3885e4"
 
 
 def test_loop_bound_single_cell():
@@ -99,6 +107,91 @@ def test_determinism_byte_identical(tmp_path):
     write_dataset(generate_dataset(SMALL), a)
     write_dataset(generate_dataset(SMALL), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_reduced_dataset_csv_keeps_its_sha256(reduced_dataset, tmp_path):
+    path = tmp_path / "reduced.csv"
+    write_dataset(reduced_dataset, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REDUCED_CSV_SHA256
+
+
+def _bits(v: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", v))[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _percent_writer(path, header, rows):
+    """The CSV writer before format_17g: one '%.17g' per value."""
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(header + "\n")
+        for start in range(0, len(rows), 65536):
+            chunk = rows[start : start + 65536]
+            f.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+POWERS_OF_TEN = [float(f"1e{k}") for k in range(-12, 18)]
+# the integer path is 1e-11 < |v| < 1e16; from 2**53 its limb shift changes
+PATH_EDGES = [1e-11, 1e16, 2.0**53]
+FORMAT_EXAMPLES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf,
+    5e-324,  # the smallest subnormal
+    sys.float_info.max,
+    9.99999999999999955e-7,  # decade e-07, though its 17 digits round up to 10**17
+    -9.99999999999999955e-7,
+    2.0**-25,  # 2.98023223876953125e-08, an exact tie that rounds down to even
+    3 * 2.0**-25,  # 8.94069671630859375e-08, an exact tie that rounds up to even
+    *POWERS_OF_TEN,
+    *PATH_EDGES,
+    *[math.nextafter(v, to) for v in POWERS_OF_TEN + PATH_EDGES for to in (0.0, math.inf)],
+]
+
+
+def _with_examples(test):
+    for v in FORMAT_EXAMPLES:
+        test = example(bits=_bits(v))(test)
+    return test
+
+
+@settings(max_examples=1000, deadline=None)
+@given(bits=st.integers(0, 2**64 - 1))
+@_with_examples
+def test_format_17g_equals_percent_17g_for_any_bit_pattern(bits):
+    v = _float(bits)
+    assert format_17g(np.array([[v]])) == b"%.17g\n" % v
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.sampled_from([1, 8]), bits=st.lists(st.integers(0, 2**64 - 1), max_size=64))
+@example(width=1, bits=[])
+@example(width=8, bits=[])
+def test_write_csv_equals_the_percent_writer(tmp_path_factory, width, bits):
+    rows = np.array(bits[: len(bits) // width * width], dtype=np.uint64).view(float).reshape(-1, width)
+    header = ",".join(f"c{j}" for j in range(width))
+    folder = tmp_path_factory.mktemp("csv")
+    write_csv(folder / "ours.csv", header, rows)
+    _percent_writer(folder / "ref.csv", header, rows)
+    assert (folder / "ours.csv").read_bytes() == (folder / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_write_csv_equals_the_percent_writer_across_chunks(tmp_path, width):
+    # random significands and signs at every binary exponent of the integer
+    # path and the two just outside it; every tenth value any bit pattern
+    rng = np.random.default_rng(width)
+    size = (2 * 4096 + 3) * width
+    bits = rng.integers(0, 2**52, size, dtype=np.uint64)
+    bits |= rng.integers(985, 1078, size, dtype=np.uint64) << np.uint64(52)
+    bits |= rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(63)
+    bits[::10] = rng.integers(0, 2**64, len(bits[::10]), dtype=np.uint64)
+    rows = bits.view(float).reshape(-1, width)
+    header = ",".join(f"c{j}" for j in range(width))
+    write_csv(tmp_path / "ours.csv", header, rows)
+    _percent_writer(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_rewrites_of_one_path_equal_a_fresh_write(tmp_path):

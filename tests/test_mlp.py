@@ -325,6 +325,25 @@ def test_save_load_bitwise(model, tmp_path):
     assert loaded.t_bar == model.t_bar
 
 
+def test_saved_model_writes_percent_17g(model, tmp_path):
+    """Every float field of a model file is '%.17g' text, as before format_17g."""
+    path = tmp_path / "m.txt"
+    save_model(model, path)
+    fields = dict(line.split(": ", 1) for line in path.read_text(encoding="utf-8").splitlines()[1:])
+
+    def g17(a):
+        return " ".join("%.17g" % v for v in np.ravel(a))
+
+    assert fields["t_bar"] == g17(model.t_bar)
+    assert fields["input_mean"] == g17(model.input_mean)
+    assert fields["input_scale"] == g17(model.input_scale)
+    assert fields["output_mean"] == g17(model.output_mean)
+    assert fields["output_scale"] == g17(model.output_scale)
+    for k, (W, b) in enumerate(zip(model.weights, model.biases), start=1):
+        assert fields[f"W{k}"] == g17(W)
+        assert fields[f"b{k}"] == g17(b)
+
+
 def test_load_rejects_bad_files(tmp_path, model):
     path = tmp_path / "m.txt"
     save_model(model, path)
