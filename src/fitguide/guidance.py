@@ -34,29 +34,29 @@ parameters, signed as ``evaluate`` takes them, and samples nothing: a
 negative look angle mirrors the extremal (beta < 0), and the straight line
 is (1, 0).  ``sim.solve_ocp`` and ``sim.simulate`` read the optimal path
 off the same closed form instead of integrating it.
-Newton is seeded from the committed table of admissible roots (ln q,
-ln beta) at unit time-to-go on a regular (rho, |sigma|) grid (``ROOT_TABLE``,
-read on first use), interpolated bilinearly in the query's cell.  Outside
-the table's box, where a corner of the cell is refused (nan), or where the
-table's seed reaches no admissible root, the seeds come from a 64x64 chart
-of every admissible extremal, made on first use and cached for the life of
-the process (``_seed_table``): each chart cell around which the query's
-endpoint residual winds seeds Newton.  ``python tools/build_root_table.py``
-rebuilds the table from the chart's seeds alone.  Each seed runs its own
-damped Newton in (q, beta), one ``evaluate`` call per trial point with the
-Jacobian's q column in closed form, until a root is admissible; every root
-reached is reported in ``OracleSolution.roots`` with its effort and
-whether it is admissible.
+Newton's one seed source is the committed table of admissible roots
+(ln q, ln beta) at unit time-to-go on a (rho, |sigma|) grid over the whole
+scale-free square (``ROOT_TABLE``, read on first use): |sigma| over
+[0, pi], and rho to 0.997, in rows that get denser toward rho = 1.  The
+first seed interpolates the query's cell bilinearly; where a corner is
+unsolved (nan), or where that seed reaches no admissible root, the
+table's nearest solved nodes follow.  ``python tools/build_root_table.py``
+rebuilds the table by continuation: each node is solved from its solved
+neighbours.  Each seed runs its own damped Newton in (q, beta), one
+``evaluate`` call per trial point with the Jacobian's q column in closed
+form, until a root is admissible; every root reached is reported in
+``OracleSolution.roots`` with its effort and whether it is admissible.
 
 A closed loop keeps flying a solved extremal while its state stays on it:
 ``warm_check`` tests many states against one solution in one call, on the
 extremal's side and within ``WARM_TOL``.  ``command_oracle`` keeps no
-state: every call solves its query from the table and the chart, which
-depend on rho and |sigma| alone, so its answer depends on the query alone.
+state: every call seeds its query from the table, which depends on rho
+and |sigma| alone, so its answer depends on the query alone.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -73,7 +73,7 @@ from .extremals import (
     evaluate,
     propagate_param,  # not called here; benchmarks/metrics.py traces it under this name
     range_look_angle,
-    sweep_cells,
+    sweep_cells,  # not called here; benchmarks/metrics.py traces it under this name
     terminal_time,  # not called here; benchmarks/metrics.py traces it under this name
 )
 from .kinematics import PolarState
@@ -105,13 +105,15 @@ NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 40
 WARM_TOL = 1e-5
 
-# The root table's grid: ROOT_TABLE_N rho nodes over ROOT_TABLE_RHO by
-# ROOT_TABLE_N |sigma| nodes over ROOT_TABLE_SIGMA, both evenly spaced
-# (tools/build_root_table.py writes ROOT_TABLE from it).
+# The root table's grid (tools/build_root_table.py writes ROOT_TABLE on it):
+# rho rows evenly spaced below 0.9, then with 1 - rho geometric from 0.1 to
+# 0.003, denser toward rho = 1 where beta changes by orders of magnitude, by
+# |sigma| columns evenly spaced over [0, pi].  Where the bilinear seed fails,
+# the ROOT_TABLE_NEAREST solved nodes nearest the query seed Newton.
 ROOT_TABLE = Path(__file__).with_name("root_table.txt")
-ROOT_TABLE_RHO = (0.02, 0.98)
-ROOT_TABLE_SIGMA = (0.02, math.pi - 0.02)
-ROOT_TABLE_N = 33
+ROOT_TABLE_RHO = tuple(np.linspace(0.005, 0.9, 33, endpoint=False).tolist() + (1.0 - np.geomspace(0.1, 0.003, 33)).tolist())
+ROOT_TABLE_SIGMA = tuple(np.linspace(0.0, math.pi, 49).tolist())
+ROOT_TABLE_NEAREST = 8
 
 
 class GuidanceError(RuntimeError):
@@ -201,102 +203,52 @@ def pn_command(state: PolarState, speed: float) -> float:
 # --- boundary-value oracle ---
 
 
-def _endpoint(alpha, beta, t_go):
-    """(R, Sigma) of the parameterized system at t_go, in closed form.
-
-    Broadcasts like ``extremals.evaluate``.  R and Sigma are even in beta
-    (beta -> -beta mirrors the extremal).
-    """
-    X, Y, Theta, _ = evaluate(alpha, beta, t_go)
-    return range_look_angle(X, Y, Theta)
-
-
 @functools.cache
-def _seed_table():
-    """Endpoints of a 64x64 chart of the admissible extremals at unit time-to-go.
+def _root_table():
+    """The committed root table, read on first use: a read-only array of (ln q, ln beta) rows.
 
-    q = alpha * t_go**2 makes the extremal family scale-invariant: the cell
-    (q, beta) swept to time-to-go t_go ends at range t_go * R1 and look
-    angle Sigma1 of the unit-horizon cell.  It is collinearity-free up to
-    t_go exactly when q <= tau*(beta)**2, so on the chart's axes
-    rho = sqrt(q) / tau*(beta) in (0, 1] and beta every cell is admissible.
-    The betas run geometrically from 1e-9 to pi/16 (tau* grows without
-    bound as beta -> 0), then linearly to pi(1 - 1/128).  Returns the
-    read-only arrays (q, beta, R1, Sigma1), indexed by (rho, beta).
+    Node (i, j) is row i * len(ROOT_TABLE_SIGMA) + j; nan marks a node that
+    the table's build leaves unsolved.
     """
-    n = 64
-    rho = np.sin(0.5 * math.pi * np.arange(1, n + 1) / n)[:, None]
-    beta = np.concatenate([
-        np.geomspace(1e-9, math.pi / 16.0, n // 2),
-        np.linspace(math.pi / 16.0, math.pi * (1.0 - 1.0 / 128.0), n // 2 + 1)[1:],
-    ])
-    tau = sweep_cells(np.ones(n), beta, 1.0, 1.0).t_collinear
-    Q = (rho * tau) ** 2
-    R, S = _endpoint(Q, beta, 1.0)  # one AGM per beta
-    table = (Q, np.broadcast_to(beta, Q.shape), R, S)
-    for arr in table:
-        arr.flags.writeable = False
+    table = np.loadtxt(ROOT_TABLE)
+    table.flags.writeable = False
     return table
 
 
-def _seed_candidates(rho, sigma_abs):
-    """(q, beta) seeds for a scale-free query, from the chart cells that bracket a root.
+def _grid_cell(nodes, v):
+    """The cell of the ascending nodes that holds v, and v's fraction of the way across it, clamped to the nodes' ends."""
+    k = min(max(bisect.bisect_right(nodes, v) - 1, 0), len(nodes) - 2)
+    return k, min(max((v - nodes[k]) / (nodes[k + 1] - nodes[k]), 0.0), 1.0)
 
-    The residual is F = ((R1 - rho) / rho, Sigma1 - |sigma|) at unit
-    time-to-go.  Every cell around whose corners F winds once holds a root
-    and seeds Newton from its corner of least |F|; so does the chart's best
-    cell.  Seeds come in order of |F|.
+
+def _nearest_nodes(table, x, y, reach=math.inf):
+    """The flat indices of a root table's ROOT_TABLE_NEAREST solved nodes nearest the fractional node index (x, y).
+
+    Nearest first, ties in node order, and none more than reach index units away.
     """
-    Q, B, R1, S1 = _seed_table()
-    fr, fs = (R1 - rho) / rho, S1 - sigma_abs
-    phase = np.arctan2(fs, fr)
-    ring = [np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:]]  # each cell's corners, in turn
-    steps = (phase[c1] - phase[c0] for c0, c1 in zip(ring, ring[1:] + ring[:1]))
-    turn = sum(np.mod(d + math.pi, 2.0 * math.pi) - math.pi for d in steps)
-    flat = np.arange(phase.size).reshape(phase.shape)
-    cells = np.stack([flat[c][np.abs(turn) > math.pi] for c in ring])
-    res = np.hypot(fr, fs).ravel()
-    picks = cells[np.argmin(res[cells], axis=0), np.arange(cells.shape[1])]
-    picks = np.append(picks, np.argmin(res))
-    picks = picks[np.argsort(res[picks], kind="stable")]
-    return [(float(Q.flat[k]), float(B.flat[k])) for k in dict.fromkeys(picks.tolist())]
-
-
-@functools.cache
-def _root_table():
-    """The committed root table, read on first use: (ln q, ln beta) as two flat lists.
-
-    Node (i, j), at the i-th rho and j-th |sigma| of the grid, is entry
-    i * ROOT_TABLE_N + j; nan marks a node the chart-seeded oracle refuses.
-    """
-    ln_q, ln_b = np.loadtxt(ROOT_TABLE, unpack=True)
-    return ln_q.tolist(), ln_b.tolist()
-
-
-def _table_seed(rho, sigma_abs):
-    """(q, beta) interpolated bilinearly in (ln q, ln beta) from the root table's cell around the query.
-
-    None outside the table's box, or where a corner of the cell is refused.
-    """
-    n = ROOT_TABLE_N
-    (r0, r1), (s0, s1) = ROOT_TABLE_RHO, ROOT_TABLE_SIGMA
-    x, y = (rho - r0) / (r1 - r0) * (n - 1), (sigma_abs - s0) / (s1 - s0) * (n - 1)
-    if not (0.0 <= x <= n - 1 and 0.0 <= y <= n - 1):
-        return None
-    i, j = min(int(x), n - 2), min(int(y), n - 2)
-    fx, fy = x - i, y - j
-    k = i * n + j
-    w = ((1.0 - fx) * (1.0 - fy), (1.0 - fx) * fy, fx * (1.0 - fy), fx * fy)
-    ln_q, ln_b = (w[0] * v[k] + w[1] * v[k + 1] + w[2] * v[k + n] + w[3] * v[k + n + 1] for v in _root_table())
-    return None if math.isnan(ln_q + ln_b) else (math.exp(ln_q), math.exp(ln_b))  # a nan corner spreads
+    solved = np.flatnonzero(~np.isnan(table[:, 0]))
+    i, j = np.divmod(solved, len(ROOT_TABLE_SIGMA))
+    distance = np.hypot(i - x, j - y)
+    near = np.argsort(distance, kind="stable")[:ROOT_TABLE_NEAREST]
+    return solved[near[distance[near] <= reach]].tolist()
 
 
 def _seeds(rho, sigma_abs):
-    """Newton's seeds for a scale-free query: the root table's, then the chart's, built only if reached."""
-    seed = _table_seed(rho, sigma_abs)
-    if seed is not None:
-        yield seed
-    yield from _seed_candidates(rho, sigma_abs)
+    """Newton's seeds for a scale-free query, from the root table alone.
+
+    First the bilinear interpolation in (ln q, ln beta) of the query's cell,
+    unless a corner is unsolved; then the table's nearest solved nodes.
+    """
+    table = _root_table()
+    (i, fx), (j, fy) = _grid_cell(ROOT_TABLE_RHO, rho), _grid_cell(ROOT_TABLE_SIGMA, sigma_abs)
+    n = len(ROOT_TABLE_SIGMA)
+    k = i * n + j
+    ln_q, ln_b = ((1.0 - fx) * ((1.0 - fy) * table.item(k, m) + fy * table.item(k + 1, m))
+                  + fx * ((1.0 - fy) * table.item(k + n, m) + fy * table.item(k + n + 1, m)) for m in (0, 1))
+    if not math.isnan(ln_q + ln_b):  # an unsolved corner spreads
+        yield math.exp(ln_q), math.exp(ln_b)
+    for node in _nearest_nodes(table, i + fx, j + fy):
+        yield math.exp(table.item(node, 0)), math.exp(table.item(node, 1))
 
 
 def _endpoint_jacobian(q, beta):
@@ -395,12 +347,11 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
 
     The answer depends on the query alone: the solve runs on rho and |sigma|
     at unit time-to-go, and t_go only rescales it.  Newton runs from the
-    root table's seed, then from the chart cells that bracket a root
-    (``_seeds``), one seed after another, and each root it reaches gets one
-    exact collinearity check (``_admissible``).  The first admissible root
-    is the answer: the chart's Jacobian keeps one sign and its edges map to
-    the reachable set's, so it is one-to-one
-    (``test_admissible_chart_jacobian_keeps_one_sign``).
+    root table's seeds (``_seeds``), one seed after another, and each root
+    it reaches gets one exact collinearity check (``_admissible``).  The
+    first admissible root is the answer: the admissible chart's Jacobian
+    keeps one sign and its edges map to the reachable set's, so it is
+    one-to-one (``test_admissible_chart_jacobian_keeps_one_sign``).
     ``roots`` lists the roots reached, with their efforts and beta negated
     for a negative look angle, and ends with ``params``; (1, 0) on the
     collision course.  The command is the closed form's U at the time-to-go,

@@ -25,9 +25,9 @@ from fitguide.extremals import (
     ellipk,
     evaluate,
     propagate_param,
+    range_look_angle,
     terminal_time,
 )
-from fitguide.guidance import _endpoint
 
 # beta over the oracle's whole range, with the near-separatrix end (beta -> 0,
 # modulus -> 1) drawn log-uniformly so that it is actually exercised
@@ -165,6 +165,12 @@ def rk4_reference(alpha, beta, t, dtau=0.004):
 
 def polar_to_products(r, sigma):
     return r * math.sin(sigma), r * math.cos(sigma)
+
+
+def _endpoint(alpha, beta, t_go):
+    """(R, Sigma) of the parameterized system at t_go, in closed form; even in beta."""
+    X, Y, Theta, _ = evaluate(alpha, beta, t_go)
+    return range_look_angle(X, Y, Theta)
 
 
 @settings(max_examples=60, deadline=None)

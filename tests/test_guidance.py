@@ -33,20 +33,23 @@ from fitguide.extremals import AdjointParams, _collinear_phase, effort, evaluate
 from fitguide.guidance import (
     NEWTON_TOL,
     ROOT_TABLE,
-    ROOT_TABLE_N,
     ROOT_TABLE_RHO,
     ROOT_TABLE_SIGMA,
     _admissible,
-    _endpoint,
     _endpoint_jacobian,
     _newton,
-    _seed_candidates,
-    _seed_table,
+    _seeds,
     warm_check,
 )
 from fitguide.kinematics import cartesian_to_polar
 
 CASE_A = dict(r=10000.0, t_go=25.0, speed=500.0)
+
+
+def _endpoint(alpha, beta, t_go):
+    """(R, Sigma) of the parameterized system at t_go, in closed form; broadcasts like ``evaluate``, even in beta."""
+    X, Y, Theta, _ = evaluate(alpha, beta, t_go)
+    return range_look_angle(X, Y, Theta)
 
 
 def test_query_validation():
@@ -259,7 +262,6 @@ def test_oracle_roots_end_with_the_one_admissible_root_case_c():
 def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
     import fitguide.extremals
 
-    _seed_table()  # the table's sweep has its own collinearity scan
     calls = {"scan": 0, "sampled": 0, "newton": 0}
 
     def counting(module, name, key):
@@ -289,15 +291,17 @@ def test_cold_solve_checks_collinearity_once_per_root(monkeypatch):
     counting(fitguide.guidance, "_newton", "newton")
     case_c = cartesian_to_polar(CartesianState(-20000.0, -10000.0, math.pi / 4))
     straight = GuidanceQuery(9000.0, 0.0, 20.0, 450.0)  # met head-on: the degenerate solution
-    two_seeds = GuidanceQuery(9000.0, 0.9, 22.0, 450.0)
-    assert len(_seed_candidates(two_seeds.r / (two_seeds.speed * two_seeds.t_go), two_seeds.sigma)) == 2
-    for query in (two_seeds, GuidanceQuery(case_c.r, case_c.sigma, 50.0, 600.0), straight):
+    # next to sigma = pi the cell's seed reaches an inadmissible root first
+    several_roots = GuidanceQuery(0.4, 3.138, 1.0, 1.0)
+    for query in (several_roots, GuidanceQuery(case_c.r, case_c.sigma, 50.0, 600.0), straight):
         calls.update(scan=0, sampled=0, newton=0)
         sol = command_oracle(query)
         # one scan per root reached, and no seed is tried after the admissible one
         assert len(sol.roots) == calls["scan"] == calls["newton"]
         assert [ok for *_, ok in sol.roots] == [False] * (len(sol.roots) - 1) + [True] * bool(sol.roots)
         assert calls["sampled"] == 0
+        if query is several_roots:
+            assert len(sol.roots) >= 2
     assert sol.params == AdjointParams(1.0, 0.0) and sol.roots == ()
 
 
@@ -410,7 +414,7 @@ def test_exact_q_column_matches_central_difference(log_alpha, beta, t):
 )
 def test_newton_matches_finite_difference_reference_over_engage_domain(ratio, look):
     # the benchmark's engagement draw domain, scale-free: rho = r / (speed t_go)
-    seeds = _seed_candidates(ratio, look)
+    seeds = list(_seeds(ratio, look))
     got = [_newton(ratio, look, q, b) for q, b in seeds]
     want = [_sequential_newton(ratio, look, q, b, 1e-9, 1e-9) for q, b in seeds]
     assert [g is None for g in got] == [w is None for w in want]
@@ -567,10 +571,13 @@ def _brute_force_efforts(r_norm, sigma_abs, t_go):
 @settings(max_examples=40, deadline=None)
 @given(
     t_go=st.floats(1.0, 50.0),
-    ratio=st.floats(0.2, 0.88),
-    look=st.floats(0.05, math.pi - 0.01),
+    ratio=st.floats(0.02, 0.88),
+    look=st.floats(1e-3, math.pi - 0.01),
     sign=st.sampled_from([-1.0, 1.0]),
 )
+# short range near the look angle's far end: the brute force finds the root
+# that the winding scan's seeds missed
+@example(t_go=10.028600563008792, ratio=0.07709738018718164, look=3.128781045839048, sign=1.0)
 # the box's far corner, next to the small-beta strip; from r/t_go 0.885 on,
 # at look angles above 2, Newton misses a few queries in a thousand
 @example(t_go=1.0, ratio=0.88, look=math.pi - 0.01, sign=1.0)
@@ -588,7 +595,7 @@ def test_oracle_returns_the_one_admissible_root_of_the_brute_force(t_go, ratio, 
     efforts = _distinct(_brute_force_efforts(ratio * t_go, look, t_go))
     assert len(efforts) <= 1, efforts
     rho = ratio * t_go / t_go  # as the oracle forms it
-    reached = filter(None, (_newton(rho, look, *seed) for seed in _seed_candidates(rho, look)))
+    reached = filter(None, (_newton(rho, look, *seed) for seed in _seeds(rho, look)))
     assert len(_distinct([float(effort(q, b, 1.0)) for q, b, _ in reached if _admissible(q, b)])) <= 1
     try:
         sol = command_oracle(GuidanceQuery(ratio * t_go, sign * look, t_go, 1.0))
@@ -630,7 +637,7 @@ ROOT_TABLE_REBUILD_TOL = 1e-6  # absolute, in ln q and ln beta
 
 def test_root_table_rebuild_matches_the_committed_file():
     rebuilt, committed = np.loadtxt(io.StringIO(_rebuilt_root_table())), np.loadtxt(ROOT_TABLE)
-    assert rebuilt.shape == committed.shape == (ROOT_TABLE_N**2, 2)
+    assert rebuilt.shape == committed.shape == (len(ROOT_TABLE_RHO) * len(ROOT_TABLE_SIGMA), 2)
     refused = np.isnan(committed)
     assert np.array_equal(refused[:, 0], refused[:, 1])
     assert np.array_equal(np.isnan(rebuilt), refused)
@@ -654,29 +661,12 @@ def _table_query(rho, look):
         return None
 
 
-@settings(max_examples=200, deadline=None)
-@given(rho=st.floats(*ROOT_TABLE_RHO), look=st.floats(*ROOT_TABLE_SIGMA))
-def test_table_seed_agrees_with_the_chart_seed(rho, look):
-    # the oracle seeds Newton from the root table inside its box; the chart's
-    # first admissible root is the answer without the table
-    chart = _root_table_builder().chart_root(rho, look)
-    sol = _table_query(rho, look)
-    if chart is None:
-        if sol is not None:  # newly solved: the brute force's one admissible root
-            efforts = _distinct(_brute_force_efforts(rho, look, 1.0))
-            assert len(efforts) == 1 and sol.effort == pytest.approx(efforts[0], rel=1e-7)
-        return
-    assert sol is not None, "the table refuses a query the chart solves"
-    assert (sol.params.alpha, sol.params.beta) == pytest.approx(chart, rel=1e-6)
-    assert sol.effort == pytest.approx(float(effort(*chart, 1.0)), rel=1e-7)
-
-
-# the nodes (i, j) of the 60 x 60 grid rho = linspace(0.01, 0.99, 60),
-# |sigma| = linspace(0, pi, 60) that the chart's seeds leave refused and the table's solve
+# nodes (i, j) of the 60 x 60 grid rho = linspace(0.01, 0.99, 60),
+# |sigma| = linspace(0, pi, 60) that the winding scan of a 64 x 64 chart,
+# the oracle's former fallback and table builder, left refused
 @pytest.mark.parametrize("i, j", [(1, 1), (1, 56), (2, 1), (53, 49), (54, 42), (56, 35)])
 def test_table_seed_solves_what_the_chart_refuses(i, j):
     rho, look = np.linspace(0.01, 0.99, 60)[i].item(), np.linspace(0.0, math.pi, 60)[j].item()
-    assert _root_table_builder().chart_root(rho, look) is None
     efforts = _brute_force_efforts(rho, look, 1.0)
     assert efforts and _table_query(rho, look).effort == pytest.approx(min(efforts), rel=1e-7)
 
@@ -758,9 +748,11 @@ def test_admissible_chart_edges_map_to_the_boundary():
 
 
 # the rho of np.linspace(0.05, 0.95, 19) that the oracle may still refuse at
-# unit time-to-go and speed, by |sigma|: at small look angles the root sits
-# next to the collinearity fold, and not every one is seeded
-SMALL_LOOK_REFUSALS = {
+# unit time-to-go and speed, by |sigma|: none
+SMALL_LOOK_REFUSALS = {0.0: set(), 1e-9: set(), 1e-3: set(), 3e-3: set(), 1e-2: set(), 3e-2: set()}
+# the ones that the winding scan's seeds left refused, although the brute
+# force finds an admissible root next to the collinearity fold
+SMALL_LOOK_SOLVED_SINCE_THE_CHART = {
     0.0: {0.05},
     1e-9: {0.05},
     1e-3: {0.05, 0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.85},
@@ -779,18 +771,34 @@ def test_oracle_small_look_angle_map(look):
         except GuidanceError:
             refused.add(round(rho, 2))
             continue
+        if round(rho, 2) in SMALL_LOOK_SOLVED_SINCE_THE_CHART[look]:
+            efforts = _distinct(_brute_force_efforts(rho, look, 1.0))
+            assert len(efforts) == 1 and sol.effort == pytest.approx(efforts[0], rel=1e-7), rho
         # a head-on root is collinear at the time-to-go itself, and one that is
         # collinear a hair before it is admitted within Newton's tolerance:
         # it must be the brute force's admissible root
-        if look <= 1e-9 and terminal_time(sol.params, t_bar=1.0) < 1.0:
+        elif look <= 1e-9 and terminal_time(sol.params, t_bar=1.0) < 1.0:
             efforts = _brute_force_efforts(rho, look, 1.0)
             assert efforts and sol.effort <= (1.0 + 1e-7) * min(efforts), rho
     assert refused <= SMALL_LOOK_REFUSALS[look]
 
 
-@pytest.mark.parametrize("rho, look, reached", [(0.05, 0.0, 0), (0.3, 1e-3, 1)])
+def test_oracle_refuses_only_next_to_the_small_beta_strip():
+    # a coarse scale-free map: every refusal lies in the strip of roots below
+    # the reach of doubles and Newton's beta floor, at rho >= 0.9
+    refused = []
+    for rho in np.linspace(0.01, 0.99, 30).tolist():
+        for look in np.linspace(0.0, math.pi, 30).tolist():
+            if _table_query(rho, look) is None:
+                refused.append((rho, look))
+    print(f"{len(refused)} of 900 refused")
+    assert [(rho, look) for rho, look in refused if rho < 0.9] == []
+
+
+@pytest.mark.parametrize("rho, look, reached", [(0.98, 2.0, 0), (0.9101, 3.141, 1)])
 def test_oracle_refusal_says_which_kind(rho, look, reached):
-    # no seed converges, or Newton converges only past the collinearity fold
+    # in the small-beta strip: no seed converges, or Newton converges only to
+    # a root collinear before the time-to-go
     message = f"no admissible extremal found: Newton reached {reached} root(s), none collinearity-free"
     with pytest.raises(GuidanceError) as refusal:
         command_oracle(GuidanceQuery(rho, look, 1.0, 1.0))
@@ -968,18 +976,5 @@ def _fresh_process_output(code):
 
 
 def test_import_builds_no_seed_table():
-    code = (
-        "import sys, fitguide, fitguide.guidance as g; "
-        "print(g._seed_table.cache_info().currsize, g._root_table.cache_info().currsize, 'scipy' in sys.modules)"
-    )
-    assert _fresh_process_output(code) == ["0", "0", "False"]
-
-
-def test_table_served_solve_builds_no_chart():
-    # case A at 40 s: rho 0.5, inside the root table
-    code = (
-        "import math, fitguide.guidance as g; "
-        "g.command_oracle(g.GuidanceQuery(10000.0, math.pi / 3, 40.0, 500.0)); "
-        "print(g._seed_table.cache_info().currsize, g._root_table.cache_info().currsize)"
-    )
-    assert _fresh_process_output(code) == ["0", "1"]
+    code = "import sys, fitguide, fitguide.guidance as g; print(g._root_table.cache_info().currsize, 'scipy' in sys.modules)"
+    assert _fresh_process_output(code) == ["0", "False"]
