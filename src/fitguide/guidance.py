@@ -34,18 +34,15 @@ parameters, signed as ``evaluate`` takes them, and samples nothing: a
 negative look angle mirrors the extremal (beta < 0), and the straight line
 is (1, 0).  ``sim.solve_ocp`` and ``sim.simulate`` read the optimal path
 off the same closed form instead of integrating it.
-Newton's one seed source is the committed table of admissible roots
-(ln q, ln beta) at unit time-to-go on a (rho, |sigma|) grid over the whole
-scale-free square (``ROOT_TABLE``, read on first use): |sigma| over
-[0, pi], and rho to 0.997, in rows that get denser toward rho = 1.  The
-first seed interpolates the query's cell bilinearly; where a corner is
-unsolved (nan), or where that seed reaches no admissible root, the
-table's nearest solved nodes follow.  ``python tools/build_root_table.py``
-rebuilds the table by continuation: each node is solved from its solved
-neighbours.  Each seed runs its own damped Newton in (q, beta), one
-``evaluate`` call per trial point with the Jacobian's q column in closed
-form, until a root is admissible; every root reached is reported in
-``OracleSolution.roots`` with its effort and whether it is admissible.
+Newton seeds from the committed table of admissible roots (ln q, ln beta)
+at unit time-to-go over the whole scale-free (rho, |sigma|) square
+(``ROOT_TABLE``, read on first use; ``tools/build_root_table.py`` rebuilds
+it by continuation): first the query's cell, interpolated bilinearly, then
+the nearest solved nodes.  Each seed runs its own damped Newton in those
+coordinates, whose reach is every beta that a normal double holds, one
+``evaluate`` call per trial point, until a root is admissible; every root
+reached is reported in ``OracleSolution.roots`` with its effort and
+whether it is admissible.
 
 A closed loop keeps flying a solved extremal while its state stays on it:
 ``warm_check`` tests many states against one solution in one call, on the
@@ -97,12 +94,16 @@ __all__ = [
 # querying near the horizon edge.
 DEFAULT_KAPPA = 0.35
 
-# Newton stops once |R1 - rho| <= NEWTON_TOL * rho and |dSigma| <= NEWTON_TOL
-# at unit time-to-go, and gives up after NEWTON_MAX_ITER steps.  A solved
-# extremal still passes through a state within the looser WARM_TOL band: far
-# below any effort or miss tolerance.
+# Newton steps in (ln q, ln beta), differencing by LN_BETA_STEP in ln beta.  It
+# stops once |R1 - rho| <= NEWTON_TOL * rho and |dSigma| <= NEWTON_TOL at unit
+# time-to-go, and gives up after NEWTON_MAX_ITER steps; beta stays at most pi,
+# and q and beta normal doubles, |ln| < LN_NORMAL.  A solved extremal still
+# passes through a state within the looser WARM_TOL band: far below any effort
+# or miss tolerance.
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 40
+LN_BETA_STEP = 1e-6
+LN_NORMAL = -math.log(2.0**-1022)  # 2**-1022: the smallest normal double
 WARM_TOL = 1e-5
 
 # The root table's grid (tools/build_root_table.py writes ROOT_TABLE on it):
@@ -246,67 +247,65 @@ def _seeds(rho, sigma_abs):
     ln_q, ln_b = ((1.0 - fx) * ((1.0 - fy) * table.item(k, m) + fy * table.item(k + 1, m))
                   + fx * ((1.0 - fy) * table.item(k + n, m) + fy * table.item(k + n + 1, m)) for m in (0, 1))
     if not math.isnan(ln_q + ln_b):  # an unsolved corner spreads
-        yield math.exp(ln_q), math.exp(ln_b)
+        yield ln_q, ln_b
     for node in _nearest_nodes(table, i + fx, j + fy):
-        yield math.exp(table.item(node, 0)), math.exp(table.item(node, 1))
+        yield table.item(node, 0), table.item(node, 1)
 
 
-def _endpoint_jacobian(q, beta):
-    """R1 and Sigma1 of the extremal (q, beta) at unit time, and their Jacobian in (q, beta).
+def _endpoint_jacobian(ln_q, ln_b):
+    """R1 and Sigma1 of the extremal (q, beta) at unit time, and their Jacobian in (ln q, ln beta).
 
-    One ``evaluate`` call of the extremal and its beta step, min(1e-6, 1e-3 beta)
-    (small beside small betas), gives the beta column as a forward difference.
-    The q column is exact: the family is scale-invariant,
-    R1 = R(beta, sqrt(q)) / sqrt(q) and Sigma1 = Sigma(beta, sqrt(q)) of the
-    unit-alpha extremal, so dR1/dq = (cos Sigma - R1) / (2 q) and
-    dSigma1/dq = Sigma' / (2 q), where Sigma' = -sgn(c) U - sin(Sigma) / R1 is
-    the look angle's rate along the extremal and c the cross product of line
-    of sight and heading.
+    One ``evaluate`` call of the extremal and its step of LN_BETA_STEP in
+    ln beta gives the ln beta column as a forward difference.  The ln q
+    column is exact: the family is scale-invariant, R1 = R(beta, sqrt(q)) /
+    sqrt(q) and Sigma1 = Sigma(beta, sqrt(q)) of the unit-alpha extremal, so
+    dR1/d ln q = (cos Sigma - R1) / 2 and dSigma1/d ln q = Sigma' / 2, where
+    Sigma' = -sgn(c) U - sin(Sigma) / R1 is the look angle's rate along the
+    extremal and c the cross product of line of sight and heading.
     """
-    db = min(1e-6, 1e-3 * beta)
-    X, Y, Theta, U = evaluate(q, np.array([beta, beta + db]), 1.0)
+    X, Y, Theta, U = evaluate(math.exp(ln_q), np.exp([ln_b, ln_b + LN_BETA_STEP]), 1.0)
     (r, r_b), (s, s_b) = range_look_angle(X, Y, Theta)
     turn = math.copysign(1.0, Y[0] * math.cos(Theta[0]) - X[0] * math.sin(Theta[0]))  # sgn(c)
     rate = -turn * U[0] - math.sin(s) / r  # Sigma'
-    return r, s, np.array([[(math.cos(s) - r) / (2.0 * q), (r_b - r) / db],
-                           [rate / (2.0 * q), (s_b - s) / db]])
+    return r, s, np.array([[(math.cos(s) - r) / 2.0, (r_b - r) / LN_BETA_STEP],
+                           [rate / 2.0, (s_b - s) / LN_BETA_STEP]])
 
 
-def _newton(rho, sigma_abs, q, beta):
-    """Damped Newton on the unit-horizon endpoint residual, from one seed (q, beta).
+def _newton(rho, sigma_abs, ln_q, ln_b):
+    """Damped Newton on the unit-horizon endpoint residual in (ln q, ln beta), from one seed.
 
     Each trial point costs one ``_endpoint_jacobian`` call, which also gives
     the Jacobian of the next step.  A step is tried at 1, 1/2, ..., 1/32 of
-    its length until the residual shrinks, measured with its range part
-    relative to rho, the same measure as the convergence test.
-    Returns (q, beta, residual), or None when the seed does not converge
-    within NEWTON_MAX_ITER steps or meets a singular Jacobian.
+    its length until the residual shrinks (its range part relative to rho,
+    as in the convergence test) at a point of normal doubles with beta <= pi.
+    Returns (ln q, ln beta, residual), or None when the seed does not
+    converge within NEWTON_MAX_ITER steps or meets a singular Jacobian.
     """
 
-    def trial(q, b):
-        r, s, jac = _endpoint_jacobian(q, b)
+    def trial(ln_q, ln_b):
+        r, s, jac = _endpoint_jacobian(ln_q, ln_b)
         f = np.array([r - rho, s - sigma_abs])
-        return q, b, f, float(np.hypot(f[0] / rho, f[1])), jac
+        return ln_q, ln_b, f, float(np.hypot(f[0] / rho, f[1])), jac
 
     def converged(f):
         return abs(f[0]) <= NEWTON_TOL * rho and abs(f[1]) <= NEWTON_TOL
 
-    q, b, f, size, jac = trial(q, beta)
+    ln_q, ln_b, f, size, jac = trial(ln_q, ln_b)
     for _ in range(NEWTON_MAX_ITER):
         if converged(f):
-            return q, b, f
+            return ln_q, ln_b, f
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
             return None
         for lam in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-            point = trial(max(q + lam * step[0], 1e-12), min(max(b + lam * step[1], 1e-9), math.pi))
-            if point[3] < size:
+            ln_q1, ln_b1 = ln_q + lam * step[0], min(ln_b + lam * step[1], math.log(math.pi))
+            if max(abs(ln_q1), abs(ln_b1)) < LN_NORMAL and (point := trial(ln_q1, ln_b1))[3] < size:
                 break
         else:
             return None
-        q, b, f, size, jac = point
-    return (q, b, f) if converged(f) else None
+        ln_q, ln_b, f, size, jac = point
+    return (ln_q, ln_b, f) if converged(f) else None
 
 
 def _admissible(q, beta) -> bool:
@@ -365,7 +364,8 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
 
     rho, sigma_abs = r_norm / t_go, abs(query.sigma)
     found = []  # (q, beta, residual, admissible) of each root reached, in seed order
-    for q, b, f in filter(None, (_newton(rho, sigma_abs, *seed) for seed in _seeds(rho, sigma_abs))):
+    for ln_q, ln_b, f in filter(None, (_newton(rho, sigma_abs, *seed) for seed in _seeds(rho, sigma_abs))):
+        q, b = math.exp(ln_q), math.exp(ln_b)
         found.append((q, b, f, _admissible(q, b)))
         if found[-1][3]:
             break

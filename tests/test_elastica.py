@@ -205,7 +205,8 @@ def test_endpoint_matches_rk4(log_alpha, beta, frac):
 
 
 def test_endpoint_near_separatrix_regression():
-    # The oracle salvo's interceptor 2 drives Newton to the beta clamp.  There
+    # Newton met this extremal on the oracle salvo's interceptor 2, when it
+    # still clamped beta to 1e-9.  There, as for every beta below about 2e-8,
     # cos(beta/2) is exactly 1.0, so any form that builds the complementary
     # modulus as sqrt(1 - k**2) divides by zero.
     alpha, beta, t = 0.0011118674459065887, 1e-9, 100.0
