@@ -152,13 +152,32 @@ def cartesian_to_polar(state: CartesianState) -> PolarState:
     r = math.hypot(state.x, state.y)
     if r == 0.0:
         raise ValueError("look angle undefined at target")
-    return PolarState(r, _look_angle(state.x, state.y, state.theta))
+    return PolarState(r, _bind_look_angle()(state.x, state.y, state.theta))
 
 
-def _look_angle(x: float, y: float, theta: float) -> float:
-    """``cartesian_to_polar``'s look angle on floats, unchecked."""
-    # numpy's arctan2, as in look_angles: math.atan2 may differ in the last bit, which an unwrapped heading magnifies
-    return wrap_angle(math.pi + float(np.arctan2(y, x)) - theta)
+def _bind_look_angle():
+    """``cartesian_to_polar``'s look angle bound once: ``f(x, y, theta) -> sigma`` on floats, unchecked.
+
+    numpy's arctan2 runs on one-element arrays that the binding allocates,
+    the loop it runs on two floats without their 0-d arrays and numpy
+    scalar, so a bound look angle serves one caller at a time.
+    """
+    # numpy's arctan2, as in look_angles, never math.atan2.  numpy may dispatch it
+    # to SIMD kernels: on a 2-core Intel Xeon whose numpy 2.4 lists AVX512_SKX to
+    # AVX512_SPR in __cpu_features__, 15,397 of 200,000 uniform draws (x, y in
+    # [-1e4, 1e4]) differ from math.atan2 in the last bit, which an unwrapped
+    # heading magnifies, while numpy's 0-d, one-element and long-array results
+    # agree on all of them.  So an engagement's bits may differ between hosts: a
+    # bit test compares with a reference computed in the same process, never a pinned digest.
+    ys, xs, atan = np.empty(1), np.empty(1), np.empty(1)
+    arctan2 = np.arctan2
+
+    def look_angle(x: float, y: float, theta: float) -> float:
+        ys[0], xs[0] = y, x
+        arctan2(ys, xs, out=atan)
+        return wrap_angle(math.pi + atan.item() - theta)
+
+    return look_angle
 
 
 def look_angles(x, y, theta) -> np.ndarray:

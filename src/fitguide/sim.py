@@ -20,6 +20,7 @@ the flown state has drifted off it is re-solved and flown again from.
 query afresh.  While the range is too short to measure the look angle (two
 steps' flight), the network and PN laws hold their last command, and the
 oracle leaves a re-solve node out of its warm check; its plan flies on.
+``SimResult.held_steps`` counts the network's and PN's held steps.
 ``solve_ocp`` is the oracle's first plan on the same clock, its state read
 off the extremal instead of flown.
 
@@ -42,7 +43,7 @@ from .datagen import write_csv
 from .extremals import command, evaluate
 from .guidance import GuidanceError, GuidanceQuery, OracleSolution, bind_law, command_oracle, warm_check
 from .guidance import command_nn, pn_command  # not called here: the benchmark tracer looks them up in sim
-from .kinematics import CartesianState, _arc, _look_angle, _wrap_angles, cartesian_to_polar, fly_arcs, look_angles
+from .kinematics import CartesianState, _arc, _bind_look_angle, _wrap_angles, cartesian_to_polar, fly_arcs, look_angles
 from .kinematics import step_cartesian  # not called here: the benchmark tracer and the tests look it up in sim
 
 __all__ = [
@@ -106,6 +107,8 @@ class SimResult:
     # step it commanded; a node whose warm check passes, or whose re-solve fails, keeps the plan and its age
     plan_age_max: float = 0.0
     oracle: OracleSolution | None = None  # the oracle plan that flew the last step; None for the network and PN
+    # network and PN steps that held the last command, the range being under two steps' flight; 0 for the oracle
+    held_steps: int = 0
 
 
 def _refine_miss(t_nodes, r_nodes, dt):
@@ -231,34 +234,36 @@ def _fly_steps(scenario: Scenario, model):
     """Node arrays ``(t, x, y, theta, u)`` of a network or PN engagement, one step at a time.
 
     The pose is three floats, flown with ``step_cartesian``'s arc formula (``kinematics._arc``).
-    The law is bound once per engagement through this module's ``bind_law``, and each
-    measured step evaluates it on the floats r, sigma and t_go.
+    The law and the look angle are bound once per engagement, the law through this module's
+    ``bind_law``, and each measured step evaluates the law on the floats r, sigma and t_go.
+    Its counts are the held steps (``SimResult.held_steps``).
     """
     law, speed, dt, t_f = scenario.guidance, scenario.speed, scenario.dt, scenario.t_f
     nodes = _node_times(max(4.0 * t_f, 60.0) if law == "pn" else t_f, dt)
-    step_law = bind_law(law, model, speed)
+    step_law, look_angle = bind_law(law, model, speed), _bind_look_angle()
     poses = [pose := (scenario.initial.x, scenario.initial.y, scenario.initial.theta)]
     u_hist: list[float] = []
-    u = 0.0
+    u, held = 0.0, 0
     for t, hstep in zip(nodes.tolist(), np.diff(nodes).tolist()):
         x, y, theta = pose
         if (r := math.hypot(x, y)) < speed * dt / 2.0:
             break
-        # else the range is too short to measure the look angle reliably: hold u
         if r >= 2.0 * speed * dt:
             # what GuidanceQuery would check holds here: r >= 2 V dt > 0; sigma is
             # wrap_angle's, in [-pi, pi]; t_go >= r / V is positive and reachable
             # (clamped, as command noise can make the terminal phase marginally
             # infeasible); a non-finite pose raises in the network's input check,
             # as a non-finite u below, or in the final pose check
-            u = step_law(r, _look_angle(x, y, theta), max(t_f - t, r / speed))
+            u = step_law(r, look_angle(x, y, theta), max(t_f - t, r / speed))
             if not math.isfinite(u):
                 raise ValueError("invalid state: non-finite step input")
+        else:  # the range is too short to measure the look angle reliably: hold u
+            held += 1
         u_hist.append(u)
         poses.append(pose := _arc(x, y, theta, u, hstep, speed))
     if not all(map(math.isfinite, pose)):
         raise ValueError("invalid state: non-finite Cartesian component")
-    return (nodes[: len(poses)], *np.array(poses).T, np.array(u_hist)), {}
+    return (nodes[: len(poses)], *np.array(poses).T, np.array(u_hist)), {"held_steps": held}
 
 
 def simulate(scenario: Scenario, model=None) -> SimResult:

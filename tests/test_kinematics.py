@@ -12,7 +12,7 @@ from fitguide import (
     step_cartesian,
     wrap_angle,
 )
-from fitguide.kinematics import fly_arcs, look_angles
+from fitguide.kinematics import _bind_look_angle, fly_arcs, look_angles
 
 
 def _substeps(dt, max_substep):
@@ -282,6 +282,30 @@ def test_look_angles_at_plus_minus_pi():
         assert look_angles([x], [y], [th])[0] == expected
         assert abs(expected) == pytest.approx(math.pi)
     assert look_angles([0.0], [0.0], [1.0])[0] == 0.0
+
+
+# ±0.0 and magnitudes from 1e-300 to 1e300: very small and very large ranges
+wide_coords = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.builds(lambda sign, m, e: sign * m * 10.0**e, st.sampled_from((1.0, -1.0)), st.floats(1.0, 10.0),
+              st.integers(-300, 299)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poses=st.lists(st.tuples(wide_coords, wide_coords, st.floats(-10.0, 10.0)).filter(lambda p: p[:2] != (0.0, 0.0)),
+                      min_size=1, max_size=40))
+# x < 0 on y = ±0.0: the ±pi edge of arctan2 and of the wrap
+@example(poses=[(-1.0, 0.0, math.pi), (-1.0, -0.0, math.pi), (-1.0, 0.0, -math.pi), (-1.0, -0.0, 0.0),
+                (-3e-300, -0.0, 1.0), (-2e299, 0.0, 2.0 * math.pi), (0.0, -5.0, -math.pi / 2)])
+@example(poses=[(-6006.347397116664, 9680.0, -8.0)])
+def test_bound_look_angle_equals_look_angles(poses):
+    # one binding serves every pose: its buffers carry nothing from one call to the next
+    look_angle = _bind_look_angle()
+    got = np.array([look_angle(*p) for p in poses])
+    x, y, th = (np.array(v) for v in zip(*poses))
+    assert got.tobytes() == look_angles(x, y, th).tobytes()
+    assert got.tobytes() == np.array([cartesian_to_polar(CartesianState(*p)).sigma for p in poses]).tobytes()
 
 
 @settings(max_examples=300, deadline=None)

@@ -82,6 +82,22 @@ def test_bound_network_gives_the_same_bits_in_any_order(model, rows):
         assert np.array([f(*x) for x in xs[::-1]]).tobytes() == np.array(want[::-1]).tobytes()
 
 
+def test_bound_network_answers_to_the_bit_after_a_failed_call(model):
+    # a call that raises between good ones leaves nothing in the evaluator's
+    # input and output buffers that a later answer could read
+    bad = [(math.nan, 1.0, 2.0), (1.0, math.inf, 2.0), (1.0, 1.0, -math.inf)]
+    for m in (_INIT_MODEL, model):
+        f = bind(m)
+        xs = [(a * m.t_bar, sigma, c * m.t_bar) for a, sigma, c in ((0.3, 1.1, 0.6), (1.7, 0.2, 0.9), (0.05, 3.0, 0.1))]
+        got = [f(*xs[0])]
+        for x, b in zip(xs[1:] + xs[:1], bad):
+            with pytest.raises(ValueError, match="non-finite network input"):
+                f(*b)
+            got.append(f(*x))
+        want = [float(forward_batch(m, np.array([x]))[0]) for x in xs + xs[:1]]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_forward_accepts_any_three_value_sequence(model):
     x = (1.25, 0.8, 3.0)
     want = forward(model, x)

@@ -436,7 +436,7 @@ def _public_step_flight(sc, model):
     ``command_nn`` or ``pn_command``; each step flies ``step_cartesian``.
     """
     t_end = max(4.0 * sc.t_f, 60.0) if sc.guidance == "pn" else sc.t_f
-    u, state = 0.0, sc.initial
+    u, state, held = 0.0, sc.initial, 0
     ts, states, us = [0.0], [state], []
     # the nodes k dt, and last t_end
     n = max(1, math.ceil(t_end / sc.dt - 1e-9))
@@ -451,6 +451,8 @@ def _public_step_flight(sc, model):
             else:
                 query = GuidanceQuery(polar.r, polar.sigma, max(sc.t_f - ts[-1], polar.r / sc.speed), sc.speed)
                 u = command_nn(model, query)
+        else:
+            held += 1
         t = k * sc.dt if k < n else t_end
         state = step_cartesian(state, u, t - ts[-1], sc.speed)
         ts.append(t)
@@ -461,7 +463,11 @@ def _public_step_flight(sc, model):
     effort = 0.5 * sc.speed**2 * float(np.dot(u_arr * u_arr, np.diff(t_arr)))
     impact_time, miss = _refine_miss(t_arr, np.hypot(x, y), sc.dt)
     return {"t": t_arr, "x": x, "y": y, "theta": theta, "u": u_arr, "effort": effort, "miss": miss,
-            "impact_time": impact_time}
+            "impact_time": impact_time, "held_steps": held}
+
+
+# PN passes within two steps' flight of the target and holds its command there
+PN_HOLDS = Scenario(CartesianState(-15000.0, 15000.0, -math.pi / 2), 300.0, 100.0, guidance="pn", dt=0.03)
 
 
 @pytest.mark.parametrize(
@@ -475,8 +481,7 @@ def _public_step_flight(sc, model):
         pytest.param(Scenario(CartesianState(-22000.0, -10000.0, -11 * math.pi / 18), 350.0, 10.0,
                               guidance="pn", dt=0.07),
                      "gives up", id="pn-gives-up"),
-        pytest.param(Scenario(CartesianState(-15000.0, 15000.0, -math.pi / 2), 300.0, 100.0, guidance="pn", dt=0.03),
-                     "holds", id="pn-holds"),
+        pytest.param(PN_HOLDS, "holds", id="pn-holds"),
     ],
 )
 def test_step_loop_flies_the_public_step_to_the_bit(model, sc, shows):
@@ -495,6 +500,14 @@ def test_step_loop_flies_the_public_step_to_the_bit(model, sc, shows):
         "holds": bool(np.any(res.r[: len(res.u)] < 2.0 * sc.speed * sc.dt)),
     }
     assert features[shows]
+
+
+def test_held_steps_count_the_steps_started_within_two_steps_flight(model):
+    # the public-step loop's count is checked with the other fields above; here
+    # the count is positive, and it counts the steps that start under 2 V dt
+    res = simulate(PN_HOLDS, model=model)
+    assert res.held_steps > 0
+    assert res.held_steps == int(np.count_nonzero(res.r[: len(res.u)] < 2.0 * PN_HOLDS.speed * PN_HOLDS.dt))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
