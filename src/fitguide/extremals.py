@@ -12,15 +12,16 @@ started from (0, 0, 0), where ``alpha >= 0`` is the magnitude and
 ``beta`` the direction of the constant position costate.  Reading off
 
     R     = hypot(X, Y)
-    Sigma = arccos( -(X cos Theta + Y sin Theta) / R )
+    Sigma = atan2(-c, -(X cos Theta + Y sin Theta)),   c = Y cos Theta - X sin Theta
     U     = alpha * (Y cos beta - X sin beta)
 
 yields, at parameter time t, the optimal state (range R, look angle
 Sigma) and command U for a remaining flight time of t.
 
 A trajectory stops being optimal the first time the velocity becomes
-collinear with the line of sight (folded look angle touching 0 or pi),
-where the cross product ``c = Y cos Theta - X sin Theta`` changes sign.
+collinear with the line of sight, where the cross product c changes sign:
+for beta > 0, c < 0 and Sigma > 0 from departure until then, and the
+mirror beta -> -beta negates Sigma, the sign ``kinematics`` gives it.
 
 The conserved Hamiltonian along any such trajectory is
 ``alpha*cos(Theta - beta) + U**2/2`` and equals ``alpha*cos(beta)``.
@@ -262,16 +263,18 @@ def effort(alpha, beta, t):
 
 
 def range_look_angle(X, Y, Theta):
-    """Range R and folded look angle Sigma in [0, pi] of states (X, Y, Theta).
+    """Range R and signed look angle Sigma in [-pi, pi] of states (X, Y, Theta).
 
-    Sigma is atan2 of the cross and dot products of line of sight and
-    heading, which keeps it accurate near 0 and pi where arccos of the dot
-    product does not.  Sigma is 0 at the origin.
+    Sigma is atan2 of the negated cross product and the dot product of line
+    of sight and heading, which keeps it accurate near 0 and pi where arccos
+    of the dot product does not.  It is positive on an extremal with
+    beta > 0 until its first collinearity, and the mirror beta -> -beta
+    negates it exactly.  It is undefined at the origin.
     """
     cos_t, sin_t = np.cos(Theta), np.sin(Theta)
     cross = Y * cos_t - X * sin_t
     dot = -(X * cos_t + Y * sin_t)
-    return np.hypot(X, Y), np.arctan2(np.abs(cross), dot)
+    return np.hypot(X, Y), np.arctan2(-cross, dot)
 
 
 # Scan of the first collinearity: 64 phases per bracket, _LEVELS rescans.

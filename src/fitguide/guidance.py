@@ -45,10 +45,11 @@ reached is reported in ``OracleSolution.roots`` with its effort and
 whether it is admissible.
 
 A closed loop keeps flying a solved extremal while its state stays on it:
-``warm_check`` tests many states against one solution in one call, on the
-extremal's side and within ``WARM_TOL``.  ``command_oracle`` keeps no
-state: every call seeds its query from the table, which depends on rho
-and |sigma| alone, so its answer depends on the query alone.
+``warm_check`` tests many states against one solution in one call, within
+``WARM_TOL`` of the extremal's range and signed look angle.
+``command_oracle`` keeps no state: every call seeds its query from the
+table, which depends on rho and |sigma| alone, so its answer depends on
+the query alone.
 """
 
 from __future__ import annotations
@@ -208,8 +209,7 @@ def pn_command(state: PolarState, speed: float) -> float:
 def _root_table():
     """The committed root table, read on first use: a read-only array of (ln q, ln beta) rows.
 
-    Node (i, j) is row i * len(ROOT_TABLE_SIGMA) + j; nan marks a node that
-    the table's build leaves unsolved.
+    Node (i, j) is row i * len(ROOT_TABLE_SIGMA) + j.
     """
     table = np.loadtxt(ROOT_TABLE)
     table.flags.writeable = False
@@ -238,16 +238,14 @@ def _seeds(rho, sigma_abs):
     """Newton's seeds for a scale-free query, from the root table alone.
 
     First the bilinear interpolation in (ln q, ln beta) of the query's cell,
-    unless a corner is unsolved; then the table's nearest solved nodes.
+    then the table's nearest nodes.
     """
     table = _root_table()
     (i, fx), (j, fy) = _grid_cell(ROOT_TABLE_RHO, rho), _grid_cell(ROOT_TABLE_SIGMA, sigma_abs)
     n = len(ROOT_TABLE_SIGMA)
     k = i * n + j
-    ln_q, ln_b = ((1.0 - fx) * ((1.0 - fy) * table.item(k, m) + fy * table.item(k + 1, m))
-                  + fx * ((1.0 - fy) * table.item(k + n, m) + fy * table.item(k + n + 1, m)) for m in (0, 1))
-    if not math.isnan(ln_q + ln_b):  # an unsolved corner spreads
-        yield ln_q, ln_b
+    yield tuple((1.0 - fx) * ((1.0 - fy) * table.item(k, m) + fy * table.item(k + 1, m))
+                + fx * ((1.0 - fy) * table.item(k + n, m) + fy * table.item(k + n + 1, m)) for m in (0, 1))
     for node in _nearest_nodes(table, i + fx, j + fy):
         yield table.item(node, 0), table.item(node, 1)
 
@@ -260,31 +258,31 @@ def _endpoint_jacobian(ln_q, ln_b):
     column is exact: the family is scale-invariant, R1 = R(beta, sqrt(q)) /
     sqrt(q) and Sigma1 = Sigma(beta, sqrt(q)) of the unit-alpha extremal, so
     dR1/d ln q = (cos Sigma - R1) / 2 and dSigma1/d ln q = Sigma' / 2, where
-    Sigma' = -sgn(c) U - sin(Sigma) / R1 is the look angle's rate along the
-    extremal and c the cross product of line of sight and heading.
+    Sigma' = U - sin(Sigma) / R1 is the signed look angle's rate along the
+    extremal.  The difference in Sigma1 wraps at +-pi.
     """
     X, Y, Theta, U = evaluate(math.exp(ln_q), np.exp([ln_b, ln_b + LN_BETA_STEP]), 1.0)
     (r, r_b), (s, s_b) = range_look_angle(X, Y, Theta)
-    turn = math.copysign(1.0, Y[0] * math.cos(Theta[0]) - X[0] * math.sin(Theta[0]))  # sgn(c)
-    rate = -turn * U[0] - math.sin(s) / r  # Sigma'
+    rate = U[0] - math.sin(s) / r  # Sigma'
     return r, s, np.array([[(math.cos(s) - r) / 2.0, (r_b - r) / LN_BETA_STEP],
-                           [rate / 2.0, (s_b - s) / LN_BETA_STEP]])
+                           [rate / 2.0, math.remainder(s_b - s, math.tau) / LN_BETA_STEP]])
 
 
 def _newton(rho, sigma_abs, ln_q, ln_b):
     """Damped Newton on the unit-horizon endpoint residual in (ln q, ln beta), from one seed.
 
     Each trial point costs one ``_endpoint_jacobian`` call, which also gives
-    the Jacobian of the next step.  A step is tried at 1, 1/2, ..., 1/32 of
-    its length until the residual shrinks (its range part relative to rho,
-    as in the convergence test) at a point of normal doubles with beta <= pi.
+    the Jacobian of the next step; the look angle's residual wraps at +-pi.
+    A step is tried at 1, 1/2, ..., 1/32 of its length until the residual
+    shrinks (its range part relative to rho, as in the convergence test) at
+    a point of normal doubles with beta <= pi.
     Returns (ln q, ln beta, residual), or None when the seed does not
     converge within NEWTON_MAX_ITER steps or meets a singular Jacobian.
     """
 
     def trial(ln_q, ln_b):
         r, s, jac = _endpoint_jacobian(ln_q, ln_b)
-        f = np.array([r - rho, s - sigma_abs])
+        f = np.array([r - rho, math.remainder(s - sigma_abs, math.tau)])
         return ln_q, ln_b, f, float(np.hypot(f[0] / rho, f[1])), jac
 
     def converged(f):
@@ -326,19 +324,16 @@ def warm_check(solution: OracleSolution, r_norm, sigma, t_go):
     """Whether the solved extremal still passes through each queried state.
 
     The queries (normalized range, signed look angle, time-to-go) broadcast.
-    Returns (hit, (dR, dSigma), U) of the signed extremal, dSigma against the
-    folded look angle: a hit lies on the extremal's side (sigma and beta not
-    of opposite signs) and within WARM_TOL of it.  The straight line takes
-    either side, as a straight flight's look angle rounds to about +-1e-15.
-    Past the solved time-to-go it is evaluated at NaN times: dR and dSigma
-    are NaN, and nothing hits.
+    Returns (hit, (dR, dSigma), U) of the signed extremal: a hit lies within
+    WARM_TOL of it in range and in signed look angle, unwrapped, so a state
+    across the +-pi seam from its plan misses.  Past the solved time-to-go
+    it is evaluated at NaN times: dR and dSigma are NaN, and nothing hits.
     """
     p = solution.params
     X, Y, Theta, U = evaluate(p.alpha, p.beta, np.where(solution.normalized_t_go >= t_go, t_go, np.nan))
     r_end, s_end = range_look_angle(X, Y, Theta)
-    f = (r_end - r_norm, s_end - np.abs(sigma))
-    hit = (np.abs(f[0]) <= WARM_TOL * (1.0 + r_norm)) & (np.abs(f[1]) <= WARM_TOL)
-    return hit & (sigma * p.beta >= 0.0), f, U
+    f = (r_end - r_norm, s_end - sigma)
+    return (np.abs(f[0]) <= WARM_TOL * (1.0 + r_norm)) & (np.abs(f[1]) <= WARM_TOL), f, U
 
 
 def command_oracle(query: GuidanceQuery) -> OracleSolution:

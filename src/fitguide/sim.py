@@ -210,8 +210,7 @@ def _fly_oracle(scenario: Scenario):
         n = int(near[0]) if len(near) else last - k
         # test the plan at all the re-solve nodes on the way at once, but those
         # within two steps' flight, whose look angle is unreliable; the first
-        # that drifts off the plan, or whose look angle changes side, ends the
-        # flight and re-solves
+        # that drifts off the plan ends the flight and re-solves
         d = np.array([j - k for j in due if k < j < k + n and rr[j - k] >= 2.0 * speed * dt])
         cut = len(d)
         if len(d):

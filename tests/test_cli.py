@@ -1,10 +1,13 @@
+import inspect
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fitguide import read_dataset, save_model, write_dataset
+import fitguide.cli as cli
+from fitguide import CartesianState, DatagenConfig, Scenario, TrainConfig, read_dataset, save_model, solve_ocp, write_dataset
 from fitguide.cli import main
 
 
@@ -116,6 +119,33 @@ def test_simulate_from_config(tmp_path, capsys, model):
     assert code == 0
     assert "simulate[nn]" in capsys.readouterr().out
     assert out.exists()
+
+
+def test_cli_defaults_are_the_configs_defaults(monkeypatch, capsys):
+    # gen-data and train with no optional flag build the default configs,
+    # solve steps at solve_ocp's dt, and a scenario file without guidance or
+    # dt builds the default Scenario
+    built = {}
+
+    def capture(name, result):
+        def called(*args):
+            built[name] = args[-1]  # the config, the last argument
+            return result
+        return called
+
+    report = SimpleNamespace(epochs_run=0, final_train_mse=0.0, final_val_mse=0.0)
+    monkeypatch.setattr(cli, "generate_dataset", capture("gen-data", np.empty((0, 4))))
+    monkeypatch.setattr(cli, "write_dataset", lambda data, path: None)
+    monkeypatch.setattr(cli, "read_dataset", lambda path: np.empty((0, 4)))
+    monkeypatch.setattr(cli, "train", capture("train", (None, report)))
+    monkeypatch.setattr(cli, "save_model", lambda model, path: None)
+    assert main(["gen-data", "--out", "unused.csv"]) == 0
+    assert main(["train", "--data", "unused.csv", "--out", "unused.txt"]) == 0
+    assert built == {"gen-data": DatagenConfig(), "train": TrainConfig()}
+    args = cli.build_parser().parse_args(["solve", "--x0", "0", "--y0", "0", "--theta0", "0", "--speed", "1", "--tf", "1"])
+    assert args.dt == inspect.signature(solve_ocp).parameters["dt"].default
+    cfg = {"x0": -5000.0, "y0": 0.0, "theta0": 1.0, "speed": 500.0, "t_f": 20.0}
+    assert cli._scenario_from_dict(cfg) == Scenario(CartesianState(-5000.0, 0.0, 1.0), 500.0, 20.0)
 
 
 def test_simulate_rejects_unknown_keys(tmp_path, capsys):

@@ -138,7 +138,7 @@ def rk4_reference(alpha, beta, t, dtau=0.004):
 
     Integrates in the time tau = sqrt(alpha) * t, where the system has unit
     costate magnitude, and scales lengths back by 1/sqrt(alpha).  Returns
-    (R sin Sigma, R cos Sigma) with Sigma the folded look angle.
+    (R sin Sigma, R cos Sigma) with Sigma the signed look angle.
     """
     s = math.sqrt(alpha)
     tau = s * t
@@ -160,7 +160,7 @@ def rk4_reference(alpha, beta, t, dtau=0.004):
         th += h / 6.0 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
     cross = y * math.cos(th) - x * math.sin(th)
     dot = -(x * math.cos(th) + y * math.sin(th))
-    return abs(cross) / s, dot / s
+    return -cross / s, dot / s
 
 
 def polar_to_products(r, sigma):
@@ -168,7 +168,7 @@ def polar_to_products(r, sigma):
 
 
 def _endpoint(alpha, beta, t_go):
-    """(R, Sigma) of the parameterized system at t_go, in closed form; even in beta."""
+    """(R, Sigma) of the parameterized system at t_go, in closed form; Sigma is odd in beta."""
     X, Y, Theta, _ = evaluate(alpha, beta, t_go)
     return range_look_angle(X, Y, Theta)
 
@@ -187,7 +187,7 @@ def test_endpoint_matches_rk4(log_alpha, beta, frac):
     t = frac * 3.0 * quarter / s
     r, sigma = _endpoint(alpha, beta, t)
     # the path has unit speed, so it cannot end farther than t from the origin
-    assert 0.0 <= sigma <= math.pi
+    assert -math.pi <= sigma <= math.pi
     assert r <= t * (1.0 + 1e-12)
     got = polar_to_products(r, sigma)
     want = rk4_reference(alpha, beta, t)
@@ -220,9 +220,10 @@ def test_endpoint_near_separatrix_regression():
     assert got[1] == pytest.approx(want[1], rel=1e-12)
 
 
-# (alpha, beta, t, R, Sigma) near the separatrix, where the RK4 reference
+# (alpha, beta, t, R, |Sigma|) near the separatrix, where the RK4 reference
 # above cannot follow the extremal: a 30-digit Taylor integration of the
-# parameterized system (mpmath.odefun), rounded to 17 digits.
+# parameterized system (mpmath.odefun), rounded to 17 digits.  Each t lies
+# past the extremal's first collinearity, where Sigma < 0.
 SEPARATRIX_POINTS = [
     (1.0, 3.789807346431179e-09, 63.4513315884365, 58.954884433458092, 1.4402352496321978),
     (2.5e-05, 1e-09, 9121.082951450495, 8321.0829514504949, 1.0000000000000005e-09),
@@ -235,17 +236,24 @@ SEPARATRIX_POINTS = [
 def test_endpoint_near_separatrix_matches_high_precision(alpha, beta, t, r_ref, sigma_ref):
     r, sigma = _endpoint(alpha, beta, t)
     assert r == pytest.approx(r_ref, rel=1e-13)
-    assert sigma == pytest.approx(sigma_ref, rel=1e-6, abs=1e-12)
+    assert abs(sigma) == pytest.approx(sigma_ref, rel=1e-6, abs=1e-12)
 
 
 def test_endpoint_symmetries():
     r, sigma = _endpoint(0.02, 1.3, 17.0)
-    assert _endpoint(0.02, -1.3, 17.0) == (r, sigma)  # mirrored extremal
+    assert _endpoint(0.02, -1.3, 17.0) == (r, -sigma)  # mirrored extremal
     # scale invariance: alpha -> alpha / lam**2, t -> lam * t scales R by lam
     r2, sigma2 = _endpoint(0.02 / 4.0, 1.3, 34.0)
     assert r2 == pytest.approx(2.0 * r, rel=1e-13)
     assert sigma2 == pytest.approx(sigma, abs=1e-13)
     assert _endpoint(0.5, 0.0, 3.0) == (3.0, 0.0)  # costate along the path: straight line
+    # the mirror negates Sigma exactly, before and past the first collinearity
+    rng = np.random.default_rng(5)
+    alpha = np.exp(rng.uniform(math.log(1e-6), math.log(1e2), 50_000))
+    beta = np.concatenate([rng.uniform(1e-9, math.pi, 25_000), np.exp(rng.uniform(math.log(1e-300), 0.0, 25_000))])
+    t = rng.uniform(0.0, 3.0, 50_000) * ellipk(np.cos(0.5 * beta), np.sin(0.5 * beta)) / np.sqrt(alpha)
+    (r, sigma), (r_mirror, sigma_mirror) = _endpoint(alpha, beta, t), _endpoint(alpha, -beta, t)
+    assert np.array_equal(r_mirror, r) and np.array_equal(sigma_mirror, -sigma)
 
 
 alphas = st.floats(math.log(1e-6), math.log(1e2)).map(math.exp)

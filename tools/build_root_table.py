@@ -5,8 +5,9 @@ Node (rho, |sigma|) of the grid (``guidance.ROOT_TABLE_RHO`` by
 time-to-go as "ln q  ln beta", the coordinates ``guidance._newton`` steps
 in and returns, solved by continuation: the ANCHOR node from ANCHOR_SEEDS,
 then each other node, nearest the anchor first, from its solved neighbours
-(``continued``) up to the first admissible root.  "nan nan" marks a node
-that no seed solves.  The build takes about 16 s on an AMD EPYC core;
+(``continued``) up to the first admissible root.  "nan nan" would mark a
+node that no seed solves; the committed table has none.  The build takes
+about 8 s on a 2-core Intel Xeon;
 ``FITGUIDE_EXACT_TABLE=1 python -m pytest tests -k root_table`` compares a
 rebuild with the committed file byte for byte.
 """
@@ -26,7 +27,7 @@ from fitguide import guidance  # noqa: E402
 HEADER = """\
 # fitguide oracle root table: the admissible root (ln q, ln beta) at unit time-to-go, q = alpha * t_go**2
 # grid: guidance.ROOT_TABLE_RHO by guidance.ROOT_TABLE_SIGMA, one node a line, rho-major
-# nan marks a node that continuation from its solved neighbours leaves unsolved; rebuild with: python tools/build_root_table.py
+# each node is solved by continuation from its solved neighbours, and one left unsolved would read nan nan; rebuild with: python tools/build_root_table.py
 """
 ANCHOR, ANCHOR_SEEDS = (17, 24), ((0.0, -0.7), (1.4, 0.0), (2.3, 0.7), (3.4, -2.3))  # rho 0.466, |sigma| pi/2, seeds in (ln q, ln beta)
 RHO, SIGMA = guidance.ROOT_TABLE_RHO, guidance.ROOT_TABLE_SIGMA
