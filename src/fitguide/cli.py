@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--target-mse", type=float, default=fit.target_mse)
     t.add_argument("--epochs", type=int, default=fit.max_epochs)
     t.add_argument("--batch", type=int, default=fit.batch_size,
-                   help="rows per batch; above 1024 the model's bits depend on OPENBLAS_NUM_THREADS")
+                   help="rows per batch")
     t.add_argument("--lr", type=float, default=fit.learning_rate)
     t.add_argument("--val-fraction", type=float, default=fit.validation_fraction)
     t.add_argument("--seed", type=int, default=fit.seed)

@@ -28,19 +28,22 @@ by the mirror rule.
 
 Every extremal is an inflectional Euler elastica, and the oracle uses
 its closed form throughout: Newton's endpoint, the exact collinearity
-check of each root, each root's effort (``extremals.effort``) and the
-command at the time-to-go.  A solve returns the winning extremal's
-parameters, signed as ``evaluate`` takes them, and samples nothing: a
-negative look angle mirrors the extremal (beta < 0), and the straight line
-is (1, 0).  ``sim.solve_ocp`` and ``sim.simulate`` read the optimal path
-off the same closed form instead of integrating it.
+check of each root, each root's effort and the command at the
+time-to-go.  Newton's endpoints, the efforts and the command are
+evaluated on Python floats (``extremals._float_endpoints``,
+``_float_effort`` and ``_float_command``), equal to the bit to
+``evaluate``, ``effort`` and ``command`` on arrays.  A solve returns the
+winning extremal's parameters, signed as ``evaluate`` takes them, and
+samples nothing: a negative look angle mirrors the extremal (beta < 0),
+and the straight line is (1, 0).  ``sim.solve_ocp`` and ``sim.simulate``
+read the optimal path off the same closed form instead of integrating it.
 Newton seeds from the committed table of admissible roots (ln q, ln beta)
 at unit time-to-go over the whole scale-free (rho, |sigma|) square
 (``ROOT_TABLE``, read on first use; ``tools/build_root_table.py`` rebuilds
 it by continuation): first the query's cell, interpolated bilinearly, then
 the nearest solved nodes.  Each seed runs its own damped Newton in those
 coordinates, whose reach is every beta that a normal double holds, one
-``evaluate`` call per trial point, until a root is admissible; every root
+endpoint evaluation per trial point, until a root is admissible; every root
 reached is reported in ``OracleSolution.roots`` with its effort and
 whether it is admissible.
 
@@ -66,8 +69,9 @@ from . import mlp
 from .extremals import (
     AdjointParams,
     _collinear_brackets,
-    command,
-    effort,
+    _float_command,
+    _float_effort,
+    _float_endpoints,
     evaluate,
     propagate_param,  # not called here; benchmarks/metrics.py traces it under this name
     range_look_angle,
@@ -253,17 +257,19 @@ def _seeds(rho, sigma_abs):
 def _endpoint_jacobian(ln_q, ln_b):
     """R1 and Sigma1 of the extremal (q, beta) at unit time, and their Jacobian in (ln q, ln beta).
 
-    One ``evaluate`` call of the extremal and its step of LN_BETA_STEP in
-    ln beta gives the ln beta column as a forward difference.  The ln q
-    column is exact: the family is scale-invariant, R1 = R(beta, sqrt(q)) /
-    sqrt(q) and Sigma1 = Sigma(beta, sqrt(q)) of the unit-alpha extremal, so
+    One evaluation of the extremal and its step of LN_BETA_STEP in ln beta,
+    on floats (``extremals._float_endpoints``: ``evaluate`` and
+    ``range_look_angle`` of the pair, to the bit), gives the ln beta column
+    as a forward difference.  The ln q column is exact: the family is
+    scale-invariant, R1 = R(beta, sqrt(q)) / sqrt(q) and
+    Sigma1 = Sigma(beta, sqrt(q)) of the unit-alpha extremal, so
     dR1/d ln q = (cos Sigma - R1) / 2 and dSigma1/d ln q = Sigma' / 2, where
     Sigma' = U - sin(Sigma) / R1 is the signed look angle's rate along the
     extremal.  The difference in Sigma1 wraps at +-pi.
     """
-    X, Y, Theta, U = evaluate(math.exp(ln_q), np.exp([ln_b, ln_b + LN_BETA_STEP]), 1.0)
-    (r, r_b), (s, s_b) = range_look_angle(X, Y, Theta)
-    rate = U[0] - math.sin(s) / r  # Sigma'
+    betas = [float(np.exp(ln_b)), float(np.exp(ln_b + LN_BETA_STEP))]  # numpy's exp, as the array formula takes it
+    (r, s, u), (r_b, s_b, _) = _float_endpoints(math.exp(ln_q), betas, 1.0)
+    rate = u - math.sin(s) / r  # Sigma'
     return r, s, np.array([[(math.cos(s) - r) / 2.0, (r_b - r) / LN_BETA_STEP],
                            [rate / 2.0, math.remainder(s_b - s, math.tau) / LN_BETA_STEP]])
 
@@ -282,7 +288,7 @@ def _newton(rho, sigma_abs, ln_q, ln_b):
 
     def trial(ln_q, ln_b):
         r, s, jac = _endpoint_jacobian(ln_q, ln_b)
-        f = np.array([r - rho, math.remainder(s - sigma_abs, math.tau)])
+        f = r - rho, math.remainder(s - sigma_abs, math.tau)
         return ln_q, ln_b, f, float(np.hypot(f[0] / rho, f[1])), jac
 
     def converged(f):
@@ -293,11 +299,11 @@ def _newton(rho, sigma_abs, ln_q, ln_b):
         if converged(f):
             return ln_q, ln_b, f
         try:
-            step = np.linalg.solve(jac, -f)
+            dq, db = np.linalg.solve(jac, [-f[0], -f[1]]).tolist()
         except np.linalg.LinAlgError:
             return None
         for lam in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-            ln_q1, ln_b1 = ln_q + lam * step[0], min(ln_b + lam * step[1], math.log(math.pi))
+            ln_q1, ln_b1 = ln_q + lam * dq, min(ln_b + lam * db, math.log(math.pi))
             if max(abs(ln_q1), abs(ln_b1)) < LN_NORMAL and (point := trial(ln_q1, ln_b1))[3] < size:
                 break
         else:
@@ -367,15 +373,14 @@ def command_oracle(query: GuidanceQuery) -> OracleSolution:
     else:
         raise GuidanceError(f"no admissible extremal found: Newton reached {len(found)} root(s), none collinearity-free")
 
-    efforts = effort([q for q, *_ in found], [b for _, b, *_ in found], 1.0) / t_go
     side = -1.0 if query.sigma < 0.0 else 1.0  # a negative look angle mirrors the extremal
-    roots = tuple((float(q) / (t_go * t_go), side * float(b), float(j), ok) for (q, b, _, ok), j in zip(found, efforts))
+    roots = tuple((q / (t_go * t_go), side * b, float(_float_effort(q, b, 1.0) / t_go), ok) for q, b, _, ok in found)
     a, b, j, _ = roots[-1]
     return OracleSolution(
         params=AdjointParams(a, b),
         residual=(float(f[0]) * t_go, float(f[1])),
         normalized_t_go=t_go,
-        command=float(command(a, b, t_go)),
+        command=_float_command(a, b, t_go),
         effort=j,
         roots=roots,
     )

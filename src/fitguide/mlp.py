@@ -104,9 +104,10 @@ class CommandModel:
 class TrainConfig:
     """Training settings.
 
-    A model's bits depend on the BLAS thread count once ``batch_size``
-    exceeds 1,024 rows: the weight-gradient products sum over the batch,
-    and OpenBLAS splits longer sums across its threads.  At the default 1,024 they do not.
+    A model's bits do not depend on the BLAS thread count at any
+    ``batch_size``: the weight gradients sum over blocks of at most
+    1,024 rows (``GRADIENT_BLOCK``), which OpenBLAS does not split across
+    its threads.  A batch of 1,024 rows or fewer is one block.
     """
 
     target_mse: float = 1e-4        # on standardized outputs, training set
@@ -247,6 +248,20 @@ class Workspace:
         self.wt = [np.empty((n_out, n_in)) for n_in, n_out in zip(sizes[1:-2], sizes[2:-1])]
 
 
+# A weight gradient sums over the batch's rows.  OpenBLAS splits a product that
+# long across its threads, and the split sets its bits; a product of at most
+# GRADIENT_BLOCK rows comes out alike under 1 and 2 threads, so a longer batch
+# sums such blocks in order.
+GRADIENT_BLOCK = 1024
+
+
+def _weight_gradient(a, delta, out):
+    """a.T @ delta into out, summed over blocks of at most GRADIENT_BLOCK rows."""
+    np.matmul(a[:GRADIENT_BLOCK].T, delta[:GRADIENT_BLOCK], out=out)
+    for s in range(GRADIENT_BLOCK, len(a), GRADIENT_BLOCK):
+        out += a[s : s + GRADIENT_BLOCK].T @ delta[s : s + GRADIENT_BLOCK]
+
+
 def loss_and_gradients(model: CommandModel, X: np.ndarray, Y: np.ndarray, workspace: Workspace | None = None):
     """Mean squared error and its analytic parameter gradients.
 
@@ -271,7 +286,7 @@ def loss_and_gradients(model: CommandModel, X: np.ndarray, Y: np.ndarray, worksp
     delta = diff
     delta *= 2.0
     delta /= n * Y.shape[1]
-    np.matmul(acts[-2].T, delta, out=ws.g_w[-1])
+    _weight_gradient(acts[-2], delta, ws.g_w[-1])
     np.sum(delta, axis=0, out=ws.g_b[-1])
     for layer in range(len(weights) - 2, -1, -1):
         back = ws.deltas[layer][:n]
@@ -291,7 +306,7 @@ def loss_and_gradients(model: CommandModel, X: np.ndarray, Y: np.ndarray, worksp
         np.subtract(1.0, a, out=a)
         back *= a
         delta = back
-        np.matmul(acts[layer].T, delta, out=ws.g_w[layer])
+        _weight_gradient(acts[layer], delta, ws.g_w[layer])
         np.sum(delta, axis=0, out=ws.g_b[layer])
     return loss, ws.g_w, ws.g_b
 

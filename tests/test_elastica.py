@@ -20,6 +20,9 @@ from fitguide.extremals import (
     _collinear_brackets,
     _collinear_phase,
     _descend,
+    _float_command,
+    _float_effort,
+    _float_endpoints,
     command,
     effort,
     ellipk,
@@ -426,3 +429,82 @@ def test_agm_memo_changes_no_result(monkeypatch):
     kept = fitguide.extremals._last_modulus
     evaluate(1.0, [0.3, 0.4], 1.0)
     assert fitguide.extremals._last_modulus is kept
+
+
+# The float kernel's domain in the oracle: ln q over the root table's range
+# (-0.21 to 13.0), beta from 1e-300 up to Newton's clamp at pi and its
+# difference step past it, both signs, and the straight line.
+kernel_ln_q = st.floats(-0.5, 13.5)
+kernel_betas = st.one_of(
+    st.floats(math.log(1e-300), math.log(math.pi) + 1e-6).map(math.exp),
+    st.floats(math.log(1e-300), math.log(math.pi) + 1e-6).map(lambda ln_b: -math.exp(ln_b)),
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, 1e-300, 0.86027439]),
+)
+kernel_times = st.one_of(st.sampled_from([1.0, 0.0]), st.floats(0.01, 60.0))
+
+
+def _arrays_at(alpha, betas, t):
+    """(R, Sigma, U) of each beta from ``evaluate`` and ``range_look_angle`` on one array of betas."""
+    X, Y, Theta, U = evaluate(alpha, np.array(betas), t)
+    R, Sigma = range_look_angle(X, Y, Theta)
+    return [(R[i], Sigma[i], U[i]) for i in range(len(betas))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ln_q=kernel_ln_q, beta=kernel_betas, t=kernel_times)
+@example(ln_q=13.0, beta=1e-300, t=1.0)
+@example(ln_q=-0.21, beta=math.pi, t=1.0)
+@example(ln_q=2.0, beta=0.0, t=1.0)
+def test_float_effort_and_command_equal_the_array_formula_to_the_bit(ln_q, beta, t):
+    # alpha = q / t**2 puts the extremal's phase sqrt(alpha) t at about sqrt(q), as the oracle scales it;
+    # the oracle takes one root's effort and one command, of a one-element and a 0-d modulus
+    alpha = math.exp(ln_q) / (t * t) if t else math.exp(ln_q)
+    assert bits(_float_effort(alpha, beta, t)) == bits(effort(alpha, beta, t)) == bits(effort([alpha], [beta], t)[0])
+    assert bits(_float_command(alpha, beta, t)) == bits(command(alpha, beta, t)) == bits(command([alpha], [beta], t)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ln_q=kernel_ln_q, betas=st.lists(kernel_betas, min_size=1, max_size=3), t=kernel_times)
+@example(ln_q=1.0, betas=[1.0, 1e-300], t=1.0)
+@example(ln_q=5.0, betas=[1e-300, 2.5], t=1.0)
+@example(ln_q=0.3, betas=[math.pi, math.pi * math.exp(1e-6)], t=1.0)
+def test_float_endpoints_equal_the_array_formula_to_the_bit(ln_q, betas, t):
+    got = _float_endpoints(math.exp(ln_q), betas, t)
+    assert [bits(*p) for p in got] == [bits(*p) for p in _arrays_at(math.exp(ln_q), betas, t)]
+
+
+def test_float_endpoints_run_a_pair_that_meets_at_different_rows_as_evaluate_does():
+    # beta = 1e-300 meets after 15 AGM rows, beta = 1 after 7; evaluate runs both to 15,
+    # and those rows move the last bits of X and Y on some draws, so the pair's kernel runs them too
+    alone = [len(_agm(*(np.array([m]) for m in moduli(b)))[0]) for b in (1.0, 1e-300)]
+    assert alone == [7, 15]
+    rng = np.random.default_rng(23)
+    moved = 0
+    for ln_q, beta in zip(rng.uniform(-0.2, 13.0, 200), rng.uniform(0.01, 3.1, 200)):
+        q, beta = math.exp(ln_q), float(beta)
+        for pair in ([beta, 1e-300], [1e-300, beta]):
+            got = _float_endpoints(q, pair, 1.0)
+            assert [bits(*p) for p in got] == [bits(*p) for p in _arrays_at(q, pair, 1.0)]
+        moved += bits(*_float_endpoints(q, [beta], 1.0)[0]) != bits(*got[1])
+    assert moved  # the extra rows do show, so sharing them is not vacuous
+
+
+def test_float_kernels_equal_the_array_formula_on_a_seeded_sweep():
+    # a last-bit slip of one transcendental (math.asin for numpy's arcsin, say) shows in about
+    # 1 draw in 1,000 of effort and command, too rarely for the properties above to catch alone
+    rng = np.random.default_rng(37)
+    n = 5000
+    ln_q = rng.uniform(-0.5, 13.5, n)
+    beta = np.exp(rng.uniform(math.log(1e-300), math.log(math.pi), n)) * rng.choice([-1.0, 1.0], n)
+    t = rng.choice([1.0, 0.5, 7.0], n)
+    slips = []
+    for q, b, t_i in zip(np.exp(ln_q).tolist(), beta.tolist(), t.tolist()):
+        alpha = q / (t_i * t_i)
+        if bits(_float_effort(alpha, b, t_i)) != bits(effort(alpha, b, t_i)):
+            slips.append(("effort", alpha, b, t_i))
+        if bits(_float_command(alpha, b, t_i)) != bits(command(alpha, b, t_i)):
+            slips.append(("command", alpha, b, t_i))
+        pair = [b, b * math.exp(1e-6)]
+        if [bits(*p) for p in _float_endpoints(alpha, pair, t_i)] != [bits(*p) for p in _arrays_at(alpha, pair, t_i)]:
+            slips.append(("endpoints", alpha, b, t_i))
+    assert slips == []

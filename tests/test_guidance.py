@@ -31,6 +31,7 @@ from fitguide import (
 )
 from fitguide.extremals import AdjointParams, _collinear_phase, effort, evaluate, propagate_param, range_look_angle, sweep_cells
 from fitguide.guidance import (
+    LN_BETA_STEP,
     NEWTON_TOL,
     ROOT_TABLE,
     ROOT_TABLE_RHO,
@@ -390,6 +391,29 @@ def _sequential_newton(rho, sigma_abs, ln_q0, ln_b0, tol_r, tol_sigma, max_iter=
         else:
             return None
     return (a, b, f) if converged(f) else None
+
+
+def _array_endpoint_jacobian(ln_q, ln_b):
+    """``_endpoint_jacobian`` on numpy arrays: ``evaluate`` and ``range_look_angle`` of the pair, its reference."""
+    X, Y, Theta, U = evaluate(math.exp(ln_q), np.exp([ln_b, ln_b + LN_BETA_STEP]), 1.0)
+    (r, r_b), (s, s_b) = range_look_angle(X, Y, Theta)
+    rate = U[0] - math.sin(s) / r
+    return r, s, np.array([[(math.cos(s) - r) / 2.0, (r_b - r) / LN_BETA_STEP],
+                           [rate / 2.0, math.remainder(s_b - s, math.tau) / LN_BETA_STEP]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ln_q=st.floats(-0.5, 13.5),  # the root table's ln q runs from -0.21 to 13.0
+    ln_b=st.floats(math.log(1e-300), math.log(math.pi)),  # up to Newton's clamp, where the step's beta passes pi
+)
+@example(ln_q=0.0, ln_b=math.log(math.pi))
+@example(ln_q=13.0, ln_b=math.log(1e-300))
+@example(ln_q=1.0, ln_b=math.log(0.86027439))  # the figure-eight elastica
+def test_endpoint_jacobian_equals_the_array_formula_to_the_bit(ln_q, ln_b):
+    r, s, jac = _endpoint_jacobian(ln_q, ln_b)
+    r_ref, s_ref, jac_ref = _array_endpoint_jacobian(ln_q, ln_b)
+    assert (np.float64(r).tobytes(), np.float64(s).tobytes(), jac.tobytes()) == (r_ref.tobytes(), s_ref.tobytes(), jac_ref.tobytes())
 
 
 @settings(max_examples=200, deadline=None)

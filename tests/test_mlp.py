@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fitguide
+from fitguide import write_dataset
 from fitguide.mlp import (
     CommandModel,
     TrainConfig,
@@ -157,7 +163,11 @@ def _reference_forward(model, X):
 
 
 def _reference_loss_and_gradients(model, X, Y):
-    """Textbook backpropagation on fresh arrays, one product and sum per layer."""
+    """Textbook backpropagation on fresh arrays, one product and sum per layer.
+
+    The weight gradient sums its products over blocks of 1,024 rows in order,
+    as ``train`` defines it, so that no thread count changes its bits.
+    """
     out, acts = _reference_forward(model, X)
     diff = out - Y
     delta = 2.0 * diff / (len(X) * Y.shape[1])
@@ -165,7 +175,9 @@ def _reference_loss_and_gradients(model, X, Y):
     for layer in range(len(model.weights) - 1, -1, -1):
         if layer < len(model.weights) - 1:
             delta = (delta @ model.weights[layer + 1].T) * (1.0 - acts[layer + 1] ** 2)
-        g_w[layer] = acts[layer].T @ delta
+        g_w[layer] = acts[layer][:1024].T @ delta[:1024]
+        for s in range(1024, len(X), 1024):
+            g_w[layer] = g_w[layer] + acts[layer][s : s + 1024].T @ delta[s : s + 1024]
         g_b[layer] = delta.sum(axis=0)
     return float(np.mean(diff ** 2)), g_w, g_b
 
@@ -235,6 +247,27 @@ def test_training_equals_the_reference_to_the_bit(batch_size):
         assert all(_same_bits(g, w) for g, w in zip(getattr(got, name), getattr(want, name)))
     for name in ("input_mean", "input_scale", "output_mean", "output_scale"):
         assert _same_bits(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("batch", ["1024", "4096"])
+def test_trained_model_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, batch):
+    # a batch of 4,096 rows gave other bits under 2 threads than under 1 while its weight
+    # gradients were single products; OpenBLAS reads its thread count at start-up, so each
+    # count trains in its own process
+    n = 12000
+    rng = np.random.default_rng(0)
+    X = np.column_stack([rng.uniform(0, 3, n), rng.uniform(0, math.pi, n), rng.uniform(0.1, 4, n)])
+    write_dataset(np.column_stack([X, np.sin(X[:, 0]) - 0.4 * X[:, 1] * X[:, 2]]), tmp_path / "d.csv")
+    src = str(Path(fitguide.__file__).resolve().parents[1])
+    models = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"model{threads}.txt"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "fitguide.cli", "train", "--data", str(tmp_path / "d.csv"), "--out", str(out),
+                        "--epochs", "2", "--batch", batch, "--seed", "1"], env=env, check=True, capture_output=True, timeout=600)
+        models.append(out.read_bytes())
+    assert models[0] == models[1]
 
 
 def test_trained_models_own_their_parameters(tmp_path):

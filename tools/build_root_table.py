@@ -6,8 +6,8 @@ time-to-go as "ln q  ln beta", the coordinates ``guidance._newton`` steps
 in and returns, solved by continuation: the ANCHOR node from ANCHOR_SEEDS,
 then each other node, nearest the anchor first, from its solved neighbours
 (``continued``) up to the first admissible root.  "nan nan" would mark a
-node that no seed solves; the committed table has none.  The build takes
-about 8 s on a 2-core Intel Xeon;
+node that no seed solves; the committed table has none.  The script prints
+its count of endpoint evaluations and its wall time;
 ``FITGUIDE_EXACT_TABLE=1 python -m pytest tests -k root_table`` compares a
 rebuild with the committed file byte for byte.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,15 @@ def build() -> str:
 
 
 if __name__ == "__main__":
+    jacobian, evaluations = guidance._endpoint_jacobian, []
+
+    def counted(ln_q, ln_b):
+        evaluations.append(None)
+        return jacobian(ln_q, ln_b)
+
+    guidance._endpoint_jacobian = counted  # Newton looks it up per trial point
+    start = time.perf_counter()
     text = build()
+    seconds = time.perf_counter() - start
     guidance.ROOT_TABLE.write_text(text)
-    print(f"wrote {guidance.ROOT_TABLE} ({len(text.encode())} bytes)")
+    print(f"wrote {guidance.ROOT_TABLE} ({len(text.encode())} bytes): {len(evaluations)} endpoint evaluations in {seconds:.1f} s")
