@@ -179,6 +179,29 @@ def _descend(u, a, c):
     return phi, zeta
 
 
+def _amplitude(u, a, c):
+    """``_descend``'s am(u) alone, to the bit, in place on one buffer and the phase's own array.
+
+    The top row is skipped where it cannot move phi: N >= 1, c_N <= 2**-53 a_N
+    for every element and every |phi_N| >= 2.  Then |asin(c_N / a_N sin phi_N)|
+    <= 2**-53 is below half an ulp of phi_N, so phi_N + asin(...) rounds to phi_N,
+    and halving it is exact.  N = 0 (k at rounding level, beta = pi) has no row.
+    """
+    n = len(a) - 1
+    phi = np.asarray(2.0**n * a[-1] * u)
+    if n >= 1 and (c[n] <= 2.0**-53 * a[n]).all() and (np.abs(phi) >= 2.0).all():
+        phi *= 0.5
+        n -= 1
+    s = np.empty_like(phi)
+    for i in range(n, 0, -1):
+        np.sin(phi, out=s)
+        np.multiply(c[i] / a[i], s, out=s)
+        np.arcsin(s, out=s)
+        phi += s
+        phi *= 0.5
+    return phi
+
+
 def ellipk(k, kc):
     """Complete elliptic integral of the first kind K(k) = pi / (2 AGM(1, kc))."""
     a, _, _ = _agm(np.asarray(k, dtype=float), np.asarray(kc, dtype=float))
@@ -188,10 +211,11 @@ def ellipk(k, kc):
 # --- the closed-form extremal ---
 
 
-def _closed_form(alpha, beta, t):
+def _closed_form(alpha, beta, t, zeta=True):
     """The closed form up to U = -2 s k cn(w), w = s*t + K(k), for ``evaluate`` and ``command``.
 
-    Returns (t, |beta|, sign of beta, k, kc, line (kc = 0: U = 0), s, E/K, am(w), Z(w), cn(w), U).
+    Returns (t, |beta|, sign of beta, k, kc, line (kc = 0: U = 0), s, E/K, am(w), Z(w), cn(w), U);
+    with ``zeta`` false, Z(w) is None and am(w) comes from ``_amplitude``.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -201,10 +225,11 @@ def _closed_form(alpha, beta, t):
     line = kc == 0.0
     a, c, e_over_k = _agm(k, np.where(line, 1.0, kc))
     s = np.sqrt(alpha)
-    am, zeta = _descend(s * t + 0.5 * np.pi / a[-1], a, c)
+    w = s * t + 0.5 * np.pi / a[-1]
+    am, z = _descend(w, a, c) if zeta else (_amplitude(w, a, c), None)
     cn = np.cos(am)
     sign = np.copysign(1.0, beta)
-    return t, b, sign, k, kc, line, s, e_over_k, am, zeta, cn, np.where(line, 0.0, -2.0 * sign * s * k * cn)
+    return t, b, sign, k, kc, line, s, e_over_k, am, z, cn, np.where(line, 0.0, -2.0 * sign * s * k * cn)
 
 
 def evaluate(alpha, beta, t):
@@ -231,7 +256,7 @@ def evaluate(alpha, beta, t):
 
 def command(alpha, beta, t):
     """Command U of the extremal (alpha, beta) at time t: ``evaluate(alpha, beta, t)[3]`` to the bit, alone."""
-    return _closed_form(alpha, beta, t)[-1]
+    return _closed_form(alpha, beta, t, zeta=False)[-1]
 
 
 def effort(alpha, beta, t):

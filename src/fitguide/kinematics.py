@@ -52,9 +52,18 @@ def wrap_angle(angle: float) -> float:
 
 
 def _wrap_angles(angle) -> np.ndarray:
-    """``wrap_angle`` of every element of an array."""
-    w = np.fmod(angle + math.pi, 2.0 * math.pi)
-    return np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi
+    """``wrap_angle`` of every element of an array.
+
+    fmod(w, 2 pi) is w itself for w = angle + pi in [0, 2 pi), so fmod runs
+    only on the elements outside that range (NaN among them): the same bits,
+    in under half the time where most headings lie within it.
+    """
+    two_pi = 2.0 * math.pi
+    w = np.add(angle, math.pi, out=np.empty(np.shape(angle)))
+    np.fmod(w, two_pi, out=w, where=~((w >= 0.0) & (w < two_pi)))
+    np.add(w, two_pi, out=w, where=w <= 0.0)
+    w -= math.pi
+    return w
 
 
 @dataclass(frozen=True)

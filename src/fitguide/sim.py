@@ -6,8 +6,10 @@ nodes k dt, each rounded once, and last t_end itself, where t_end is t_f,
 or for PN max(4 t_f, 60 s).  The network and the
 proportional-navigation (gain 3) laws are bound once per engagement
 (``guidance.bind_law``), then measure range and look angle and evaluate
-their command every step on floats, with no query object, on a pose of
-three floats flown with ``step_cartesian``'s one arc formula.  The
+their command every step on floats, with no query object.  Their step loop
+keeps the pose in three float locals and writes the look angle, the exact
+arc and heading wrap of ``step_cartesian`` and the clock out inline, equal
+to the bit to ``cartesian_to_polar`` and ``step_cartesian``.  The
 boundary-value oracle re-solves at nodes set once per engagement (node 0,
 then the first node each second after the last), and its command depends on
 time alone: it is the plan's, the latest solved extremal's, in closed form
@@ -44,7 +46,7 @@ from .datagen import write_csv
 from .extremals import command, evaluate
 from .guidance import GuidanceError, GuidanceQuery, OracleSolution, bind_law, command_oracle, warm_check
 from .guidance import command_nn, pn_command  # not called here: the benchmark tracer looks them up in sim
-from .kinematics import CartesianState, _arc, _bind_look_angle, _wrap_angles, cartesian_to_polar, fly_arcs, look_angles
+from .kinematics import CartesianState, _wrap_angles, cartesian_to_polar, fly_arcs, look_angles
 from .kinematics import step_cartesian  # not called here: the benchmark tracer and the tests look it up in sim
 
 __all__ = [
@@ -234,37 +236,63 @@ def _fly_oracle(scenario: Scenario):
 def _fly_steps(scenario: Scenario, model):
     """Node arrays ``(t, x, y, theta, u)`` of a network or PN engagement, one step at a time.
 
-    The pose is three floats, flown with ``step_cartesian``'s arc formula (``kinematics._arc``).
-    The law and the look angle are bound once per engagement, the law through this module's
-    ``bind_law``, and each measured step evaluates the law on the floats r, sigma and t_go.
-    Its counts are the held steps (``SimResult.held_steps``).
+    The law is bound once per engagement, through this module's ``bind_law``,
+    and each measured step evaluates it on the floats r, sigma and t_go.  The
+    rest of a step is written out on three float locals x, y and theta: the
+    look angle of ``kinematics._bind_look_angle`` (numpy's ``arctan2`` on
+    one-element arrays allocated here), the exact arc of ``kinematics._arc``
+    with ``wrap_angle``'s heading, and ``_node_times``' node k dt, with
+    t_end the last.  Each equals its reference to the bit.  Its counts are the
+    held steps (``SimResult.held_steps``).
     """
     law, speed, dt, t_f = scenario.guidance, scenario.speed, scenario.dt, scenario.t_f
-    nodes = _node_times(max(4.0 * t_f, 60.0) if law == "pn" else t_f, dt)
-    step_law, look_angle = bind_law(law, model, speed), _bind_look_angle()
-    poses = [pose := (scenario.initial.x, scenario.initial.y, scenario.initial.theta)]
-    u_hist: list[float] = []
-    u, held = 0.0, 0
-    for t, hstep in zip(nodes.tolist(), np.diff(nodes).tolist()):
-        x, y, theta = pose
-        if (r := math.hypot(x, y)) < speed * dt / 2.0:
+    t_end = max(4.0 * t_f, 60.0) if law == "pn" else t_f
+    nodes = _node_times(t_end, dt)
+    n = len(nodes) - 1
+    step_law = bind_law(law, model, speed)
+    ys, xs, atan = np.empty(1), np.empty(1), np.empty(1)
+    arctan2, hypot, sin, cos, fmod, isfinite = np.arctan2, math.hypot, math.sin, math.cos, math.fmod, math.isfinite
+    pi, two_pi, near, measured = math.pi, 2.0 * math.pi, speed * dt / 2.0, 2.0 * speed * dt
+    x, y, theta = scenario.initial.x, scenario.initial.y, scenario.initial.theta
+    x_hist, y_hist, th_hist, u_hist = [x], [y], [theta], []
+    u, held, t = 0.0, 0, 0.0
+    for k in range(1, n + 1):
+        if (r := hypot(x, y)) < near:
             break
-        if r >= 2.0 * speed * dt:
+        if r >= measured:
             # what GuidanceQuery would check holds here: r >= 2 V dt > 0; sigma is
             # wrap_angle's, in [-pi, pi]; t_go >= r / V is positive and reachable
             # (clamped, as command noise can make the terminal phase marginally
             # infeasible); a non-finite pose raises in the network's input check,
             # as a non-finite u below, or in the final pose check
-            u = step_law(r, look_angle(x, y, theta), max(t_f - t, r / speed))
-            if not math.isfinite(u):
+            ys[0], xs[0] = y, x
+            arctan2(ys, xs, atan)
+            if (w := fmod(pi + atan.item() - theta + pi, two_pi)) <= 0.0:
+                w += two_pi
+            u = step_law(r, w - pi, max(t_f - t, r / speed))
+            if not isfinite(u):
                 raise ValueError("invalid state: non-finite step input")
         else:  # the range is too short to measure the look angle reliably: hold u
             held += 1
+        t_next = k * dt if k < n else t_end
+        h = t_next - t
+        t = t_next
+        half = 0.5 * u * h
+        chord = speed * h if half == 0.0 else speed * h * (sin(half) / half)
+        mid = theta + half
+        x += chord * cos(mid)
+        y += chord * sin(mid)
+        if (w := fmod(theta + u * h + pi, two_pi)) <= 0.0:
+            w += two_pi
+        theta = w - pi
+        x_hist.append(x)
+        y_hist.append(y)
+        th_hist.append(theta)
         u_hist.append(u)
-        poses.append(pose := _arc(x, y, theta, u, hstep, speed))
-    if not all(map(math.isfinite, pose)):
+    if not (isfinite(x) and isfinite(y) and isfinite(theta)):
         raise ValueError("invalid state: non-finite Cartesian component")
-    return (nodes[: len(poses)], *np.array(poses).T, np.array(u_hist)), {"held_steps": held}
+    flight = nodes[: len(x_hist)], np.array(x_hist), np.array(y_hist), np.array(th_hist), np.array(u_hist)
+    return flight, {"held_steps": held}
 
 
 def simulate(scenario: Scenario, model=None) -> SimResult:

@@ -382,20 +382,30 @@ signed_betas = st.one_of(betas, betas.map(lambda b: -b), st.sampled_from([0.0, -
 @given(
     alpha=alphas,
     beta=st.lists(signed_betas, min_size=1, max_size=4),
-    t=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 60.0)), min_size=1, max_size=5),
+    t=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 60.0), st.floats(-60.0, 0.0)), min_size=1, max_size=5),
+    near=st.lists(st.floats(-1e-9, 1e-9), max_size=3),
 )
-@example(alpha=1.0, beta=[0.0], t=[0.0])
-@example(alpha=2.0, beta=[math.pi], t=[0.0, 1.0])
-@example(alpha=2.0, beta=[-math.pi, 1e-300], t=[0.0, 30.0])
-@example(alpha=0.5, beta=[-1.2, 0.0, math.pi], t=[0.0, 0.3, 9.0])
-def test_command_equals_evaluates_u_to_the_bit(alpha, beta, t):
+@example(alpha=1.0, beta=[0.0], t=[0.0], near=[])
+@example(alpha=2.0, beta=[math.pi], t=[0.0, 1.0], near=[])
+@example(alpha=2.0, beta=[-math.pi, 1e-300], t=[0.0, 30.0], near=[])
+@example(alpha=0.5, beta=[-1.2, 0.0, math.pi], t=[0.0, 0.3, 9.0], near=[])
+@example(alpha=0.5, beta=[2.0, math.pi], t=[-1.0, 4.0], near=[0.0, -1e-9, 1e-10])
+def test_command_equals_evaluates_u_to_the_bit(alpha, beta, t, near):
     # scalar beta against scalar and row times, then evaluate's documented
-    # broadcast: a column of betas against a row of times
+    # broadcast: a column of betas against a row of times.  command skips the
+    # descent's top row where |phi_N| >= 2 for every time: negative times, and
+    # those within 1e-9 of -K/s, where the phase w = s t + K is near 0, keep it
+    rows = list(t)
     for b in beta:
-        assert bits(command(alpha, b, t[0])) == bits(evaluate(alpha, b, t[0])[3])
-        assert bits(command(alpha, b, t)) == bits(evaluate(alpha, b, t)[3])
+        k, kc = moduli(abs(b))
+        # the straight line (kc = 0) has no finite K
+        times = list(t) + ([-float(ellipk(k, kc)) / math.sqrt(alpha) + d for d in near] if kc else [])
+        rows += times[len(t):]
+        assert bits(command(alpha, b, times[0])) == bits(evaluate(alpha, b, times[0])[3])
+        assert bits(command(alpha, b, times)) == bits(evaluate(alpha, b, times)[3])
+        assert bits(command(alpha, b, times[-1])) == bits(evaluate(alpha, b, times[-1])[3])
     column = np.array(beta)[:, None]
-    assert bits(command(alpha, column, t)) == bits(evaluate(alpha, column, t)[3])
+    assert bits(command(alpha, column, rows)) == bits(evaluate(alpha, column, rows)[3])
 
 
 def test_agm_memo_changes_no_result(monkeypatch):

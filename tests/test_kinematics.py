@@ -12,7 +12,7 @@ from fitguide import (
     step_cartesian,
     wrap_angle,
 )
-from fitguide.kinematics import _bind_look_angle, fly_arcs, look_angles
+from fitguide.kinematics import _bind_look_angle, _wrap_angles, fly_arcs, look_angles
 
 
 def _substeps(dt, max_substep):
@@ -74,6 +74,32 @@ def test_wrap_angle_range():
     assert wrap_angle(math.pi) == pytest.approx(math.pi)
     assert wrap_angle(-math.pi) == pytest.approx(math.pi)
     assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
+
+
+# magnitudes up to 1e300 of either sign, and the edges of the wrap and of fmod
+wrap_inputs = st.one_of(
+    st.floats(-20.0, 20.0),
+    st.builds(lambda sign, m, e: sign * m * 10.0**e, st.sampled_from((1.0, -1.0)), st.floats(1.0, 10.0),
+              st.integers(-300, 299)),
+    st.sampled_from((0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, math.inf, -math.inf, math.nan)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles=st.lists(wrap_inputs, min_size=1, max_size=40))
+@example(angles=[0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, math.inf, -math.inf, math.nan, 1e300, -1e300])
+def test_wrap_angles_equals_the_fmod_form(angles):
+    # fmod runs only outside [0, 2 pi) after the shift by pi; inside it fmod(w, 2 pi) = w,
+    # so every element has the bits of fmod on all of them, NaN and the signed zeros too
+    a = np.array(angles)
+    with np.errstate(invalid="ignore"):
+        w = np.fmod(a + math.pi, 2.0 * math.pi)
+        want = np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi
+        got = _wrap_angles(a)
+    assert got.tobytes() == want.tobytes()
+    for g, angle in zip(got.tolist(), angles):
+        if math.isfinite(angle):
+            assert g == wrap_angle(angle)
 
 
 def test_straight_line_unit_speed():

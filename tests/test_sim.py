@@ -470,6 +470,22 @@ def _public_step_flight(sc, model):
 PN_HOLDS = Scenario(CartesianState(-15000.0, 15000.0, -math.pi / 2), 300.0, 100.0, guidance="pn", dt=0.03)
 
 
+@st.composite
+def step_scenarios(draw):
+    """A network or PN engagement on a coarse clock, from 0.3 to 0.95 of V t_f out, so the network can reach it."""
+    speed, t_f = draw(st.floats(200.0, 600.0)), draw(st.floats(5.0, 40.0))
+    r0, los = draw(st.floats(0.3, 0.95)) * speed * t_f, draw(st.floats(-math.pi, math.pi))
+    start = CartesianState(r0 * math.cos(los), r0 * math.sin(los), draw(st.floats(-math.pi, math.pi)))
+    return Scenario(start, speed, t_f, guidance=draw(st.sampled_from(("nn", "pn"))), dt=draw(st.floats(0.03, 0.2)))
+
+
+def _assert_flies_the_public_step(sc, model):
+    res = simulate(sc, model=model)
+    for key, want in _public_step_flight(sc, model).items():
+        assert np.asarray(getattr(res, key)).tobytes() == np.asarray(want).tobytes(), key
+    return res
+
+
 @pytest.mark.parametrize(
     "sc, shows",
     [
@@ -485,12 +501,11 @@ PN_HOLDS = Scenario(CartesianState(-15000.0, 15000.0, -math.pi / 2), 300.0, 100.
     ],
 )
 def test_step_loop_flies_the_public_step_to_the_bit(model, sc, shows):
-    # the loop binds its law once and steps floats with step_cartesian's own
-    # arc; a loop that validates a query object, calls the public law and
-    # flies step_cartesian every step gives back every node, command and metric to the bit
-    res = simulate(sc, model=model)
-    for key, want in _public_step_flight(sc, model).items():
-        assert np.asarray(getattr(res, key)).tobytes() == np.asarray(want).tobytes(), key
+    # the loop binds its law once and writes the look angle, the arc and the
+    # clock out on floats; a loop that validates a query object, calls the public
+    # law and flies step_cartesian every step gives back every node, command and
+    # metric to the bit; each case shows one feature of the step loop
+    res = _assert_flies_the_public_step(sc, model)
     t_end = max(4.0 * sc.t_f, 60.0) if sc.guidance == "pn" else sc.t_f
     features = {
         "meets t_f": res.t[-1] == sc.t_f and res.miss <= 20.0,
@@ -500,6 +515,13 @@ def test_step_loop_flies_the_public_step_to_the_bit(model, sc, shows):
         "holds": bool(np.any(res.r[: len(res.u)] < 2.0 * sc.speed * sc.dt)),
     }
     assert features[shows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sc=step_scenarios())
+def test_step_loop_flies_the_public_step_to_the_bit_on_drawn_engagements(model, sc):
+    # the same bit-for-bit check on drawn starts, speeds, horizons and clocks
+    _assert_flies_the_public_step(sc, model)
 
 
 def test_held_steps_count_the_steps_started_within_two_steps_flight(model):
