@@ -39,8 +39,8 @@ w = s*t + K(k) and Z the Jacobi zeta function:
 
 ``evaluate`` computes these for whole arrays from one arithmetic-geometric
 mean and its descending Landen sequence (numpy only), ``command`` U alone,
-and ``effort`` the effort integral of U**2/2 from the same two; the AGM of
-the last one-element modulus is kept for the next call.  The stop times are
+and ``effort`` the effort integral of U**2/2 from the same two; a call forms
+its modulus and AGM once (``_modulus``).  The stop times are
 exact too: c * s depends only on the phase tau = s*t and on beta, so the
 first collinearity falls at tau*(beta) / s, and the first interior zero
 of the command at 2K / s.
@@ -119,9 +119,16 @@ class ParamTrajectory:
 # broadcast over numpy arrays.
 
 
-# (k and kc's bytes, read-only rows a_0..a_N, c_0..c_N, E/K) of the last one-element
-# modulus: a solve reads its root's AGM in _admissible, effort, command and warm_check.
-_last_modulus = (b"", None)
+def _float_agm(k, kc, rows=1):
+    """``_agm``'s rows of one modulus on floats, run to at least ``rows`` rows: (a_n, c_n, E/K)."""
+    a, b, c = 1.0, kc, k
+    rows_a, rows_c, total = [a], [c], k * k
+    while (c > 2.0**-53 * a or len(rows_a) < rows) and len(rows_a) <= 64:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        total = total + 2.0 ** len(rows_c) * c * c
+        rows_a.append(a)
+        rows_c.append(c)
+    return rows_a, rows_c, 1.0 - 0.5 * total
 
 
 def _agm(k, kc):
@@ -131,35 +138,27 @@ def _agm(k, kc):
     element has met (c_N <= 2**-53 a_N); an element that meets early goes on
     with c_n at rounding level, and its extra rows can move the last bits of
     the descent: paired with beta = 1e-300 (15 rows against 7 at beta = 1),
-    ``evaluate``'s X or Y moved in 432 of 2,000 draws (ln q uniform on
-    [-6, 3], beta on [0.01, 3.1], t = 1), by up to 1.8e-11 relative where
-    they pass near 0, and Theta and U in none.
+    ``evaluate``'s X or Y moved in 418 of 2,000 draws (``default_rng(0)``:
+    2,000 ln q uniform on [-6, 3], then 2,000 beta on [0.01, 3.1], t = 1), by
+    up to 1.7e-11 relative where they pass near 0, and Theta and U in none.
     So an element's bits depend on the batch it runs in, and
-    ``_float_endpoints`` runs a pair's rows alike.  A one-element modulus gets
-    read-only rows, kept until the next one-element modulus that differs;
-    many-element calls pass it by.
+    ``_float_endpoints`` runs a pair's rows alike.  A one-element modulus
+    runs on floats (``_float_agm``: + - * / and sqrt round alike on both),
+    and its rows take the caller's shape.
     """
-    global _last_modulus
-    one = k.size == 1 and k.shape == kc.shape
-    last_key, rows = _last_modulus  # one read: another thread may replace it
-    if one and last_key == (key := k.tobytes() + kc.tobytes()):
-        rows = rows.reshape(-1, *k.shape)
-    else:
-        a, b, c = np.ones_like(k), kc, k
-        rows_a, rows_c, total = [a], [c], k * k
-        # the cap only matters for kc = 0, where K is infinite and the AGM never meets
-        while (c > 2.0**-53 * a).any() and len(rows_a) <= 64:
-            a, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
-            total = total + 2.0 ** len(rows_c) * c * c
-            rows_a.append(a)
-            rows_c.append(c)
-        if not one:
-            return rows_a, rows_c, 1.0 - 0.5 * total
-        rows = np.array([*rows_a, *rows_c, 1.0 - 0.5 * total])  # a copy: c_0 is the caller's k
-        rows.flags.writeable = False
-        _last_modulus = key, rows
-    n = len(rows) // 2
-    return list(rows[:n]), list(rows[n:-1]), rows[-1]
+    if k.size == 1 and k.shape == kc.shape:
+        a, c, e_over_k = _float_agm(k.item(), kc.item())
+        rows = np.array([*a, *c, e_over_k]).reshape(-1, *k.shape)
+        return list(rows[:len(a)]), list(rows[len(a):-1]), rows[-1]
+    a, b, c = np.ones_like(k), kc, k
+    rows_a, rows_c, total = [a], [c], k * k
+    # the cap only matters for kc = 0, where K is infinite and the AGM never meets
+    while (c > 2.0**-53 * a).any() and len(rows_a) <= 64:
+        a, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
+        total = total + 2.0 ** len(rows_c) * c * c
+        rows_a.append(a)
+        rows_c.append(c)
+    return rows_a, rows_c, 1.0 - 0.5 * total
 
 
 def _descend(u, a, c):
@@ -203,46 +202,42 @@ def _amplitude(u, a, c):
 
 
 def ellipk(k, kc):
-    """Complete elliptic integral of the first kind K(k) = pi / (2 AGM(1, kc))."""
-    a, _, _ = _agm(np.asarray(k, dtype=float), np.asarray(kc, dtype=float))
-    return 0.5 * np.pi / a[-1]
+    """Complete elliptic integral of the first kind K(k) = pi / (2 AGM(1, kc)); inf where kc = 0."""
+    kc = np.asarray(kc, dtype=float)
+    a, _, _ = _agm(np.asarray(k, dtype=float), kc)
+    return np.where(kc == 0.0, np.inf, 0.5 * np.pi / a[-1])[()]
 
 
 # --- the closed-form extremal ---
 
 
-def _closed_form(alpha, beta, t, zeta=True):
-    """The closed form up to U = -2 s k cn(w), w = s*t + K(k), for ``evaluate`` and ``command``.
-
-    Returns (t, |beta|, sign of beta, k, kc, line (kc = 0: U = 0), s, E/K, am(w), Z(w), cn(w), U);
-    with ``zeta`` false, Z(w) is None and am(w) comes from ``_amplitude``.
-    """
-    alpha = np.asarray(alpha, dtype=float)
+def _modulus(beta):
+    """``_float_modulus`` on arrays: (|beta|, sign of beta, k, kc, line (kc = 0: U = 0), AGM rows a_n, c_n, E/K)."""
     beta = np.asarray(beta, dtype=float)
-    t = np.asarray(t, dtype=float)
     b = np.abs(beta)
     k, kc = np.cos(0.5 * b), np.sin(0.5 * b)
     line = kc == 0.0
-    a, c, e_over_k = _agm(k, np.where(line, 1.0, kc))
-    s = np.sqrt(alpha)
+    return b, np.copysign(1.0, beta), k, kc, line, *_agm(k, np.where(line, 1.0, kc))
+
+
+def _closed_form(alpha, t, modulus, zeta=True):
+    """The closed form up to U = -2 s k cn(w), w = s*t + K(k), from ``_modulus``: (s, am(w), Z(w), cn(w), U).
+
+    With ``zeta`` false, Z(w) is None and am(w) comes from ``_amplitude``.
+    """
+    _, sign, k, _, line, a, c, _ = modulus
+    s = np.sqrt(np.asarray(alpha, dtype=float))
     w = s * t + 0.5 * np.pi / a[-1]
     am, z = _descend(w, a, c) if zeta else (_amplitude(w, a, c), None)
     cn = np.cos(am)
-    sign = np.copysign(1.0, beta)
-    return t, b, sign, k, kc, line, s, e_over_k, am, z, cn, np.where(line, 0.0, -2.0 * sign * s * k * cn)
+    return s, am, z, cn, np.where(line, 0.0, -2.0 * sign * s * k * cn)
 
 
-def evaluate(alpha, beta, t):
-    """State (X, Y, Theta, U) of the extremal (alpha, beta) at time t.
-
-    The arguments broadcast against each other, and the AGM runs once per
-    element of ``beta``: a column of betas against a row of times shares
-    it, and calls on one beta share the last one (``_agm``).  beta = 0 puts
-    the costate along the path (psi rests on the upright equilibrium), a
-    straight line; negative beta mirrors the extremal.  ``command`` returns
-    U alone, to the bit.
-    """
-    t, b, sign, k, kc, line, s, e_over_k, am, zeta, cn, U = _closed_form(alpha, beta, t)
+def _evaluate(alpha, t, modulus):
+    """``evaluate`` at the times t, an array, from ``_modulus``."""
+    b, sign, k, kc, line, _, _, e_over_k = modulus
+    s, am, zeta, cn, U = _closed_form(alpha, t, modulus)
+    del modulus  # the AGM rows are not needed past the descent: let them go before the temporaries below
     sn = np.sin(am)
     dn = np.hypot(cn, kc * sn)
     big_a = t * (2.0 * e_over_k - 1.0) + 2.0 * zeta / s
@@ -254,9 +249,21 @@ def evaluate(alpha, beta, t):
     return X, Y, Theta, U
 
 
+def evaluate(alpha, beta, t):
+    """State (X, Y, Theta, U) of the extremal (alpha, beta) at time t.
+
+    The arguments broadcast against each other, and the AGM runs once per
+    element of ``beta``: a column of betas against a row of times shares
+    it.  beta = 0 puts the costate along the path (psi rests on the upright
+    equilibrium), a straight line; negative beta mirrors the extremal.
+    ``command`` returns U alone, to the bit.
+    """
+    return _evaluate(alpha, np.asarray(t, dtype=float), _modulus(beta))
+
+
 def command(alpha, beta, t):
     """Command U of the extremal (alpha, beta) at time t: ``evaluate(alpha, beta, t)[3]`` to the bit, alone."""
-    return _closed_form(alpha, beta, t, zeta=False)[-1]
+    return _closed_form(alpha, np.asarray(t, dtype=float), _modulus(beta), zeta=False)[-1]
 
 
 def effort(alpha, beta, t):
@@ -275,19 +282,13 @@ def effort(alpha, beta, t):
     extremal close to the separatrix; there J is exact only to the rounding
     of those terms.  Broadcasts like ``evaluate``; 0 on the straight line.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    t = np.asarray(t, dtype=float)
-    b = np.abs(beta)
-    k, kc = np.cos(0.5 * b), np.sin(0.5 * b)
-    line = kc == 0.0
-    a, _, _ = _agm(k, np.where(line, 1.0, kc))
+    _, _, k, _, line, a, _, _ = _modulus(beta)
     # the AGM's own c_1 = (1 - kc)/2 cancels as k -> 0
     c = [k]
     for a_n in a[1:]:
         c.append(c[-1] * c[-1] / (4.0 * a_n))
-    s = np.sqrt(alpha)
-    tau = s * t
+    s = np.sqrt(np.asarray(alpha, dtype=float))
+    tau = s * np.asarray(t, dtype=float)
     _, zeta = _descend(tau + 0.5 * np.pi / a[-1], a, c)
     tail = sum(2.0**n * c[n] * c[n] for n in range(1, len(c)))
     return np.where(line, 0.0, 2.0 * s * (0.5 * tau * (k * k - tail) + zeta))
@@ -322,18 +323,6 @@ def range_look_angle(X, Y, Theta):
 # the array's length; tier-1 properties check the equality on each host.
 
 _cos, _sin, _arcsin = np.cos, np.sin, np.arcsin
-
-
-def _float_agm(k, kc, rows=1):
-    """``_agm`` of one modulus on floats, run to at least ``rows`` rows: (a_n, c_n, E/K)."""
-    a, b, c = 1.0, kc, k
-    rows_a, rows_c, total = [a], [c], k * k
-    while (c > 2.0**-53 * a or len(rows_a) < rows) and len(rows_a) <= 64:
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        total = total + 2.0 ** len(rows_c) * c * c
-        rows_a.append(a)
-        rows_c.append(c)
-    return rows_a, rows_c, 1.0 - 0.5 * total
 
 
 def _float_modulus(beta, rows=1):
@@ -442,12 +431,12 @@ def _collinear_brackets(beta):
     """Yield the brackets (degenerate, lo, hi) of tau* per beta, one per rescan; degenerate: beta in {0, pi}."""
     beta = np.abs(np.asarray(beta, dtype=float))
     degenerate = (beta == 0.0) | (beta >= math.pi)
-    b = np.where(degenerate, 0.5 * math.pi, beta)[..., None]
-    quarter = ellipk(np.cos(0.5 * b), np.sin(0.5 * b))
+    modulus = _modulus(np.where(degenerate, 0.5 * math.pi, beta)[..., None])
+    quarter = 0.5 * np.pi / modulus[5][-1]  # K(k)
     lo, hi = 0.5 * quarter, 3.0 * quarter
     for _ in range(_LEVELS):
         tau = lo + (hi - lo) * _FRACTIONS
-        X, Y, Theta, _ = evaluate(1.0, b, tau)
+        X, Y, Theta, _ = _evaluate(1.0, tau, modulus)
         flipped = Y * np.cos(Theta) - X * np.sin(Theta) >= 0.0
         flipped[..., -1] = True  # the bracket's upper end, by construction
         first = np.argmax(flipped[..., 1:], axis=-1)[..., None] + 1

@@ -13,7 +13,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-import fitguide.extremals
 from fitguide.extremals import (
     AdjointParams,
     _agm,
@@ -29,6 +28,7 @@ from fitguide.extremals import (
     evaluate,
     propagate_param,
     range_look_angle,
+    sweep_cells,
     terminal_time,
 )
 
@@ -408,8 +408,8 @@ def test_command_equals_evaluates_u_to_the_bit(alpha, beta, t, near):
     assert bits(command(alpha, column, rows)) == bits(evaluate(alpha, column, rows)[3])
 
 
-def test_agm_memo_changes_no_result(monkeypatch):
-    """A scalar modulus' kept AGM rows give the bits of a fresh AGM: cold, warm, across shapes and after another modulus."""
+def test_results_do_not_depend_on_call_order():
+    """One modulus' results are the same bits whatever was called before: alone, in any order, after another modulus."""
     t = np.linspace(0.0, 3.0, 7)
     calls = [
         lambda: evaluate(2.0, -0.7, t),
@@ -419,26 +419,50 @@ def test_agm_memo_changes_no_result(monkeypatch):
         lambda: (_collinear_phase(0.7), ellipk(*moduli(0.7)), ellipk(*(np.array([m]) for m in moduli(0.7)))),
         lambda: evaluate(1.0, 2.1, 0.5),  # another modulus
     ]
-    cold = []
-    for call in calls:
-        monkeypatch.setattr(fitguide.extremals, "_last_modulus", (b"", None))
-        cold.append(bits(*call()))
-    # warm, in both orders, and each call right after the other modulus
+    first = [bits(*call()) for call in calls]
+    # again, in both orders, and each call right after the other modulus
     for order in (calls, calls[::-1], [c for call in calls for c in (calls[-1], call)]):
         for call in order:
-            assert bits(*call()) == cold[calls.index(call)]
-    # the rows of a one-element modulus are read-only, fresh or kept, and
-    # copies: changing the caller's k afterwards changes no kept row
-    k, kc = np.array([math.cos(0.35)]), np.array([math.sin(0.35)])
-    for _ in range(2):
-        a, c, e_over_k = _agm(k, kc)
-        assert not any(r.flags.writeable for r in (*a, *c, e_over_k))
-    k[0] = 0.5
-    assert _agm(np.array([math.cos(0.35)]), kc)[1][0][0] == math.cos(0.35)
-    # a many-element call leaves them in place
-    kept = fitguide.extremals._last_modulus
-    evaluate(1.0, [0.3, 0.4], 1.0)
-    assert fitguide.extremals._last_modulus is kept
+            assert bits(*call()) == first[calls.index(call)]
+
+
+@pytest.mark.parametrize("beta", [1e-300, 0.86027439, math.pi, 0.0])
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_one_element_modulus_equals_a_batch_of_its_copies(beta, shape):
+    # a one-element modulus runs on floats: the same bits, in the caller's shape, as each of five copies on arrays
+    k, kc = moduli(beta)
+    one, five = np.full(shape, beta), np.full(5, beta)
+
+    def alike(got, batch):
+        assert bits(got) == bits(np.reshape(batch[0], shape))
+        assert bits(*batch) == bits(batch[0]) * len(batch)
+
+    a1, c1, e1 = _agm(np.full(shape, k), np.full(shape, kc))
+    a5, c5, e5 = _agm(np.full(5, k), np.full(5, kc))
+    assert (len(a1), len(c1)) == (len(a5), len(c5))
+    for got, batch in zip([*a1, *c1, e1], [*a5, *c5, e5]):
+        alike(got, batch)
+    quarter = ellipk(np.full(5, k), np.full(5, kc))
+    alike(ellipk(np.full(shape, k), np.full(shape, kc)), quarter)
+    for f in (command, effort, lambda alpha, b, t: evaluate(alpha, b, t)[0], lambda alpha, b, t: evaluate(alpha, b, t)[1]):
+        alike(f(2.0, one, 1.3), f(2.0, five, 1.3))
+        alike(f(2.0, -one, 1.3), f(2.0, -five, 1.3))
+    phase = _collinear_phase(five)
+    alike(_collinear_phase(one), phase)
+    # sweep_cells solves one distinct beta as a one-element modulus
+    alphas = np.array([0.5, 2.0, 9.0])
+    sweep = sweep_cells(alphas, np.full(3, beta), 10.0, 0.01)
+    zero = np.where(np.isinf(phase), np.inf, 2.0 * quarter)
+    assert bits(sweep.t_collinear, sweep.t_control_zero) == bits(phase[0] / np.sqrt(alphas), zero[0] / np.sqrt(alphas))
+
+
+def test_ellipk_is_infinite_at_k_one():
+    # kc = 0: K(1) diverges, where the AGM of (1, 0) would stop at its row cap; ellipkm1 takes kc**2
+    assert ellipk(1.0, 0.0) == special.ellipkm1(0.0) == math.inf
+    k, kc = moduli(0.86027439)
+    got = ellipk([1.0, k], [0.0, kc])
+    assert got[0] == math.inf and bits(got[1]) == bits(ellipk(k, kc))
+    assert bits(ellipk(np.array([1.0]), np.array([0.0]))) == bits(np.array([math.inf]))
 
 
 # The float kernel's domain in the oracle: ln q over the root table's range
